@@ -26,10 +26,8 @@ from .certificate import (
     DiophantineBudgetError,
     VerificationReport,
     average_R,
-    build_H_prime,
     build_H_second,
     choose_parameters,
-    det_P,
     diophantine_N,
     family_generators,
     refute,

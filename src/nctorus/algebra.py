@@ -189,13 +189,17 @@ def cocycle_check(m, n, g, ctx: PhaseContext) -> bool:
     return pairing(sig, mv, nv) + pairing(sig, mn, gv) == pairing(sig, mv, ng) + pairing(sig, nv, gv)
 
 
-def numeric_eval(s: PhaseScalar, ctx: PhaseContext) -> complex:
+def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
     """Evaluate an exact scalar to a complex float at the context's h.
 
     Phases are reduced mod 2*pi in 256-bit fixed point first, so the result
-    stays accurate even for zeta-exponents far beyond float range.
+    stays accurate even for zeta-exponents far beyond float range.  ctx may
+    be None when no term carries a zeta power.
     """
+    h = ctx.h if ctx is not None else Fraction(0)  # h only scales zeta powers
     total = 0j
     for k, r, c in s.terms():
-        total += float(c) * cmath.exp(1j * circle.phase_angle(ctx.h, k, r))
+        if k and ctx is None:
+            raise ValueError("a PhaseContext is needed to evaluate zeta powers")
+        total += float(c) * cmath.exp(1j * circle.phase_angle(h, k, r))
     return total

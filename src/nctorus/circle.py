@@ -8,8 +8,9 @@ to ~2^-250 of a turn.
 
 The module also hosts the minimal-hit solver for irrational rotations:
 the smallest k >= 1 with k * alpha landing in a prescribed arc.  This is
-the continued-fraction style accelerator behind the Diophantine step; the
-plain linear scan is kept alongside as the reference implementation.
+the continued-fraction style solver behind the Diophantine step, and the
+only one: the plain linear scan lives in the tests as its brute-force
+oracle.
 """
 
 from __future__ import annotations
@@ -93,22 +94,3 @@ def first_hit(a: int, m: int, t: int, w: int) -> int | None:
     s = t + ((-j * m - t) % a)
     return (j * m + s) // a
 
-
-def scan_hit(a: int, m: int, t: int, w: int, limit: int) -> tuple[int | None, int, int]:
-    """Reference linear scan for first_hit, capped at `limit` steps.
-
-    Returns (k or None, best_k, best_distance) where best_* track the
-    closest approach seen, for budget-exhaustion reporting.
-    """
-    a %= m
-    pos = 0
-    best_k, best_dist = 0, m
-    for k in range(1, limit + 1):
-        pos = (pos + a) % m
-        d = (pos - t) % m
-        if d <= w:
-            return k, k, d
-        dist = min(d - w, m - d)
-        if dist < best_dist:
-            best_k, best_dist = k, dist
-    return None, best_k, best_dist

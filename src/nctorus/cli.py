@@ -6,7 +6,8 @@ a parsed element), `gram`, `psd`, `refute` and `verify`.  JSON arguments
 accept either a file path or an inline JSON string.
 
 Exit codes: 0 success/accept, 1 reject or non-PSD verdict, 2 usage or
-malformed input, 3 search-budget exhaustion.
+malformed input, 3 search-budget exhaustion, 4 refute could not reach a
+negative witness margin (degenerate candidate).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .certificate import (
     Certificate,
     ConsistentWithTrace,
     DiophantineBudgetError,
+    RefutationMarginError,
     refute,
     verify,
 )
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_MARGIN = 4
 
 
 def _load_json(arg: str):
@@ -236,6 +239,9 @@ def main(argv=None) -> int:
     except DiophantineBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RefutationMarginError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MARGIN
     except (ParseError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

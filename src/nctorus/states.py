@@ -169,7 +169,7 @@ class HermitianMatrix:
         out = np.zeros((n, n), dtype=complex)
         for i in range(n):
             for j in range(n):
-                out[i, j] = _scalar_to_complex(self._exact[i][j], ctx)
+                out[i, j] = numeric_eval(self._exact[i][j], ctx)
         return out
 
     def is_hermitian(self, tol: float = 1e-9) -> bool:
@@ -198,19 +198,6 @@ class HermitianMatrix:
         return None
 
 
-def _scalar_to_complex(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
-    total = 0j
-    for k, r, c in s.terms():
-        if k and ctx is None:
-            raise ValueError("a PhaseContext is needed to evaluate zeta powers")
-        if ctx is not None:
-            ang = circle.phase_angle(ctx.h, k, r)
-        else:
-            ang = 2.0 * math.pi * float(r)
-        total += float(c) * cmath.exp(1j * ang)
-    return total
-
-
 def gram(state: StateCandidate, gens, ctx: PhaseContext, exact: bool = False) -> HermitianMatrix:
     """Gram matrix H_ij = omega(W_i^* W_j) = zeta^(-sigma(m_i, m_j)) * p(m_j - m_i)."""
     if ctx.genus != 1:
@@ -220,25 +207,19 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext, exact: bool = False) ->
         raise ValueError("generators must be lattice points of Z^2")
     if len(set(vecs)) != len(vecs):
         raise ValueError("duplicate generators give a degenerate Gram request")
-    n = len(vecs)
     if exact:
-        rows = [[PhaseScalar.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                diff = (vecs[j][0] - vecs[i][0], vecs[j][1] - vecs[i][1])
-                p = eval_generator(state, diff)
-                if p:
-                    rows[i][j] = PhaseScalar.zeta(-pairing(ctx.sigma, vecs[i], vecs[j]), p)
-        return HermitianMatrix(rows, exact=True)
-    out = np.zeros((n, n), dtype=complex)
+        zero, entry = PhaseScalar.zero(), PhaseScalar.zeta
+    else:
+        zero, entry = 0j, lambda k, p: float(p) * cmath.exp(1j * circle.phase_angle(ctx.h, k))
+    n = len(vecs)
+    rows = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             diff = (vecs[j][0] - vecs[i][0], vecs[j][1] - vecs[i][1])
             p = eval_generator(state, diff)
             if p:
-                ang = circle.phase_angle(ctx.h, -pairing(ctx.sigma, vecs[i], vecs[j]))
-                out[i, j] = float(p) * cmath.exp(1j * ang)
-    return HermitianMatrix(out)
+                rows[i][j] = entry(-pairing(ctx.sigma, vecs[i], vecs[j]), p)
+    return HermitianMatrix(rows, exact=exact)
 
 
 def quadratic_form(H: HermitianMatrix, v, ctx: PhaseContext | None = None):

@@ -19,6 +19,7 @@ from nctorus.lattice import as_matrix, int_det, mat_mul, mat_vec, transpose
 from nctorus.scalars import PhaseScalar
 from nctorus.states import eval_generator
 from conftest import random_element, random_scalar, random_sl2
+from paper_oracles import build_H_prime, det_P
 
 CTX = nt.PhaseContext()
 
@@ -152,7 +153,7 @@ def test_criterion_06_cancellation():
     rng = random.Random(1006)
     for d in range(1, 13):
         q = {j * 17: Fraction(rng.randint(-16, 16), 16) for j in range(1, d)}
-        mats = [nt.build_H_prime(Fraction(1, 2), q, d, l, 17, exact=True)
+        mats = [build_H_prime(Fraction(1, 2), q, d, l, 17)
                 for l in range(1, d + 1)]
         avg = nt.average_R(mats)
         for j in range(1, d + 1):
@@ -167,12 +168,12 @@ def test_criterion_07_determinant_law():
     for p in (Fraction(0), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2),
               Fraction(-1, 2), Fraction(1), Fraction(-1)):
         for d in range(1, 11):
-            pd = nt.build_H_prime(p, {}, d, 1, 1, exact=True)
+            pd = build_H_prime(p, {}, d, 1, 1)
             det = nt.determinant_exact(pd)
             assert det.im == 0
-            assert det.re == nt.det_P(p, d) == 1 - d * p * p
-    assert nt.det_P(Fraction(1, 2), 4) == 0
-    assert nt.det_P(1, 2) == -1
+            assert det.re == det_P(p, d) == 1 - d * p * p
+    assert det_P(Fraction(1, 2), 4) == 0
+    assert det_P(1, 2) == -1
     ok(7, "exact determinant of built P_d equals 1 - d p^2 for d <= 10, "
           "p in {0, +-1/4, +-1/2, +-1}")
 
@@ -205,13 +206,13 @@ def test_criterion_09_perturbation_and_budget():
         q_map = {j * n_val: eval_generator(state, (j * n_val, 0)) for j in range(1, d)}
         for l in range(1, d + 1):
             second = nt.build_H_second(state, params, l, CTX).to_numpy()
-            prime = nt.build_H_prime(Fraction(1, 2), q_map, d, l, n_val).to_numpy()
+            prime = build_H_prime(Fraction(1, 2), q_map, d, l, n_val).to_numpy()
             assert np.max(np.abs(second - prime)) < float(eps)
         if d <= 4:
             mats = [nt.build_H_second(state, params, l, CTX) for l in range(1, d + 1)]
             det_avg = np.linalg.det(nt.average_R(mats).to_numpy()).real
             bound = float(eps) * 2 * d * (d - 1) * math.factorial(d)
-            assert abs(det_avg - float(nt.det_P(Fraction(1, 2), d))) <= bound
+            assert abs(det_avg - float(det_P(Fraction(1, 2), d))) <= bound
     ok(9, "max-norm ||H''_l - H'_l|| < eps on all sampled parameters; "
           "|det(avg H'') - (1 - d p^2)| within the 2 d (d-1) d! eps budget for d <= 4")
 

@@ -11,11 +11,10 @@ from nctorus.certificate import (
     Certificate,
     ConsistentWithTrace,
     DiophantineBudgetError,
+    _angle_window,
     average_R,
-    build_H_prime,
     build_H_second,
     choose_parameters,
-    det_P,
     diophantine_N,
     family_generators,
     refute,
@@ -33,6 +32,8 @@ from nctorus.states import (
     quadratic_form,
     trace_state,
 )
+from nctorus.circle import MODULUS
+from paper_oracles import build_H_prime, det_P, scan_hit
 
 
 # -- diophantine ------------------------------------------------------------
@@ -51,8 +52,9 @@ def test_diophantine_minimal_and_divisible(ctx, d, eps):
 
 def test_diophantine_scan_agrees_with_exact(ctx):
     for d, xi2, eps in [(2, 1, Fraction(1, 2)), (3, 2, Fraction(1, 2)), (4, 1, Fraction(1, 1))]:
-        exact = diophantine_N(ctx, xi2, d, eps, method="auto")
-        scanned = diophantine_N(ctx, xi2, d, eps, method="scan", budget=10**6)
+        exact = diophantine_N(ctx, xi2, d, eps)
+        a, t, w = _angle_window(ctx, xi2, d, eps)
+        scanned = math.factorial(d) * scan_hit(a, MODULUS, t, w, 10**6)
         assert exact == scanned
 
 
@@ -60,8 +62,6 @@ def test_diophantine_budget_error(ctx):
     with pytest.raises(DiophantineBudgetError) as info:
         diophantine_N(ctx, 1, 3, Fraction(1, 10**6), budget=50)
     assert info.value.best_n is not None
-    with pytest.raises(DiophantineBudgetError):
-        diophantine_N(ctx, 1, 3, Fraction(1, 10**6), budget=50, method="scan")
 
 
 def test_diophantine_rejects_bad_args(ctx):
@@ -75,7 +75,7 @@ def test_diophantine_rejects_bad_args(ctx):
 
 def test_build_H_prime_trivial_q():
     p = Fraction(1, 2)
-    h = build_H_prime(p, {}, 4, 2, 100, exact=True)
+    h = build_H_prime(p, {}, 4, 2, 100)
     arr = h.to_numpy()
     expect = np.eye(5, dtype=complex)
     expect[0, 1:] = 0.5
@@ -85,7 +85,7 @@ def test_build_H_prime_trivial_q():
 
 def test_build_H_prime_root_of_unity_phase():
     q = {7: Fraction(1, 3)}
-    h = build_H_prime(Fraction(1, 2), q, 2, 1, 7, exact=True)
+    h = build_H_prime(Fraction(1, 2), q, 2, 1, 7)
     # d = 2, l = 1: off-diagonal phase e(1/2) = -1
     assert h.entry(1, 2) == h.entry(2, 1) == -Fraction(1, 3)
     assert h.is_hermitian()
@@ -96,7 +96,7 @@ def test_build_H_prime_root_of_unity_phase():
 def test_build_H_second_trace_identity(ctx):
     params = CertParams(xi=(1, 1), d=3, N=math.factorial(3) * 4, epsilon=Fraction(1, 10))
     for l in range(1, 4):
-        h = build_H_second(trace_state(), params, l, ctx, exact=True)
+        h = gram(trace_state(), family_generators(params, l), ctx, exact=True)
         arr = h.to_numpy(ctx)
         assert np.allclose(arr, np.eye(4))
 
@@ -152,13 +152,13 @@ def test_average_cancellation_exact():
     rng = random.Random(3)
     for d in range(2, 13):
         q = {j * 10: Fraction(rng.randint(-8, 8), 8) for j in range(1, d)}
-        mats = [build_H_prime(Fraction(1, 2), q, d, l, 10, exact=True) for l in range(1, d + 1)]
+        mats = [build_H_prime(Fraction(1, 2), q, d, l, 10) for l in range(1, d + 1)]
         avg = average_R(mats)
         for j in range(1, d + 1):
             for i in range(j + 1, d + 1):
                 assert avg.entry(j, i).is_zero, (d, j, i)
         # and the result is exactly P_d
-        pd = build_H_prime(Fraction(1, 2), {}, d, 1, 10, exact=True)
+        pd = build_H_prime(Fraction(1, 2), {}, d, 1, 10)
         for i in range(d + 1):
             for j in range(d + 1):
                 assert avg.entry(i, j) == pd.entry(i, j)
@@ -183,7 +183,7 @@ def test_det_P_examples():
                                Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)])
 def test_det_P_matches_exact_elimination(p):
     for d in range(1, 11):
-        pd = build_H_prime(p, {}, d, 1, 1, exact=True)
+        pd = build_H_prime(p, {}, d, 1, 1)
         det = determinant_exact(pd)
         assert det.im == 0
         assert det.re == det_P(p, d)
@@ -222,12 +222,12 @@ def test_witness_vector_examples():
     v = witness_vector(Fraction(1, 2), 5)
     assert [complex(x) for x in v] == [-2.5, 1, 1, 1, 1, 1]
     v2 = witness_vector(1, 2)
-    pd = build_H_prime(1, {}, 2, 1, 1, exact=True)
+    pd = build_H_prime(1, {}, 2, 1, 1)
     assert quadratic_form(pd, v2) == -2
     with pytest.raises(ValueError):
         witness_vector(Fraction(1, 2), 4)  # d p^2 = 1
     # global phase invariance of the value
-    h = build_H_prime(Fraction(1, 2), {}, 5, 1, 1)
+    h = HermitianMatrix(build_H_prime(Fraction(1, 2), {}, 5, 1, 1).to_numpy())
     base = quadratic_form(h, [complex(x) for x in witness_vector(Fraction(1, 2), 5)])
     rotated = [complex(x) * np.exp(0.7j) for x in witness_vector(Fraction(1, 2), 5)]
     assert abs(quadratic_form(h, rotated) - base) < 1e-12
@@ -321,6 +321,11 @@ def test_verify_rejects_tampering(ctx):
     report = verify(state, Certificate.from_json(bad_n), ctx)
     assert not report.accepted and report.failed == "divisibility"
 
+    bad_v = cert.to_json()
+    bad_v["value"] = cert.value / 2
+    report = verify(state, Certificate.from_json(bad_v), ctx)
+    assert not report.accepted and report.failed == "negativity"
+
     bad_w = cert.to_json()
     bad_w["witness"] = [[0.0, 0.0] for _ in bad_w["witness"]]
     report = verify(state, Certificate.from_json(bad_w), ctx)
@@ -344,6 +349,28 @@ def test_verify_rejects_tampering(ctx):
     wrong_state = StateCandidate({1: 0.25})
     report = verify(wrong_state, cert, ctx)
     assert not report.accepted and report.failed == "params"
+
+
+def test_verify_ignores_avg_value(ctx, monkeypatch):
+    # the proof is the l* witness alone; the family average only guided refute
+    import nctorus.certificate as certificate
+
+    state = StateCandidate({1: 0.5})
+    cert = refute(state, ctx)
+    built = []
+
+    def counting_gram(*args, **kwargs):
+        built.append(args)
+        return gram(*args, **kwargs)
+
+    monkeypatch.setattr(certificate, "gram", counting_gram)
+    monkeypatch.setattr(certificate, "average_R", None)  # verify must not average
+    for avg in (0.0, 1.0, cert.avg_value / 2):
+        blob = cert.to_json()
+        blob["avg_value"] = avg
+        report = verify(state, Certificate.from_json(blob), ctx)
+        assert report.accepted and report.failed is None
+    assert len(built) == 3  # one family Gram matrix per verify
 
 
 def test_verify_algebra_agreement_clause(ctx):

@@ -10,9 +10,9 @@ from nctorus.circle import (
     fixed_to_angle,
     hbar_fixed,
     phase_angle,
-    scan_hit,
     to_fixed,
 )
+from paper_oracles import scan_hit
 
 
 def brute_first_hit(a, m, t, w, cap):
@@ -40,7 +40,7 @@ def test_first_hit_large_modulus(a, t):
     assert ((k * (a | 1) - t) % MODULUS) <= w
     # scan agreement on a small prefix
     limit = min(k + 5, 3000)
-    scan_k, _, _ = scan_hit(a | 1, MODULUS, t, w, limit)
+    scan_k = scan_hit(a | 1, MODULUS, t, w, limit)
     if k <= limit:
         assert scan_k == k
     else:

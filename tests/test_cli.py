@@ -144,6 +144,18 @@ def test_budget_exhaustion_exit_code(capsys):
     assert "budget" in err
 
 
+def test_margin_failure_exit_code(capsys, monkeypatch):
+    from nctorus.certificate import RefutationMarginError
+
+    def degenerate(*args, **kwargs):
+        raise RefutationMarginError("negativity margin stayed above -1e-6")
+
+    monkeypatch.setattr("nctorus.cli.refute", degenerate)
+    code, out, err = run(capsys, "refute", "--state", '{"orbit_values":{"1":0.5}}')
+    assert code == 4
+    assert out == "" and err.startswith("error: ") and "margin" in err
+
+
 def test_psd_complex_entries(capsys, tmp_path):
     mat = tmp_path / "cplx.json"
     mat.write_text(json.dumps({"matrix": [[1, [0, 0.5]], [[0, -0.5], 1]]}))

@@ -153,10 +153,11 @@ def test_quadratic_form_examples():
 
 
 def test_quadratic_form_exact_p5():
-    from nctorus.certificate import build_H_prime, witness_vector
+    from nctorus.certificate import witness_vector
+    from paper_oracles import build_H_prime
 
     p = Fraction(1, 2)
-    pd = build_H_prime(p, {}, 5, 1, 1, exact=True)
+    pd = build_H_prime(p, {}, 5, 1, 1)
     v = witness_vector(p, 5)
     assert [complex(x) for x in v] == [(-2.5 + 0j), 1, 1, 1, 1, 1]
     assert quadratic_form(pd, v) == Fraction(5, 1) * (1 - 5 * p * p)
@@ -179,9 +180,9 @@ def test_is_psd_examples():
 
 
 def test_is_psd_exact_p5():
-    from nctorus.certificate import build_H_prime
+    from paper_oracles import build_H_prime
 
-    pd = build_H_prime(Fraction(1, 2), {}, 5, 1, 1, exact=True)
+    pd = build_H_prime(Fraction(1, 2), {}, 5, 1, 1)
     verdict = is_psd(pd)
     assert not verdict.is_psd
     assert verdict.value <= -1
@@ -190,10 +191,10 @@ def test_is_psd_exact_p5():
 
 
 def test_is_psd_exact_boundary():
-    from nctorus.certificate import build_H_prime
+    from paper_oracles import build_H_prime
 
     # d*p^2 = 1: determinant zero, still PSD
-    pd = build_H_prime(Fraction(1, 2), {}, 4, 1, 1, exact=True)
+    pd = build_H_prime(Fraction(1, 2), {}, 4, 1, 1)
     assert is_psd(pd).is_psd
     # indefinite with a zero pivot
     h = HermitianMatrix([[PhaseScalar.zero(), PhaseScalar.one()],
