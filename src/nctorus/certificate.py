@@ -4,11 +4,14 @@ Pipeline, for a candidate with p != 0 on orbit j: put xi = (j, j), choose
 d with d*p^2 > 1 and a safety margin eps, find N = d!*k with h*N*xi2^2
 close to 2*pi/d mod 2*pi, restrict the state to the spans
 {W_(0,0)} u {W_(Theta_j xi)} for the families Theta_j in G_(N,l),
-l = 1..d, and average the resulting Gram matrices.  The average is an
-eps-perturbation of P_d = [p; 1; 0; ...; 0], whose explicit witness
-(-p*d, 1, ..., 1) has quadratic value d*(1 - d*p^2) < 0, so some family
-l* is not positive either.  The average only guides refute() to l*; the
-proof is the single element a = sum v_i W_(g_i) on that family with
+l = 1..d.  The average of their Gram matrices is an eps-perturbation of
+P_d = [p; 1; 0; ...; 0], whose explicit witness (-p*d, 1, ..., 1) has
+quadratic value d*(1 - d*p^2) < 0, so some family l* is not positive
+either.  Each family's Gram matrix is Toeplitz, so refute() scores the d
+families with the closed-form witness value (d - 1 phases each), takes l*
+and the average's value from those scores, and builds the dense Gram
+matrix of l* alone.  The average only guides refute() to l*; the proof is
+the single element a = sum v_i W_(g_i) on that family with
 omega(a* a) < 0.  verify() re-derives the parameters and rebuilds the l*
 family alone, ending with an evaluation of omega(a* a) through bare
 algebra multiplication.
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 from . import circle
 from .algebra import AlgebraElement, PhaseContext, adjoint, multiply, weyl
-from .lattice import Vec, as_vector, mat_vec, theta_j
+from .lattice import Vec, as_vector, mat_vec, pairing, theta_j
 from .scalars import GaussRat, PhaseScalar, as_fraction
 from .states import (
     HermitianMatrix,
@@ -224,8 +227,38 @@ def build_H_second(state: StateCandidate, params: CertParams, l: int,
     return gram(state, family_generators(params, l), ctx)
 
 
+def _family_values(state: StateCandidate, params: CertParams,
+                   ctx: PhaseContext) -> list[float]:
+    """Witness value of (-p*d, 1, ..., 1) on every family l = 1..d, in closed form.
+
+    On {W_(0,0)} u {W_(Theta_j xi)} with xi = (x, x) the Gram matrix is
+    Toeplitz: H_00 = H_jj = 1, H_0j = p and H_ij = q_(N|i-j|x) zeta^(e_(j-i)),
+    so the witness value is d - d^2 p^2 + 2 sum_k (d-k) q_(Nkx) cos(e_k h).
+    e_k is the exponent gram() uses for the entry (i, i+k), -sigma(g_i, g_(i+k));
+    since g_(i+k) - g_i = k (g_2 - g_1) and sigma is bilinear, e_k = k e_1
+    with e_1 = -sigma(g_1, g_2), read from ctx.sigma rather than assumed.
+    Costs d-1 phases per family instead of a dense (d+1)^2 Gram build.
+    """
+    d, n_val, x = params.d, params.N, params.xi[0]
+    p = eval_generator(state, params.xi)
+    base = float(d - d * d * p * p)
+    q = [(k, float(qk)) for k in range(1, d) if (qk := state.value(n_val * k * x))]
+    values = []
+    for l in range(1, d + 1):
+        g1, g2 = (mat_vec(theta_j(n_val, l, j), params.xi) for j in (1, 2))
+        e1 = -pairing(ctx.sigma, g1, g2)
+        terms = [2 * (d - k) * qk * math.cos(circle.phase_angle(ctx.h, k * e1)) for k, qk in q]
+        values.append(math.fsum([base, *terms]))
+    return values
+
+
 def average_R(matrices) -> HermitianMatrix:
-    """Entrywise arithmetic mean; exact inputs give an exact mean."""
+    """Entrywise arithmetic mean; exact inputs give an exact mean.
+
+    refute() does not call it: by linearity the witness value on the family
+    average is the mean of the closed-form family values.  It stays as the
+    matrix form of the paper's averaging step, for tests and callers.
+    """
     mats = list(matrices)
     if not mats:
         raise ValueError("cannot average an empty list of matrices")
@@ -280,7 +313,12 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
     """Refute a non-trace candidate, or report consistency with the trace.
 
     Returns a Certificate whose witness value is strictly negative, or
-    ConsistentWithTrace when every declared orbit value vanishes.
+    ConsistentWithTrace when every declared orbit value vanishes.  The d
+    families are scored in closed form (_family_values); their mean is
+    avg_value, which must fall below -1e-6 (else eps halves and N is
+    searched again).  The lowest-scoring family is l*, and the certified
+    value is the witness value on its dense Gram matrix, the number
+    verify() recomputes.
     """
     if ctx.genus != 1:
         raise ValueError(
@@ -295,24 +333,23 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
     d, eps = choose_parameters(p)
     if d > 1000:
         raise DiophantineBudgetError(
-            f"refuting p = {p} needs d = {d}; the d!-divisible search and the "
-            f"(d+1)-dimensional restrictions exceed the engine's practical budget")
+            f"refuting p = {p} needs d = {d}; the search for N among multiples "
+            f"of {d}! exceeds the engine's practical budget")
     v = witness_vector(p, d)
     for _ in range(4):
         n_val = diophantine_N(ctx, orbit, d, eps, budget=budget)
         params = CertParams(xi=(orbit, orbit), d=d, N=n_val, epsilon=eps)
-        mats = [build_H_second(state, params, l, ctx) for l in range(1, d + 1)]
-        avg_value = quadratic_form(average_R(mats), v)
+        values = _family_values(state, params, ctx)
+        avg_value = math.fsum(values) / d
         if avg_value < -1e-6:
-            values = [quadratic_form(m, v) for m in mats]
-            l_star = min(range(d), key=lambda i: (values[i], i)) + 1
+            l_star = values.index(min(values)) + 1
             return Certificate(
                 params=params,
                 p=p,
                 l_star=l_star,
                 generators=family_generators(params, l_star),
                 witness=v,
-                value=values[l_star - 1],
+                value=quadratic_form(build_H_second(state, params, l_star, ctx), v),
                 avg_value=avg_value,
             )
         eps = eps / 2  # shrink the phase tolerance and retry

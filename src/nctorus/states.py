@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd, isqrt
@@ -28,6 +29,8 @@ def _decimal_fraction(value) -> Fraction:
     """Exact value of a real number; floats read as their shortest decimal."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"not a real number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
@@ -43,12 +46,20 @@ class StateCandidate:
     __slots__ = ("_values",)
 
     def __init__(self, orbit_values=None):
+        if orbit_values is None:
+            orbit_values = {}
+        if not isinstance(orbit_values, Mapping):
+            raise ValueError("orbit_values must map orbit indices to real values, "
+                             f"got {type(orbit_values).__name__}")
         vals: dict[int, Fraction] = {}
-        for j, p in (orbit_values or {}).items():
-            j = int(j)
+        for j, p in orbit_values.items():
+            try:
+                j, p = int(j), _decimal_fraction(p)
+            except TypeError as exc:
+                raise ValueError(f"orbit {j!r}: {exc}") from exc
             if j < 1:
                 raise ValueError(f"orbit index must be a positive integer, got {j}")
-            vals[j] = _decimal_fraction(p)  # explicit zeros stay declared
+            vals[j] = p  # explicit zeros stay declared
         self._values = vals
 
     def value(self, j: int) -> Fraction:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus.algebra import PhaseContext
 from nctorus.certificate import (
@@ -12,6 +13,7 @@ from nctorus.certificate import (
     ConsistentWithTrace,
     DiophantineBudgetError,
     _angle_window,
+    _family_values,
     average_R,
     build_H_second,
     choose_parameters,
@@ -33,6 +35,8 @@ from nctorus.states import (
     trace_state,
 )
 from nctorus.circle import MODULUS
+from nctorus.lattice import SIGMA2, SkewForm
+from nctorus.scalars import GaussRat
 from paper_oracles import build_H_prime, det_P, scan_hit
 
 
@@ -109,6 +113,35 @@ def test_build_H_second_first_row(ctx):
     assert np.allclose(arr[0, 1:], 0.5)
     assert np.allclose(arr[1:, 0], 0.5)
     assert np.allclose(np.diag(arr), 1.0)
+
+
+GENUS_ONE_FORMS = (SIGMA2, SkewForm(((0, 3), (-3, 0))), SkewForm(((0, -1), (1, 0))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_family_values_match_dense_gram(data):
+    # the closed-form family scores equal the witness value on each dense Gram matrix
+    d = data.draw(st.integers(1, 12), label="d")
+    x = data.draw(st.sampled_from((1, 2, 3)), label="x")
+    p = data.draw(st.fractions(-2, 2, max_denominator=64).filter(bool), label="p")
+    h = data.draw(st.sampled_from((Fraction(1), Fraction(5, 7))), label="h")
+    ctx = PhaseContext(h=h, sigma=data.draw(st.sampled_from(GENUS_ONE_FORMS), label="sigma"))
+    n_val = math.factorial(d) * data.draw(st.integers(1, 2**64), label="k")
+    qs = data.draw(st.lists(st.fractions(-1, 1, max_denominator=64),
+                            min_size=d - 1, max_size=d - 1), label="q")
+    decoys = data.draw(st.lists(st.integers(1, 10**6), max_size=3), label="decoys")
+    values = {x: p}
+    values.update({j: Fraction(7, 8) for j in decoys if j != x and j % (n_val * x)})
+    values.update({k * n_val * x: qk for k, qk in enumerate(qs, start=1)})
+    state = StateCandidate(values)
+    params = CertParams(xi=(x, x), d=d, N=n_val, epsilon=Fraction(1, 10))
+    v = (GaussRat(-p * d),) + (GaussRat(1),) * d
+    closed = _family_values(state, params, ctx)
+    assert len(closed) == d
+    for l in range(1, d + 1):
+        dense = quadratic_form(build_H_second(state, params, l, ctx), v)
+        assert abs(closed[l - 1] - dense) <= 1e-9 * max(1.0, abs(dense)), (l, closed, dense)
 
 
 def _q_map_from_state(state, d, n_val, xi2):
@@ -371,6 +404,31 @@ def test_verify_ignores_avg_value(ctx, monkeypatch):
         report = verify(state, Certificate.from_json(blob), ctx)
         assert report.accepted and report.failed is None
     assert len(built) == 3  # one family Gram matrix per verify
+
+
+def test_refute_builds_one_gram(ctx, monkeypatch):
+    # the d families are scored in closed form; only l* gets a dense Gram matrix
+    import nctorus.certificate as certificate
+
+    base = refute(StateCandidate({1: 0.5}), ctx)
+    q_decl = {k * base.params.N: Fraction(1, 1 + k) for k in range(1, base.params.d)}
+    states = (StateCandidate({1: 0.5}), StateCandidate({1: 1.5}), StateCandidate({2: -0.3}),
+              StateCandidate({1: Fraction(1, 2), **q_decl}))
+    built = []
+
+    def counting_gram(*args, **kwargs):
+        built.append(args)
+        return gram(*args, **kwargs)
+
+    for state in states:
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(certificate, "gram", counting_gram)
+            patch.setattr(certificate, "average_R", None)  # refute must not average
+            cert = refute(state, ctx)
+        assert len(built) == 1
+        dense = build_H_second(state, cert.params, cert.l_star, ctx)
+        assert cert.value == quadratic_form(dense, cert.witness)
 
 
 def test_verify_algebra_agreement_clause(ctx):

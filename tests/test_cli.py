@@ -138,6 +138,13 @@ def test_usage_errors(capsys):
     assert code == 2 and "malformed certificate" in err
 
 
+def test_malformed_state_values(capsys):
+    for state in ('{"orbit_values": [1, 2]}', '{"orbit_values": {"1": null}}'):
+        code, out, err = run(capsys, "refute", "--state", state)
+        assert code == 2, state
+        assert out == "" and err.startswith("error: ")
+
+
 def test_budget_exhaustion_exit_code(capsys):
     code, _, err = run(capsys, "refute", "--state", '{"orbit_values":{"1":0.000001}}')
     assert code == 3
