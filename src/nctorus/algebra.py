@@ -161,23 +161,12 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     )
 
 
-def relabel(theta, a: AlgebraElement) -> AlgebraElement:
-    """The raw support relabelling W_m -> W_(Theta m), no contract attached.
-
-    This is multiplicative exactly when theta preserves the form; act()
-    certifies that and should be used everywhere outside of tests of the
-    criterion itself.
-    """
-    t = as_matrix(theta)
-    return AlgebraElement(a.dimension, {mat_vec(t, m): c for m, c in a.items()})
-
-
 def act(theta, a: AlgebraElement, ctx: PhaseContext) -> AlgebraElement:
     """The automorphism relabelling W_m -> W_(Theta m)."""
     t = as_matrix(theta)
     if not is_symplectic(t, ctx.sigma):
         raise ValueError("matrix is not symplectic for the context form")
-    return relabel(t, a)
+    return AlgebraElement(a.dimension, {mat_vec(t, m): c for m, c in a.items()})
 
 
 def cocycle_check(m, n, g, ctx: PhaseContext) -> bool:

@@ -63,10 +63,13 @@ def _matrix_from_json(obj, exact: bool) -> HermitianMatrix:
     def entry(x):
         if isinstance(x, (list, tuple)):
             re, im = x
-            return PhaseScalar.gaussian(Fraction(re), Fraction(im)) if exact else complex(re, im)
-        return PhaseScalar.rational(Fraction(x)) if exact else complex(float(x), 0.0)
+            return PhaseScalar.gaussian(re, im) if exact else complex(re, im)
+        return PhaseScalar.rational(x) if exact else complex(float(x), 0.0)
 
-    data = [[entry(x) for x in row] for row in rows]
+    try:
+        data = [[entry(x) for x in row] for row in rows]
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix entry: {exc}") from exc
     return HermitianMatrix(data, exact=exact)
 
 
@@ -112,7 +115,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_nf(args, ctx) -> int:
-    form = SkewForm(tuple(tuple(int(x) for x in row) for row in _load_json(args.form)["matrix"]))
+    form = SkewForm(_load_json(args.form)["matrix"])
     nf = symplectic_normal_form(form)
     if args.as_json:
         print(json.dumps({"divisors": list(nf.divisors),
@@ -155,8 +158,7 @@ def _cmd_eval(args, ctx) -> int:
 
 def _cmd_gram(args, ctx) -> int:
     state = _load_state(args.state)
-    gens = [tuple(int(x) for x in g) for g in _load_json(args.gens)]
-    matrix = gram(state, gens, ctx, exact=args.exact)
+    matrix = gram(state, _load_json(args.gens), ctx, exact=args.exact)
     if args.as_json:
         arr = matrix.to_numpy(ctx)
         print(json.dumps({"matrix": [[_complex_pair(x) for x in row] for row in arr]}))

@@ -16,14 +16,25 @@ Mat = tuple[tuple[int, ...], ...]
 
 
 def as_vector(v) -> Vec:
+    """The package's one rule for integers: each entry x becomes int(x), and
+    must equal it, so 2, 2.0 and Fraction(4, 2) pass while 1.5 and "1"
+    raise ValueError."""
     vec = tuple(int(x) for x in v)
     if any(x != y for x, y in zip(vec, v)):
         raise ValueError(f"lattice vector entries must be integers: {v!r}")
     return vec
 
 
+def as_integer(x) -> int:
+    """A single integer field, by as_vector's rule."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"expected an integer, got {x}")
+    return n
+
+
 def as_matrix(m) -> Mat:
-    rows = tuple(tuple(int(x) for x in row) for row in m)
+    rows = tuple(as_vector(row) for row in m)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")

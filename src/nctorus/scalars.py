@@ -31,12 +31,22 @@ THREE_QUARTERS = Fraction(3, 4)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an exact rational-like value; floats are taken bit-exactly."""
+    """The exact rational a number from outside the package stands for.
+
+    This is the package's one rule for rationals: Fraction and int values
+    are kept exactly; a float is read as its shortest decimal, so 0.1 means
+    1/10 (the number its JSON text or repr shows, not its binary
+    expansion); a str is parsed by Fraction ("1/3", "0.25").  bool and
+    every other type raise TypeError; a malformed string, inf or nan
+    raises ValueError.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
+        return Fraction(repr(float(value)))  # float(): numpy scalars repr with their type
+    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational value: {value!r}")
 
@@ -321,8 +331,8 @@ class GaussRat:
         if isinstance(value, GaussRat):
             return value
         if isinstance(value, complex):
-            return GaussRat(Fraction(value.real), Fraction(value.imag))
-        return GaussRat(as_fraction(value))
+            return GaussRat(value.real, value.imag)
+        return GaussRat(value)
 
     def __add__(self, other):
         other = GaussRat.from_number(other)

@@ -3,8 +3,11 @@ candidates, Gram matrices of a |-> omega(a* a), and positivity tests.
 
 An invariant-state candidate is determined by real values p_j on the orbit
 representatives (0, j); the identity carries p_0 = 1 and unlisted orbits
-default to 0.  Values are exact Fractions; Python floats are normalized
-through their shortest decimal representation, so 0.2 means 1/5.
+default to 0.  Keys and values are read by scalars.as_fraction, so a
+float means its shortest decimal (0.2 is 1/5) and a string such as a JSON
+object key is parsed.  A key must then be a positive integer
+(lattice.as_integer: 1.5 is rejected, not truncated), and two keys naming
+the same orbit ("1" and "01") are rejected.
 """
 
 from __future__ import annotations
@@ -21,23 +24,8 @@ import numpy as np
 
 from . import circle
 from .algebra import AlgebraElement, PhaseContext, numeric_eval
-from .lattice import as_vector, pairing
+from .lattice import as_integer, as_vector, pairing
 from .scalars import GaussRat, PhaseScalar, as_fraction
-
-
-def _decimal_fraction(value) -> Fraction:
-    """Exact value of a real number; floats read as their shortest decimal."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError(f"not a real number: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not a real number: {value!r}")
 
 
 class StateCandidate:
@@ -52,13 +40,16 @@ class StateCandidate:
             raise ValueError("orbit_values must map orbit indices to real values, "
                              f"got {type(orbit_values).__name__}")
         vals: dict[int, Fraction] = {}
-        for j, p in orbit_values.items():
+        for key, p in orbit_values.items():
             try:
-                j, p = int(j), _decimal_fraction(p)
-            except TypeError as exc:
-                raise ValueError(f"orbit {j!r}: {exc}") from exc
+                j = as_integer(as_fraction(key))  # JSON keys are strings: "2" is orbit 2
+                p = as_fraction(p)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"orbit {key!r}: {exc}") from exc
             if j < 1:
                 raise ValueError(f"orbit index must be a positive integer, got {j}")
+            if j in vals:
+                raise ValueError(f"orbit {j} is given twice (key {key!r})")
             vals[j] = p  # explicit zeros stay declared
         self._values = vals
 
@@ -142,7 +133,7 @@ class HermitianMatrix:
                 out = []
                 for c in row:
                     if not isinstance(c, PhaseScalar):
-                        c = PhaseScalar.rational(as_fraction(c))
+                        c = PhaseScalar.rational(c)
                     out.append(c)
                 data.append(tuple(out))
             self._exact = tuple(data)
@@ -266,11 +257,8 @@ def quadratic_form(H: HermitianMatrix, v, ctx: PhaseContext | None = None):
 def _coerce_scalar(x) -> PhaseScalar:
     if isinstance(x, PhaseScalar):
         return x
-    if isinstance(x, GaussRat):
-        return PhaseScalar.gaussian(x.re, x.im)
-    if isinstance(x, complex):
-        return PhaseScalar.gaussian(Fraction(x.real), Fraction(x.imag))
-    return PhaseScalar.rational(as_fraction(x))
+    g = GaussRat.from_number(x)
+    return PhaseScalar.gaussian(g.re, g.im)
 
 
 # ---------------------------------------------------------------------------

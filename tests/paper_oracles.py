@@ -2,12 +2,16 @@
 
 build_H_prime and det_P are the idealized restriction matrix H'_l and the
 closed-form determinant of P_d; scan_hit is the brute-force linear scan
-that the minimal-hit solver circle.first_hit must agree with.  All are
-exact; numeric comparisons go through HermitianMatrix.to_numpy().
+that the minimal-hit solver circle.first_hit must agree with; relabel is
+the bare support relabelling that the automorphism criterion tests
+against.  All are exact; numeric comparisons go through
+HermitianMatrix.to_numpy().
 """
 
 from fractions import Fraction
 
+from nctorus.algebra import AlgebraElement
+from nctorus.lattice import as_matrix, mat_vec
 from nctorus.scalars import PhaseScalar, as_fraction
 from nctorus.states import HermitianMatrix
 
@@ -56,3 +60,13 @@ def scan_hit(a: int, m: int, t: int, w: int, limit: int) -> int | None:
         if (pos - t) % m <= w:
             return k
     return None
+
+
+def relabel(theta, a: AlgebraElement) -> AlgebraElement:
+    """The raw support relabelling W_m -> W_(Theta m), no contract attached.
+
+    This is multiplicative exactly when theta preserves the form; act()
+    certifies that and is what code outside these tests uses.
+    """
+    t = as_matrix(theta)
+    return AlgebraElement(a.dimension, {mat_vec(t, m): c for m, c in a.items()})

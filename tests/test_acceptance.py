@@ -14,12 +14,11 @@ from math import gcd
 import numpy as np
 
 import nctorus as nt
-from nctorus.algebra import relabel
 from nctorus.lattice import as_matrix, int_det, mat_mul, mat_vec, transpose
 from nctorus.scalars import PhaseScalar
 from nctorus.states import eval_generator
 from conftest import random_element, random_scalar, random_sl2
-from paper_oracles import build_H_prime, det_P
+from paper_oracles import build_H_prime, det_P, relabel
 
 CTX = nt.PhaseContext()
 

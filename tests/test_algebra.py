@@ -10,12 +10,12 @@ from nctorus.algebra import (
     identity_element,
     multiply,
     numeric_eval,
-    relabel,
     weyl,
 )
 from nctorus.lattice import int_det, is_symplectic, mat_mul
 from nctorus.scalars import PhaseScalar
 from conftest import random_element, random_sl2
+from paper_oracles import relabel
 
 SHEAR_U = ((1, 1), (0, 1))
 SHEAR_L = ((1, 0), (1, 1))

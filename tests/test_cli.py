@@ -106,6 +106,13 @@ def test_refute_verify_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--state", state, "--cert", str(tampered))
     assert code == 1 and "REJECT: divisibility" in out
 
+    # integer fields are checked, never truncated: 5.5 is not read as d = 5
+    blob["N"] -= 1
+    for field, value in (("d", 5.5), ("generators", [[0.5, 0]] + blob["generators"][1:])):
+        tampered.write_text(json.dumps({**blob, field: value}))
+        code, out, err = run(capsys, "verify", "--state", state, "--cert", str(tampered))
+        assert code == 2 and out == "" and err.startswith("error: "), field
+
 
 def test_refute_verify_full_corpus(capsys, tmp_path):
     for i, (j, p) in enumerate([(1, 0.9), (2, 0.9), (1, 0.5), (2, 0.5), (1, 0.2), (2, 0.2)]):
@@ -136,10 +143,16 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "--state", '{"orbit_values":{}}', "--cert", '{"nope": 1}')
     assert code == 2 and "malformed certificate" in err
+    code, _, err = run(capsys, "nf", '{"matrix": [[0, 1.5], [-1.5, 0]]}')
+    assert code == 2 and err.startswith("error: ")
+    code, _, err = run(capsys, "gram", "--state", '{"orbit_values":{"1":0.5}}',
+                       "--gens", "[[0,0],[1,1.5]]")
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_malformed_state_values(capsys):
-    for state in ('{"orbit_values": [1, 2]}', '{"orbit_values": {"1": null}}'):
+    for state in ('{"orbit_values": [1, 2]}', '{"orbit_values": {"1": null}}',
+                  '{"orbit_values": {"1.5": 0.3}}', '{"orbit_values": {"1": 0.5, "01": 0.3}}'):
         code, out, err = run(capsys, "refute", "--state", state)
         assert code == 2, state
         assert out == "" and err.startswith("error: ")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from nctorus.lattice import (
     SIGMA2,
     SkewForm,
+    as_integer,
     as_matrix,
     diag_rep,
     extended_gcd,
@@ -51,6 +53,14 @@ def test_is_symplectic_examples():
     assert is_symplectic(((1, 1), (0, 1)), SIGMA2)
     assert not is_symplectic(((2, 0), (0, 1)), SIGMA2)
     assert is_symplectic(identity(4), standard_form(2))
+
+
+def test_integer_inputs_are_checked():
+    assert as_integer(Fraction(4, 2)) == 2 and as_matrix(((0, 2.0), (-2, 0))) == ((0, 2), (-2, 0))
+    for bad in (lambda: as_integer(12.5), lambda: as_integer("12"),
+                lambda: SkewForm(((0, 1.5), (-1.5, 0)))):
+        with pytest.raises(ValueError):  # never truncated
+            bad()
 
 
 def test_extended_gcd_examples():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctorus.scalars import GaussRat, PhaseScalar, cyclotomic
+from nctorus.algebra import PhaseContext
+from nctorus.scalars import GaussRat, PhaseScalar, as_fraction, cyclotomic
 
 
 def test_cyclotomic_first_few():
@@ -22,6 +23,20 @@ def test_root_sums_cancel(n):
     for l in range(1, n + 1):
         total = total + PhaseScalar.root_of_unity(Fraction(l, n))
     assert total.is_zero
+
+
+def test_as_fraction_rule():
+    assert as_fraction(Fraction(2, 3)) == Fraction(2, 3) and as_fraction(-7) == -7
+    assert as_fraction(0.1) == Fraction(1, 10)  # the shortest decimal, not the binary value
+    assert as_fraction("1/3") == Fraction(1, 3)
+    assert PhaseContext(h=0.1).h == Fraction(1, 10)
+    assert GaussRat.from_number(0.5 + 0.1j).im == Fraction(1, 10)
+    for bad in (True, None, 1j):
+        with pytest.raises(TypeError):
+            as_fraction(bad)
+    for bad in ("x", float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            as_fraction(bad)
 
 
 def test_gaussian_embedding():

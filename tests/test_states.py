@@ -28,8 +28,12 @@ def test_candidate_decimal_semantics():
     assert s.value(3) == Fraction(1, 3)
     assert s.value(99) == 0
     assert s.value(0) == 1
+    assert StateCandidate({"01": 0.5}).value(1) == Fraction(1, 2)
     with pytest.raises(ValueError):
         StateCandidate({0: 1})
+    for bad in ({1.5: 0.3}, {"1": 0.5, "01": 0.3}, {"1": 0.5, 1: 0.3}):
+        with pytest.raises(ValueError):  # orbit keys are never truncated or merged
+            StateCandidate(bad)
 
 
 def test_candidate_json_round_trip():
