@@ -58,6 +58,15 @@ class AlgebraElement:
                 clean[v] = clean[v] + c if v in clean else c
         self._terms = {m: c for m, c in clean.items() if c}
 
+    @classmethod
+    def _of(cls, dim: int, terms: dict[Vec, PhaseScalar]) -> "AlgebraElement":
+        """Trusted constructor: keys are distinct integer tuples of length dim
+        and values PhaseScalars; zero coefficients are dropped."""
+        out = object.__new__(cls)
+        out._dim = dim
+        out._terms = {m: c for m, c in terms.items() if c}
+        return out
+
     @property
     def dimension(self) -> int:
         return self._dim
@@ -86,10 +95,10 @@ class AlgebraElement:
         merged = dict(self._terms)
         for m, c in other._terms.items():
             merged[m] = merged[m] + c if m in merged else c
-        return AlgebraElement(self._dim, merged)
+        return AlgebraElement._of(self._dim, merged)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self._dim, {m: -c for m, c in self._terms.items()})
+        return AlgebraElement._of(self._dim, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
@@ -98,7 +107,7 @@ class AlgebraElement:
 
     def __mul__(self, scalar) -> "AlgebraElement":
         if isinstance(scalar, (int, Fraction, PhaseScalar)):
-            return AlgebraElement(self._dim, {m: c * scalar for m, c in self._terms.items()})
+            return AlgebraElement._of(self._dim, {m: c * scalar for m, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -143,22 +152,22 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: PhaseContext) -> Algebra
     if a.dimension != d or b.dimension != d:
         raise ValueError(f"dimension mismatch: elements of dimension {a.dimension}, "
                          f"{b.dimension} in a {d}-dimensional context")
+    sig = ctx.sigma.matrix
+    right = list(b.items())
     out: dict[Vec, PhaseScalar] = {}
     for n, cn in a.items():
-        for m, cm in b.items():
-            phase = PhaseScalar.zeta(pairing(ctx.sigma, n, m))
+        row = [sum(n[i] * sig[i][j] for i in range(d)) for j in range(d)]  # n^T Sigma
+        for m, cm in right:
             key = tuple(x + y for x, y in zip(n, m))
-            term = cn * cm * phase
+            term = (cn * cm).times_zeta(sum(x * y for x, y in zip(row, m)))
             out[key] = out[key] + term if key in out else term
-    return AlgebraElement(d, out)
+    return AlgebraElement._of(d, out)
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
     """The involution: coefficients conjugated, supports negated."""
-    return AlgebraElement(
-        a.dimension,
-        {tuple(-x for x in m): c.conjugate() for m, c in a.items()},
-    )
+    return AlgebraElement._of(a.dimension,
+                              {tuple(-x for x in m): c.conjugate() for m, c in a.items()})
 
 
 def act(theta, a: AlgebraElement, ctx: PhaseContext) -> AlgebraElement:

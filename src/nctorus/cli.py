@@ -6,8 +6,9 @@ a parsed element), `gram`, `psd`, `refute` and `verify`.  JSON arguments
 accept either a file path or an inline JSON string.
 
 Exit codes: 0 success/accept, 1 reject or non-PSD verdict, 2 usage or
-malformed input, 3 search-budget exhaustion, 4 refute could not reach a
-negative witness margin (degenerate candidate).
+malformed input (including JSON of the wrong shape), 3 search-budget
+exhaustion, 4 refute could not reach a negative witness margin
+(degenerate candidate).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .certificate import (
     refute,
     verify,
 )
-from .lattice import SkewForm, orbit_rep, symplectic_normal_form
+from .lattice import SkewForm, as_vector, orbit_rep, symplectic_normal_form
 from .parser import ParseError, parse_element, to_element
 from .scalars import PhaseScalar
 from .states import HermitianMatrix, StateCandidate, evaluate, evaluate_exact, gram, is_psd
@@ -49,6 +50,14 @@ def _load_json(arg: str):
 
 def _load_state(arg: str) -> StateCandidate:
     return StateCandidate.from_json(_load_json(arg))
+
+
+def _vectors_from_json(rows, what: str) -> list:
+    """Integer vectors read from parsed JSON; a wrong shape is a ValueError."""
+    try:
+        return [as_vector(row) for row in rows]
+    except TypeError as exc:
+        raise ValueError(f"{what} must be a list of integer lists: {exc}") from exc
 
 
 def _complex_pair(value) -> list[float]:
@@ -115,7 +124,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_nf(args, ctx) -> int:
-    form = SkewForm(_load_json(args.form)["matrix"])
+    form = SkewForm(_vectors_from_json(_load_json(args.form)["matrix"], "form matrix"))
     nf = symplectic_normal_form(form)
     if args.as_json:
         print(json.dumps({"divisors": list(nf.divisors),
@@ -158,7 +167,7 @@ def _cmd_eval(args, ctx) -> int:
 
 def _cmd_gram(args, ctx) -> int:
     state = _load_state(args.state)
-    matrix = gram(state, _load_json(args.gens), ctx, exact=args.exact)
+    matrix = gram(state, _vectors_from_json(_load_json(args.gens), "--gens"), ctx, exact=args.exact)
     if args.as_json:
         arr = matrix.to_numpy(ctx)
         print(json.dumps({"matrix": [[_complex_pair(x) for x in row] for row in arr]}))

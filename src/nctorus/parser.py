@@ -65,7 +65,7 @@ def to_element(node: ExprAST, ctx: PhaseContext) -> AlgebraElement:
     """Evaluate an AST to an algebra element."""
     dim = ctx.dimension
     if isinstance(node, ScalarLit):
-        coeff = PhaseScalar.gaussian(node.re, node.im) * PhaseScalar.zeta(node.zeta)
+        coeff = PhaseScalar.gaussian(node.re, node.im).times_zeta(node.zeta)
         return scalar_element(coeff, dim)
     if isinstance(node, WeylGen):
         return weyl(node.coords)

@@ -12,6 +12,19 @@ reduction modulo cyclotomic polynomials, which is what makes identities
 such as sum_{l=1..d} e(j*l/d) = 0 hold exactly rather than to roundoff.
 
 Gaussian rationals a + b*i embed as a + b*e(1/4).
+
+Canonical form.  A PhaseScalar stores {(k, r): c} with no zero c, and the
+roots of each zeta degree k form the bucket _reduce_roots returns: reduced
+at the joint order n of the bucket's denominators, every root is j/n with
+j < phi(n) (n <= 2 keeps only r = 0, n = 4 only 0 and 1/4).  Reduction is
+idempotent: the roots of a reduced bucket have a joint order n' dividing n,
+and j/n = j'/n' with j' = j*n'/n < phi(n)*n'/n <= phi(n') (the primes of n'
+are among those of n), so a second reduction leaves every coefficient
+where it is.  The arithmetic relies on this: a degree that only one
+operand of a sum has is copied unreduced, a bucket whose only root is 0 is
+already canonical, and multiplying by zeta^k only relabels degrees.
+Equal values can still have different canonical forms (1 + e(1/3) is
+e(1/6)), so which operations built a scalar decides its printed form.
 """
 
 from __future__ import annotations
@@ -26,8 +39,6 @@ RationalLike = Union[int, Fraction]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 QUARTER = Fraction(1, 4)
-HALF = Fraction(1, 2)
-THREE_QUARTERS = Fraction(3, 4)
 
 
 def as_fraction(value) -> Fraction:
@@ -86,31 +97,28 @@ def cyclotomic(n: int) -> tuple[int, ...]:
 
 
 def _reduce_roots(parts: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
-    """Canonicalize sum_r c_r * e(r) by reduction mod the joint cyclotomic."""
-    parts = {r: c for r, c in parts.items() if c}
-    if not parts:
+    """Canonicalize sum_r c_r * e(r), 0 <= r < 1, by reduction mod the joint cyclotomic."""
+    if len(parts) == 1:
+        ((r, c),) = parts.items()
+        if not r:
+            return {r: c} if c else {}
+    dens = {r.denominator for r, c in parts.items() if c}
+    if not dens:
         return {}
-    n = 1
-    for r in parts:
-        n = lcm(n, r.denominator)
+    n = lcm(*dens)
     if n <= 2:
         # e(0) = 1, e(1/2) = -1
         total = ZERO
         for r, c in parts.items():
             total += c if r == 0 else -c
         return {ZERO: total} if total else {}
-    if n == 4:
-        re = parts.get(ZERO, ZERO) - parts.get(HALF, ZERO)
-        im = parts.get(QUARTER, ZERO) - parts.get(THREE_QUARTERS, ZERO)
-        out = {}
-        if re:
-            out[ZERO] = re
-        if im:
-            out[QUARTER] = im
-        return out
     coeffs = [ZERO] * n
     for r, c in parts.items():
-        coeffs[int(r * n)] += c
+        if c:
+            coeffs[r.numerator * (n // r.denominator)] = c  # distinct roots, distinct slots
+    if n == 4:
+        re, im = coeffs[0] - coeffs[2], coeffs[1] - coeffs[3]
+        return {r: c for r, c in ((ZERO, re), (QUARTER, im)) if c}
     phi = cyclotomic(n)
     deg = len(phi) - 1
     for i in range(n - 1, deg - 1, -1):
@@ -118,8 +126,18 @@ def _reduce_roots(parts: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
         if c:
             coeffs[i] = ZERO
             for j in range(deg):
-                coeffs[i - deg + j] -= c * phi[j]
+                if phi[j]:
+                    coeffs[i - deg + j] -= c * phi[j]
     return {Fraction(j, n): c for j, c in enumerate(coeffs[:deg]) if c}
+
+
+def _canonical(raw: dict[int, dict[Fraction, Fraction]]) -> dict[tuple[int, Fraction], Fraction]:
+    """Flat canonical terms from root buckets keyed by zeta degree."""
+    out: dict[tuple[int, Fraction], Fraction] = {}
+    for k, bucket in raw.items():
+        for r, c in _reduce_roots(bucket).items():
+            out[k, r] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +149,9 @@ class PhaseScalar:
 
     Instances are immutable and store no zero coefficients; the
     root-of-unity part of each zeta-degree is canonicalized on
-    construction.  Equality is decided by exact cancellation (lifting both
-    sides to the joint cyclotomic field), so it is safe across mixed
-    root orders.
+    construction (the module docstring states the invariant).  Equality
+    is decided by exact cancellation (lifting both sides to the joint
+    cyclotomic field), so it is safe across mixed root orders.
     """
 
     __slots__ = ("_terms",)
@@ -148,11 +166,14 @@ class PhaseScalar:
             r = as_fraction(r) % 1
             bucket = raw.setdefault(k, {})
             bucket[r] = bucket.get(r, ZERO) + c
-        canon: dict[tuple[int, Fraction], Fraction] = {}
-        for k, bucket in raw.items():
-            for r, c in _reduce_roots(bucket).items():
-                canon[(k, r)] = c
-        self._terms = canon
+        self._terms = _canonical(raw)
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, Fraction], Fraction]) -> "PhaseScalar":
+        """Trusted constructor: terms must already be canonical, and are kept."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -166,16 +187,18 @@ class PhaseScalar:
 
     @staticmethod
     def rational(value) -> "PhaseScalar":
-        return PhaseScalar({(0, ZERO): as_fraction(value)})
+        return PhaseScalar.zeta(0, value)
 
     @staticmethod
     def gaussian(re, im) -> "PhaseScalar":
-        return PhaseScalar({(0, ZERO): as_fraction(re), (0, QUARTER): as_fraction(im)})
+        terms = {(0, ZERO): as_fraction(re), (0, QUARTER): as_fraction(im)}
+        return PhaseScalar._of({key: c for key, c in terms.items() if c})
 
     @staticmethod
     def zeta(k: int, coeff=1) -> "PhaseScalar":
         """coeff * zeta^k."""
-        return PhaseScalar({(k, ZERO): as_fraction(coeff)})
+        c = as_fraction(coeff)
+        return PhaseScalar._of({(k, ZERO): c} if c else {})
 
     @staticmethod
     def root_of_unity(r, coeff=1) -> "PhaseScalar":
@@ -233,17 +256,30 @@ class PhaseScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        merged = dict(self._terms)
-        for key, c in o._terms.items():
-            merged[key] = merged.get(key, ZERO) + c
-        return PhaseScalar(merged)
+        if not o._terms:
+            return self
+        if not self._terms:
+            return o
+        # only the degrees both sides have can need a new reduction
+        shared = {k for k, _ in self._terms}.intersection(k for k, _ in o._terms)
+        out: dict[tuple[int, Fraction], Fraction] = {}
+        raw: dict[int, dict[Fraction, Fraction]] = {}
+        for terms in (self._terms, o._terms):
+            for key, c in terms.items():
+                k, r = key
+                if k in shared:
+                    bucket = raw.setdefault(k, {})
+                    prev = bucket.get(r)
+                    bucket[r] = c if prev is None else prev + c
+                else:
+                    out[key] = c
+        out.update(_canonical(raw))
+        return PhaseScalar._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = PhaseScalar()
-        out._terms = {key: -c for key, c in self._terms.items()}
-        return out
+        return PhaseScalar._of({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -261,26 +297,46 @@ class PhaseScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple[int, Fraction], Fraction] = {}
+        raw: dict[int, dict[Fraction, Fraction]] = {}
         for (k1, r1), c1 in self._terms.items():
             for (k2, r2), c2 in o._terms.items():
-                key = (k1 + k2, (r1 + r2) % 1)
-                out[key] = out.get(key, ZERO) + c1 * c2
-        return PhaseScalar(out)
+                if not r1:
+                    r = r2
+                elif not r2:
+                    r = r1
+                else:
+                    r = r1 + r2
+                    if r >= 1:
+                        r -= 1
+                c = c1 * c2
+                bucket = raw.get(k1 + k2)
+                if bucket is None:
+                    raw[k1 + k2] = {r: c}
+                else:
+                    prev = bucket.get(r)
+                    bucket[r] = c if prev is None else prev + c
+        return PhaseScalar._of(_canonical(raw))
 
     __rmul__ = __mul__
+
+    def times_zeta(self, k: int) -> "PhaseScalar":
+        """self * zeta^k: the degrees shift by k and every bucket stays canonical."""
+        if not k:
+            return self
+        return PhaseScalar._of({(j + k, r): c for (j, r), c in self._terms.items()})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = as_fraction(other)
-            out = PhaseScalar()
-            out._terms = {key: c / q for key, c in self._terms.items()}
-            return out
+            return PhaseScalar._of({key: c / q for key, c in self._terms.items()})
         return NotImplemented
 
     def conjugate(self) -> "PhaseScalar":
         """Complex conjugation: zeta^k -> zeta^(-k), e(r) -> e(-r)."""
-        return PhaseScalar({((-k), (-r) % 1): c for (k, r), c in self._terms.items()})
+        raw: dict[int, dict[Fraction, Fraction]] = {}
+        for (k, r), c in self._terms.items():
+            raw.setdefault(-k, {})[1 - r if r else r] = c
+        return PhaseScalar._of(_canonical(raw))
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -326,6 +382,14 @@ class GaussRat:
         self.re = as_fraction(re)
         self.im = as_fraction(im)
 
+    @classmethod
+    def _of(cls, re: Fraction, im: Fraction) -> "GaussRat":
+        """Trusted constructor: both parts are already Fractions."""
+        out = object.__new__(cls)
+        out.re = re
+        out.im = im
+        return out
+
     @staticmethod
     def from_number(value) -> "GaussRat":
         if isinstance(value, GaussRat):
@@ -335,44 +399,51 @@ class GaussRat:
         return GaussRat(value)
 
     def __add__(self, other):
-        other = GaussRat.from_number(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
+        o = GaussRat.from_number(other)
+        return GaussRat._of(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return GaussRat._of(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-GaussRat.from_number(other))
+        o = GaussRat.from_number(other)
+        return GaussRat._of(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         return GaussRat.from_number(other) + (-self)
 
     def __mul__(self, other):
-        other = GaussRat.from_number(other)
-        return GaussRat(self.re * other.re - self.im * other.im,
-                        self.re * other.im + self.im * other.re)
+        o = GaussRat.from_number(other)
+        if not (self.im or o.im):  # every operand of the real P_d eliminations
+            return GaussRat._of(self.re * o.re, ZERO)
+        return GaussRat._of(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussRat.from_number(other)
-        d = other.abs2()
+        o = GaussRat.from_number(other)
+        d = o.abs2()
         if not d:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        num = self * other.conjugate()
-        return GaussRat(num.re / d, num.im / d)
+        num = self * o.conjugate()
+        return GaussRat._of(num.re / d, num.im / d)
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return GaussRat._of(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
     def __eq__(self, other) -> bool:
-        other = GaussRat.from_number(other)
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, bool) or not isinstance(other, (GaussRat, int, Fraction, float, complex)):
+            return NotImplemented
+        try:
+            o = GaussRat.from_number(other)
+        except ValueError:  # inf or nan: no Gaussian rational equals it
+            return False
+        return self.re == o.re and self.im == o.im
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

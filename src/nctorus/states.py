@@ -306,6 +306,8 @@ def is_psd(H: HermitianMatrix, tol: float = 1e-9, ctx: PhaseContext | None = Non
 
 
 def _psd_exact(entries: list[list[GaussRat]]) -> PsdVerdict:
+    # entries is Hermitian (is_psd checked it) and every update keeps the
+    # residual s Hermitian, so only its lower triangle (j <= i) is kept current
     n = len(entries)
     s = [[entries[i][j] for j in range(n)] for i in range(n)]
     lcols: list[list[GaussRat]] = [[GaussRat(0)] * n for _ in range(n)]  # lcols[k][i] = L[i][k]
@@ -321,19 +323,25 @@ def _psd_exact(entries: list[list[GaussRat]]) -> PsdVerdict:
             j = next((j for j in range(k + 1, n) if s[j][k]), None)
             if j is None:
                 continue
-            # indefinite: a zero pivot with residual coupling
-            b = s[k][j]
+            # indefinite: a zero pivot with residual coupling s_kj = conj(s_jk)
             c = s[j][j].re
-            alpha = GaussRat(-(c + 1)) / (2 * b.conjugate())
+            alpha = GaussRat(-(c + 1)) / (2 * s[j][k])
             y = [GaussRat(0)] * n
             y[k] = alpha
             y[j] = GaussRat(1)
             return _exact_witness(lcols, y, Fraction(-1), n, k)
+        col = lcols[k]
         for i in range(k + 1, n):
-            lcols[k][i] = s[i][k] / d
+            col[i] = s[i][k] / d
+        # rank-1 update s_ij -= L_ik d conj(L_jk) = s_ik conj(L_jk), zero factors skipped
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                s[i][j] = s[i][j] - lcols[k][i] * d * lcols[k][j].conjugate()
+            a = s[i][k]
+            if not a:
+                continue
+            row = s[i]
+            for j in range(k + 1, i + 1):
+                if col[j]:
+                    row[j] = row[j] - a * col[j].conjugate()
     return PsdVerdict(True)
 
 

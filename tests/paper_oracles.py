@@ -6,14 +6,22 @@ that the minimal-hit solver circle.first_hit must agree with; relabel is
 the bare support relabelling that the automorphism criterion tests
 against.  All are exact; numeric comparisons go through
 HermitianMatrix.to_numpy().
+
+The second half keeps the exact kernel in its plain form, which the fast
+paths of scalars, algebra.multiply and states._psd_exact must reproduce
+term for term: reduce_roots, scalar sums and products that canonicalize
+every zeta degree again through the public PhaseScalar constructor,
+multiply_by_pairing with one zeta product per term pair, and
+psd_exact_full_square, which updates the whole residual matrix.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from nctorus.algebra import AlgebraElement
-from nctorus.lattice import as_matrix, mat_vec
-from nctorus.scalars import PhaseScalar, as_fraction
-from nctorus.states import HermitianMatrix
+from nctorus.lattice import as_matrix, mat_vec, pairing
+from nctorus.scalars import GaussRat, PhaseScalar, as_fraction, cyclotomic
+from nctorus.states import HermitianMatrix, PsdVerdict, _exact_witness
 
 
 def build_H_prime(p, q, d: int, l: int, N: int) -> HermitianMatrix:
@@ -70,3 +78,118 @@ def relabel(theta, a: AlgebraElement) -> AlgebraElement:
     """
     t = as_matrix(theta)
     return AlgebraElement(a.dimension, {mat_vec(t, m): c for m, c in a.items()})
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel without fast paths
+# ---------------------------------------------------------------------------
+
+ZERO, HALF, QUARTER, THREE_QUARTERS = Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)
+
+
+def reduce_roots(parts: dict) -> dict:
+    """Canonicalize sum_r c_r * e(r) by reduction mod the joint cyclotomic."""
+    parts = {r: c for r, c in parts.items() if c}
+    if not parts:
+        return {}
+    n = 1
+    for r in parts:
+        n = lcm(n, r.denominator)
+    if n <= 2:
+        total = ZERO
+        for r, c in parts.items():
+            total += c if r == 0 else -c
+        return {ZERO: total} if total else {}
+    if n == 4:
+        re = parts.get(ZERO, ZERO) - parts.get(HALF, ZERO)
+        im = parts.get(QUARTER, ZERO) - parts.get(THREE_QUARTERS, ZERO)
+        out = {}
+        if re:
+            out[ZERO] = re
+        if im:
+            out[QUARTER] = im
+        return out
+    coeffs = [ZERO] * n
+    for r, c in parts.items():
+        coeffs[int(r * n)] += c
+    phi = cyclotomic(n)
+    deg = len(phi) - 1
+    for i in range(n - 1, deg - 1, -1):
+        c = coeffs[i]
+        if c:
+            coeffs[i] = ZERO
+            for j in range(deg):
+                coeffs[i - deg + j] -= c * phi[j]
+    return {Fraction(j, n): c for j, c in enumerate(coeffs[:deg]) if c}
+
+
+def _terms(x: PhaseScalar) -> dict:
+    return {(k, r): c for k, r, c in x.terms()}
+
+
+def scalar_add(x: PhaseScalar, y: PhaseScalar) -> PhaseScalar:
+    merged = _terms(x)
+    for key, c in _terms(y).items():
+        merged[key] = merged.get(key, ZERO) + c
+    return PhaseScalar(merged)
+
+
+def scalar_neg(x: PhaseScalar) -> PhaseScalar:
+    return PhaseScalar({key: -c for key, c in _terms(x).items()})
+
+
+def scalar_mul(x: PhaseScalar, y: PhaseScalar) -> PhaseScalar:
+    out = {}
+    for (k1, r1), c1 in _terms(x).items():
+        for (k2, r2), c2 in _terms(y).items():
+            key = (k1 + k2, (r1 + r2) % 1)
+            out[key] = out.get(key, ZERO) + c1 * c2
+    return PhaseScalar(out)
+
+
+def scalar_conjugate(x: PhaseScalar) -> PhaseScalar:
+    return PhaseScalar({(-k, (-r) % 1): c for (k, r), c in _terms(x).items()})
+
+
+def multiply_by_pairing(a: AlgebraElement, b: AlgebraElement, ctx) -> AlgebraElement:
+    """W_n W_m = zeta^sigma(n, m) W_(n+m), one zeta product per term pair."""
+    out = {}
+    for n, cn in a.items():
+        for m, cm in b.items():
+            phase = PhaseScalar.zeta(pairing(ctx.sigma, n, m))
+            key = tuple(x + y for x, y in zip(n, m))
+            term = cn * cm * phase
+            out[key] = out[key] + term if key in out else term
+    return AlgebraElement(ctx.dimension, out)
+
+
+def psd_exact_full_square(entries: list) -> PsdVerdict:
+    """Pivoted LDL^H elimination that updates every entry of the residual."""
+    n = len(entries)
+    s = [[entries[i][j] for j in range(n)] for i in range(n)]
+    lcols = [[GaussRat(0)] * n for _ in range(n)]
+    for k in range(n):
+        d = s[k][k]
+        if d.im:
+            raise ValueError("matrix is not Hermitian")
+        if d.re < 0:
+            y = [GaussRat(0)] * n
+            y[k] = GaussRat(1)
+            return _exact_witness(lcols, y, d.re, n, k)
+        if d.re == 0:
+            j = next((j for j in range(k + 1, n) if s[j][k]), None)
+            if j is None:
+                continue
+            b = s[k][j]
+            c = s[j][j].re
+            alpha = GaussRat(-(c + 1)) / (2 * b.conjugate())
+            y = [GaussRat(0)] * n
+            y[k] = alpha
+            y[j] = GaussRat(1)
+            return _exact_witness(lcols, y, Fraction(-1), n, k)
+        for i in range(k + 1, n):
+            lcols[k][i] = s[i][k] / d
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                s[i][j] = s[i][j] - lcols[k][i] * d * lcols[k][j].conjugate()
+    return PsdVerdict(True)

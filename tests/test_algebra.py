@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nctorus.algebra import (
+    PhaseContext,
     act,
     adjoint,
     cocycle_check,
@@ -12,10 +13,10 @@ from nctorus.algebra import (
     numeric_eval,
     weyl,
 )
-from nctorus.lattice import int_det, is_symplectic, mat_mul
+from nctorus.lattice import SIGMA2, SkewForm, int_det, is_symplectic, mat_mul, standard_form
 from nctorus.scalars import PhaseScalar
 from conftest import random_element, random_sl2
-from paper_oracles import relabel
+from paper_oracles import multiply_by_pairing, relabel
 
 SHEAR_U = ((1, 1), (0, 1))
 SHEAR_L = ((1, 0), (1, 1))
@@ -43,6 +44,22 @@ def test_multiply_bilinear_expansion(ctx):
     sq = multiply(s, s, ctx)
     expect = weyl((2, 0)) + weyl((1, 0)) * 2 + weyl((0, 0))
     assert sq == expect
+
+
+@pytest.mark.parametrize("form", [SIGMA2, SkewForm(((0, 3), (-3, 0))), standard_form(2)])
+def test_multiply_matches_pairing_product(form):
+    ctx = PhaseContext(sigma=form)
+    rng = random.Random(11)
+
+    def listing(e):
+        return [(m, list(c.terms())) for m, c in e.items()]
+
+    for _ in range(25):
+        a = random_element(rng, form.dimension, span=3)
+        b = random_element(rng, form.dimension, span=3)
+        got, want = multiply(a, b, ctx), multiply_by_pairing(a, b, ctx)
+        assert listing(got) == listing(want)
+        assert repr(got) == repr(want)
 
 
 def test_multiply_dimension_mismatch(ctx):

@@ -148,6 +148,11 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "gram", "--state", '{"orbit_values":{"1":0.5}}',
                        "--gens", "[[0,0],[1,1.5]]")
     assert code == 2 and err.startswith("error: ")
+    # JSON of the wrong shape is a usage error too, not a traceback
+    code, _, err = run(capsys, "nf", '{"matrix": 5}')
+    assert code == 2 and err.startswith("error: ")
+    code, _, err = run(capsys, "gram", "--state", '{"orbit_values":{}}', "--gens", "[5]")
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_malformed_state_values(capsys):

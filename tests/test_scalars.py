@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nctorus.algebra import PhaseContext
-from nctorus.scalars import GaussRat, PhaseScalar, as_fraction, cyclotomic
+from nctorus.scalars import GaussRat, PhaseScalar, _reduce_roots, as_fraction, cyclotomic
+from paper_oracles import reduce_roots, scalar_add, scalar_conjugate, scalar_mul, scalar_neg
 
 
 def test_cyclotomic_first_few():
@@ -61,12 +62,13 @@ def test_zeta_powers_are_formal():
 
 
 # denominators stay small so joint cyclotomic orders stay tractable
+DENOMINATORS = [1, 2, 3, 4, 5, 6, 8, 12]
 scalars = st.builds(
     lambda entries: PhaseScalar({(k, Fraction(num, den)): Fraction(c, cd)
                                  for (k, num, den, c, cd) in entries}),
     st.lists(
         st.tuples(st.integers(-3, 3), st.integers(0, 11),
-                  st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]),
+                  st.sampled_from(DENOMINATORS),
                   st.integers(-4, 4), st.integers(1, 4)),
         max_size=3,
     ),
@@ -83,6 +85,50 @@ def test_ring_laws(a, b, c):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert a.conjugate().conjugate() == a
     assert (a - a).is_zero
+
+
+def same_form(x: PhaseScalar, y: PhaseScalar) -> None:
+    """Equal canonical terms, not only equal values (1 + e(1/3) == e(1/6))."""
+    assert list(x.terms()) == list(y.terms())
+    assert str(x) == str(y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars, scalars, scalars, st.integers(-3, 3))
+def test_kernel_matches_plain_arithmetic(a, b, c, k):
+    same_form(a + b, scalar_add(a, b))
+    same_form(a - b, scalar_add(a, scalar_neg(b)))
+    same_form(a * b, scalar_mul(a, b))
+    same_form(-a, scalar_neg(a))
+    same_form(a.conjugate(), scalar_conjugate(a))
+    same_form(a.times_zeta(k), scalar_mul(a, PhaseScalar.zeta(k)))
+    # results of the fast paths feed further operations
+    same_form(a * b + c, scalar_add(scalar_mul(a, b), c))
+    same_form((a + b).conjugate() * c.times_zeta(k),
+              scalar_mul(scalar_conjugate(scalar_add(a, b)), scalar_mul(c, PhaseScalar.zeta(k))))
+
+
+roots = st.tuples(st.integers(0, 23), st.sampled_from(DENOMINATORS)).map(
+    lambda t: Fraction(t[0] % t[1], t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(roots, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                       max_size=6))
+def test_reduce_roots_matches_plain_reduction(parts):
+    got = _reduce_roots(dict(parts))
+    assert got == reduce_roots(parts)
+    assert _reduce_roots(got) == got  # idempotent: canonical buckets are fixed points
+
+
+def test_gauss_rat_equality_never_raises():
+    one = GaussRat(1)
+    assert not (one == None)  # noqa: E711
+    assert one != "x" and one != "1" and one != True  # noqa: E712 (bool is not a number here)
+    assert one in [None, GaussRat(1)]
+    assert one != float("nan") and one != complex(float("inf"), 0)
+    assert one == 1 and one == Fraction(1) and one == 1.0 and one == 1 + 0j
+    assert GaussRat(Fraction(1, 10), 2) == complex(0.1, 2)
 
 
 def test_gauss_rat_field_ops():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from nctorus.algebra import adjoint, multiply, weyl
 from nctorus.scalars import GaussRat, PhaseScalar
@@ -19,6 +20,7 @@ from nctorus.states import (
     trace_state,
 )
 from conftest import random_element, random_scalar, random_sl2
+from paper_oracles import psd_exact_full_square
 
 
 def test_candidate_decimal_semantics():
@@ -205,6 +207,39 @@ def test_is_psd_exact_boundary():
                          [PhaseScalar.one(), PhaseScalar.zero()]], exact=True)
     verdict = is_psd(h)
     assert not verdict.is_psd and quadratic_form(h, verdict.witness) == verdict.value < 0
+
+
+# zeros are frequent, so zero pivots with and without coupling come up often
+PARTS = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+gauss = hs.builds(GaussRat, hs.sampled_from(PARTS), hs.sampled_from(PARTS))
+
+
+@hs.composite
+def hermitian(draw):
+    n = draw(hs.integers(1, 6))
+    if draw(hs.booleans()):
+        rows = [[GaussRat(0)] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = GaussRat(draw(hs.sampled_from(PARTS)))
+            for j in range(i):
+                rows[i][j] = draw(gauss)
+                rows[j][i] = rows[i][j].conjugate()
+    else:  # B^H B: PSD and often singular
+        b = [[draw(gauss) for _ in range(n)] for _ in range(draw(hs.integers(1, n)))]
+        rows = [[sum((r[i].conjugate() * r[j] for r in b), GaussRat(0)) for j in range(n)]
+                for i in range(n)]
+    return HermitianMatrix([[PhaseScalar.gaussian(g.re, g.im) for g in row] for row in rows],
+                           exact=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermitian())
+def test_psd_exact_matches_full_square_elimination(h):
+    verdict = is_psd(h)
+    want = psd_exact_full_square(h.gaussian_entries())
+    assert (verdict.is_psd, verdict.witness, verdict.value) == (want.is_psd, want.witness, want.value)
+    if not verdict.is_psd:
+        assert quadratic_form(h, verdict.witness) == verdict.value < 0
 
 
 def test_psd_two_by_two_iff(ctx):
