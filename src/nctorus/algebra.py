@@ -15,7 +15,7 @@ from typing import Iterator, Mapping
 
 from . import circle
 from .lattice import SIGMA2, SkewForm, Vec, as_matrix, as_vector, is_symplectic, mat_vec, pairing
-from .scalars import PhaseScalar, as_fraction
+from .scalars import PhaseScalar, _canonical, _product_into, as_fraction
 
 
 @dataclass(frozen=True)
@@ -147,21 +147,29 @@ def scalar_element(coeff, dim: int = 2) -> AlgebraElement:
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement, ctx: PhaseContext) -> AlgebraElement:
-    """Bilinear extension of W_n W_m = zeta^sigma(n, m) W_(n+m)."""
+    """Bilinear extension of W_n W_m = zeta^sigma(n, m) W_(n+m).
+
+    Every term pair of every coefficient pair goes, unreduced, into the
+    root buckets of its support point n + m, shifted by zeta^(n^T Sigma m);
+    each (support point, zeta degree) bucket is then reduced once.  No
+    PhaseScalar is built per pair, and the result's canonical form depends
+    only on the set of pair products (scalars module docstring).
+    """
     d = ctx.dimension
     if a.dimension != d or b.dimension != d:
         raise ValueError(f"dimension mismatch: elements of dimension {a.dimension}, "
                          f"{b.dimension} in a {d}-dimensional context")
     sig = ctx.sigma.matrix
-    right = list(b.items())
-    out: dict[Vec, PhaseScalar] = {}
-    for n, cn in a.items():
+    right = [(m, cm._terms) for m, cm in b._terms.items()]
+    raw: dict[Vec, dict] = {}
+    for n, cn in a._terms.items():
         row = [sum(n[i] * sig[i][j] for i in range(d)) for j in range(d)]  # n^T Sigma
+        left = cn._terms
         for m, cm in right:
             key = tuple(x + y for x, y in zip(n, m))
-            term = (cn * cm).times_zeta(sum(x * y for x, y in zip(row, m)))
-            out[key] = out[key] + term if key in out else term
-    return AlgebraElement._of(d, out)
+            _product_into(raw.setdefault(key, {}), left, cm, sum(x * y for x, y in zip(row, m)))
+    return AlgebraElement._of(d, {key: PhaseScalar._of(_canonical(buckets))
+                                  for key, buckets in raw.items()})
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:

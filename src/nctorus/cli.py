@@ -244,9 +244,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    ctx = PhaseContext(h=args.h)
     try:
-        return _COMMANDS[args.command](args, ctx)
+        return _COMMANDS[args.command](args, PhaseContext(h=args.h))
     except DiophantineBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -13,32 +13,49 @@ such as sum_{l=1..d} e(j*l/d) = 0 hold exactly rather than to roundoff.
 
 Gaussian rationals a + b*i embed as a + b*e(1/4).
 
-Canonical form.  A PhaseScalar stores {(k, r): c} with no zero c, and the
-roots of each zeta degree k form the bucket _reduce_roots returns: reduced
-at the joint order n of the bucket's denominators, every root is j/n with
-j < phi(n) (n <= 2 keeps only r = 0, n = 4 only 0 and 1/4).  Reduction is
-idempotent: the roots of a reduced bucket have a joint order n' dividing n,
-and j/n = j'/n' with j' = j*n'/n < phi(n)*n'/n <= phi(n') (the primes of n'
-are among those of n), so a second reduction leaves every coefficient
-where it is.  The arithmetic relies on this: a degree that only one
-operand of a sum has is copied unreduced, a bucket whose only root is 0 is
-already canonical, and multiplying by zeta^k only relabels degrees.
-Equal values can still have different canonical forms (1 + e(1/3) is
-e(1/6)), so which operations built a scalar decides its printed form.
-"""
+Root keys.  Inside this module the root e(a/n) is keyed by the reduced
+integer pair (a, n): 0 <= a < n and gcd(a, n) = 1, so e(0) is (0, 1) and i
+is (1, 4).  Root sums, hashes and reductions then work on ints and tuples.
+The public surface speaks Fraction: terms() yields the root as a Fraction,
+sorted by value, and the constructors accept any rational r.
 
+Canonical form.  A PhaseScalar stores {(k, (a, n)): c} with no zero c, and
+the roots of each zeta degree k form the bucket _reduce_roots returns:
+reduced at the joint order n of the bucket's denominators, every root is
+j/n with j < phi(n) (n <= 2 keeps only r = 0, n = 4 only 0 and 1/4).
+Reduction is idempotent: the roots of a reduced bucket have a joint order
+n' dividing n, and j/n = j'/n' with j' = j*n'/n < phi(n)*n'/n <= phi(n')
+(the primes of n' are among those of n), so a second reduction leaves every
+coefficient where it is.  The arithmetic relies on this: a degree that only
+one operand of a sum has is copied unreduced, a bucket whose only root is 0
+is already canonical, and multiplying by zeta^k only relabels degrees.
+
+Products.  _product_into adds the pair products of two canonical term
+dicts, unreduced, into root buckets keyed by zeta degree; a product is
+reduced once, bucket by bucket, after every pair is in.  algebra.multiply
+feeds all term pairs of all its coefficient products into one set of
+buckets per support point, so it builds no PhaseScalar per pair.
+
+Printed form.  Equal values can have different canonical forms (1 + e(1/3)
+is e(1/6)), so which operations built a scalar decides its printed form:
+a bucket reduced at once is not always what reducing parts of it first and
+then their sum gives.  A product's form depends only on the set of pair
+products, never on the order they arrive in.  When every root lies in Q(i)
+(every denominator divides 4) the canonical form is unique, so the form
+does not depend on how the value was built at all.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Iterable, Iterator, Mapping, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Mapping
 
-RationalLike = Union[int, Fraction]
+Root = tuple[int, int]  # (a, n) for e(a/n), reduced with 0 <= a < n
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-QUARTER = Fraction(1, 4)
+ROOT_ONE: Root = (0, 1)
+ROOT_I: Root = (1, 4)
 
 
 def as_fraction(value) -> Fraction:
@@ -96,29 +113,30 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_roots(parts: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
-    """Canonicalize sum_r c_r * e(r), 0 <= r < 1, by reduction mod the joint cyclotomic."""
+def _reduce_roots(parts: dict[Root, Fraction]) -> dict[Root, Fraction]:
+    """Canonicalize sum_r c_r * e(r) over root keys r = (a, n), by reduction
+    mod the joint cyclotomic."""
     if len(parts) == 1:
         ((r, c),) = parts.items()
-        if not r:
+        if not r[0]:
             return {r: c} if c else {}
-    dens = {r.denominator for r, c in parts.items() if c}
+    dens = {m for (_, m), c in parts.items() if c}
     if not dens:
         return {}
     n = lcm(*dens)
     if n <= 2:
         # e(0) = 1, e(1/2) = -1
         total = ZERO
-        for r, c in parts.items():
-            total += c if r == 0 else -c
-        return {ZERO: total} if total else {}
+        for (a, _), c in parts.items():
+            total += -c if a else c
+        return {ROOT_ONE: total} if total else {}
     coeffs = [ZERO] * n
-    for r, c in parts.items():
+    for (a, m), c in parts.items():
         if c:
-            coeffs[r.numerator * (n // r.denominator)] = c  # distinct roots, distinct slots
+            coeffs[a * (n // m)] = c  # distinct roots, distinct slots
     if n == 4:
         re, im = coeffs[0] - coeffs[2], coeffs[1] - coeffs[3]
-        return {r: c for r, c in ((ZERO, re), (QUARTER, im)) if c}
+        return {r: c for r, c in ((ROOT_ONE, re), (ROOT_I, im)) if c}
     phi = cyclotomic(n)
     deg = len(phi) - 1
     for i in range(n - 1, deg - 1, -1):
@@ -128,16 +146,53 @@ def _reduce_roots(parts: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
             for j in range(deg):
                 if phi[j]:
                     coeffs[i - deg + j] -= c * phi[j]
-    return {Fraction(j, n): c for j, c in enumerate(coeffs[:deg]) if c}
+    out = {}
+    for j, c in enumerate(coeffs[:deg]):
+        if c:
+            g = gcd(j, n)
+            out[j // g, n // g] = c
+    return out
 
 
-def _canonical(raw: dict[int, dict[Fraction, Fraction]]) -> dict[tuple[int, Fraction], Fraction]:
+def _canonical(raw: dict[int, dict[Root, Fraction]]) -> dict[tuple[int, Root], Fraction]:
     """Flat canonical terms from root buckets keyed by zeta degree."""
-    out: dict[tuple[int, Fraction], Fraction] = {}
+    out: dict[tuple[int, Root], Fraction] = {}
     for k, bucket in raw.items():
         for r, c in _reduce_roots(bucket).items():
             out[k, r] = c
     return out
+
+
+def _product_into(raw: dict[int, dict[Root, Fraction]], left: Mapping, right: Mapping,
+                  shift: int = 0) -> dict[int, dict[Root, Fraction]]:
+    """Add zeta^shift times the product of two canonical term dicts into raw.
+
+    Every pair c1*zeta^k1*e(r1), c2*zeta^k2*e(r2) adds c1*c2 to the bucket
+    of degree k1 + k2 + shift at root r1 + r2.  Nothing is reduced here:
+    the caller runs _canonical once all pairs are in.  Returns raw.
+    """
+    for (k1, (a1, n1)), c1 in left.items():
+        k1 += shift
+        for (k2, r2), c2 in right.items():
+            if not a1:
+                r = r2
+            else:
+                a2, n2 = r2
+                if not a2:
+                    r = a1, n1
+                else:
+                    n = lcm(n1, n2)
+                    a = (a1 * (n // n1) + a2 * (n // n2)) % n
+                    g = gcd(a, n)
+                    r = a // g, n // g
+            c = c1 * c2
+            bucket = raw.get(k1 + k2)
+            if bucket is None:
+                raw[k1 + k2] = {r: c}
+            else:
+                prev = bucket.get(r)
+                bucket[r] = c if prev is None else prev + c
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +212,20 @@ class PhaseScalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, Fraction], Fraction] | Iterable = ()):
-        raw: dict[int, dict[Fraction, Fraction]] = {}
+        raw: dict[int, dict[Root, Fraction]] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (k, r), c in items:
             c = as_fraction(c)
             if not c:
                 continue
             r = as_fraction(r) % 1
+            r = r.numerator, r.denominator
             bucket = raw.setdefault(k, {})
             bucket[r] = bucket.get(r, ZERO) + c
         self._terms = _canonical(raw)
 
     @classmethod
-    def _of(cls, terms: dict[tuple[int, Fraction], Fraction]) -> "PhaseScalar":
+    def _of(cls, terms: dict[tuple[int, Root], Fraction]) -> "PhaseScalar":
         """Trusted constructor: terms must already be canonical, and are kept."""
         out = object.__new__(cls)
         out._terms = terms
@@ -191,26 +247,26 @@ class PhaseScalar:
 
     @staticmethod
     def gaussian(re, im) -> "PhaseScalar":
-        terms = {(0, ZERO): as_fraction(re), (0, QUARTER): as_fraction(im)}
+        terms = {(0, ROOT_ONE): as_fraction(re), (0, ROOT_I): as_fraction(im)}
         return PhaseScalar._of({key: c for key, c in terms.items() if c})
 
     @staticmethod
     def zeta(k: int, coeff=1) -> "PhaseScalar":
         """coeff * zeta^k."""
         c = as_fraction(coeff)
-        return PhaseScalar._of({(k, ZERO): c} if c else {})
+        return PhaseScalar._of({(k, ROOT_ONE): c} if c else {})
 
     @staticmethod
     def root_of_unity(r, coeff=1) -> "PhaseScalar":
         """coeff * e(r) = coeff * exp(2*pi*i*r) for rational r."""
-        return PhaseScalar({(0, as_fraction(r) % 1): as_fraction(coeff)})
+        return PhaseScalar({(0, r): coeff})
 
     # -- queries ------------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[int, Fraction, Fraction]]:
-        """Yield (zeta_exponent, root_of_unity, coefficient) triples."""
-        for (k, r), c in sorted(self._terms.items()):
-            yield k, r, c
+        """Yield (zeta_exponent, root_of_unity, coefficient) triples, the root
+        as a Fraction in [0, 1), sorted by exponent and then root value."""
+        yield from sorted((k, Fraction(a, n), c) for (k, (a, n)), c in self._terms.items())
 
     @property
     def is_zero(self) -> bool:
@@ -225,7 +281,7 @@ class PhaseScalar:
             return ZERO
         if len(self._terms) == 1:
             ((k, r), c) = next(iter(self._terms.items()))
-            if k == 0 and r == 0:
+            if k == 0 and r == ROOT_ONE:
                 return c
         return None
 
@@ -235,9 +291,9 @@ class PhaseScalar:
         for (k, r), c in self._terms.items():
             if k != 0:
                 return None
-            if r == 0:
+            if r == ROOT_ONE:
                 re = c
-            elif r == QUARTER:
+            elif r == ROOT_I:
                 im = c
             else:
                 return None
@@ -262,8 +318,8 @@ class PhaseScalar:
             return o
         # only the degrees both sides have can need a new reduction
         shared = {k for k, _ in self._terms}.intersection(k for k, _ in o._terms)
-        out: dict[tuple[int, Fraction], Fraction] = {}
-        raw: dict[int, dict[Fraction, Fraction]] = {}
+        out: dict[tuple[int, Root], Fraction] = {}
+        raw: dict[int, dict[Root, Fraction]] = {}
         for terms in (self._terms, o._terms):
             for key, c in terms.items():
                 k, r = key
@@ -297,25 +353,7 @@ class PhaseScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        raw: dict[int, dict[Fraction, Fraction]] = {}
-        for (k1, r1), c1 in self._terms.items():
-            for (k2, r2), c2 in o._terms.items():
-                if not r1:
-                    r = r2
-                elif not r2:
-                    r = r1
-                else:
-                    r = r1 + r2
-                    if r >= 1:
-                        r -= 1
-                c = c1 * c2
-                bucket = raw.get(k1 + k2)
-                if bucket is None:
-                    raw[k1 + k2] = {r: c}
-                else:
-                    prev = bucket.get(r)
-                    bucket[r] = c if prev is None else prev + c
-        return PhaseScalar._of(_canonical(raw))
+        return PhaseScalar._of(_canonical(_product_into({}, self._terms, o._terms)))
 
     __rmul__ = __mul__
 
@@ -333,9 +371,9 @@ class PhaseScalar:
 
     def conjugate(self) -> "PhaseScalar":
         """Complex conjugation: zeta^k -> zeta^(-k), e(r) -> e(-r)."""
-        raw: dict[int, dict[Fraction, Fraction]] = {}
-        for (k, r), c in self._terms.items():
-            raw.setdefault(-k, {})[1 - r if r else r] = c
+        raw: dict[int, dict[Root, Fraction]] = {}
+        for (k, (a, n)), c in self._terms.items():
+            raw.setdefault(-k, {})[(n - a, n) if a else ROOT_ONE] = c
         return PhaseScalar._of(_canonical(raw))
 
     def __eq__(self, other) -> bool:

@@ -380,6 +380,6 @@ def determinant_exact(H: HermitianMatrix) -> GaussRat:
         for i in range(k + 1, n):
             if a[i][k]:
                 f = a[i][k] * inv
-                for j in range(k, n):
+                for j in range(k + 1, n):  # column k is never read again
                     a[i][j] = a[i][j] - f * a[k][j]
     return det

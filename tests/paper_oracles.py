@@ -11,8 +11,10 @@ The second half keeps the exact kernel in its plain form, which the fast
 paths of scalars, algebra.multiply and states._psd_exact must reproduce
 term for term: reduce_roots, scalar sums and products that canonicalize
 every zeta degree again through the public PhaseScalar constructor,
-multiply_by_pairing with one zeta product per term pair, and
-psd_exact_full_square, which updates the whole residual matrix.
+multiply_by_pairing with one zeta product per term pair,
+multiply_reduced_once, which sums every scalar term pair of a support point
+before one reduction, and psd_exact_full_square, which updates the whole
+residual matrix.
 """
 
 from fractions import Fraction
@@ -161,6 +163,21 @@ def multiply_by_pairing(a: AlgebraElement, b: AlgebraElement, ctx) -> AlgebraEle
             term = cn * cm * phase
             out[key] = out[key] + term if key in out else term
     return AlgebraElement(ctx.dimension, out)
+
+
+def multiply_reduced_once(a: AlgebraElement, b: AlgebraElement, ctx) -> AlgebraElement:
+    """The same product with every scalar term pair of a support point summed
+    unreduced first, then canonicalized once by the public constructor."""
+    raw = {}
+    for n, cn in a.items():
+        for m, cm in b.items():
+            shift = pairing(ctx.sigma, n, m)
+            point = raw.setdefault(tuple(x + y for x, y in zip(n, m)), {})
+            for (k1, r1), c1 in _terms(cn).items():
+                for (k2, r2), c2 in _terms(cm).items():
+                    key = (k1 + k2 + shift, (r1 + r2) % 1)
+                    point[key] = point.get(key, ZERO) + c1 * c2
+    return AlgebraElement(ctx.dimension, {m: PhaseScalar(t) for m, t in raw.items()})
 
 
 def psd_exact_full_square(entries: list) -> PsdVerdict:

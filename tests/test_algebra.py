@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus.algebra import (
+    AlgebraElement,
     PhaseContext,
     act,
     adjoint,
@@ -16,7 +18,7 @@ from nctorus.algebra import (
 from nctorus.lattice import SIGMA2, SkewForm, int_det, is_symplectic, mat_mul, standard_form
 from nctorus.scalars import PhaseScalar
 from conftest import random_element, random_sl2
-from paper_oracles import multiply_by_pairing, relabel
+from paper_oracles import multiply_by_pairing, multiply_reduced_once, relabel
 
 SHEAR_U = ((1, 1), (0, 1))
 SHEAR_L = ((1, 0), (1, 1))
@@ -60,6 +62,55 @@ def test_multiply_matches_pairing_product(form):
         got, want = multiply(a, b, ctx), multiply_by_pairing(a, b, ctx)
         assert listing(got) == listing(want)
         assert repr(got) == repr(want)
+
+
+# roots outside Q(i) too: there a product's printed form depends on how it
+# was reduced, so multiply_by_pairing (one reduction per pair sum) is compared
+# by value, and multiply_reduced_once (the documented rule) term for term
+ROOT_DENOMINATORS = [1, 2, 3, 4, 5, 6, 8, 12]
+scalar_terms = st.lists(
+    st.tuples(st.tuples(st.integers(-3, 3),
+                        st.builds(Fraction, st.integers(0, 11), st.sampled_from(ROOT_DENOMINATORS))),
+              st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))),
+    min_size=1, max_size=3)
+element_terms = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), scalar_terms,
+                                min_size=1, max_size=3)
+
+
+def listing(e: AlgebraElement) -> list:
+    return [(m, list(c.terms())) for m, c in e.items()]
+
+
+def shuffled_element(terms: dict, rnd: random.Random) -> AlgebraElement:
+    """The element with support and scalar term lists fed in a random order."""
+    support = list(terms.items())
+    rnd.shuffle(support)
+    return AlgebraElement(2, {m: PhaseScalar(rnd.sample(t, len(t))) for m, t in support})
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_terms, element_terms, st.randoms(use_true_random=False))
+def test_multiply_one_reduction_is_order_free(a_terms, b_terms, rnd):
+    ctx = PhaseContext()
+    a, b = shuffled_element(a_terms, rnd), shuffled_element(b_terms, rnd)
+    got = multiply(a, b, ctx)
+    assert got == multiply_by_pairing(a, b, ctx)
+    again = multiply(shuffled_element(a_terms, rnd), shuffled_element(b_terms, rnd), ctx)
+    assert listing(again) == listing(got)
+    assert listing(got) == listing(multiply_reduced_once(a, b, ctx))
+
+
+def test_multiply_reduces_each_bucket_once(ctx):
+    # at W[0, 1] the pair products are (-4 - 2e(1/3)) z^-1 and -e(1/2) z^-1.
+    # Reduced together at order 6 they give -1 - 2e(1/6); reducing the second
+    # on its own first (to +1) would leave the order-3 form -3 - 2e(1/3)
+    third, sixth = PhaseScalar.root_of_unity(Fraction(1, 3)), PhaseScalar.root_of_unity(Fraction(1, 6))
+    a = AlgebraElement(2, {(-1, 0): -2 - third, (-1, 1): -third})
+    b = AlgebraElement(2, {(1, 0): sixth, (1, 1): PhaseScalar.rational(2)})
+    got = multiply(a, b, ctx)
+    assert str(got.coefficient((0, 1))) == "-1*z^-1 + -2*z^-1*e(1/6)"
+    assert got.coefficient((0, 1)) == PhaseScalar.zeta(-1, -3) - third.times_zeta(-1) * 2
+    assert listing(got) == listing(multiply_reduced_once(a, b, ctx))
 
 
 def test_multiply_dimension_mismatch(ctx):

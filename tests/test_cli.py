@@ -153,6 +153,8 @@ def test_usage_errors(capsys):
     assert code == 2 and err.startswith("error: ")
     code, _, err = run(capsys, "gram", "--state", '{"orbit_values":{}}', "--gens", "[5]")
     assert code == 2 and err.startswith("error: ")
+    code, _, err = run(capsys, "--h", "0", "orbit", "1", "2")
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_malformed_state_values(capsys):

@@ -116,9 +116,34 @@ roots = st.tuples(st.integers(0, 23), st.sampled_from(DENOMINATORS)).map(
 @given(st.dictionaries(roots, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
                        max_size=6))
 def test_reduce_roots_matches_plain_reduction(parts):
-    got = _reduce_roots(dict(parts))
+    # _reduce_roots keys e(a/n) by the reduced pair (a, n); the oracle keys by Fraction
+    def pairs(bucket):
+        return {(r.numerator, r.denominator): c for r, c in bucket.items()}
+
+    def fractions(bucket):
+        return {Fraction(a, n): c for (a, n), c in bucket.items()}
+
+    got = fractions(_reduce_roots(pairs(parts)))
     assert got == reduce_roots(parts)
-    assert _reduce_roots(got) == got  # idempotent: canonical buckets are fixed points
+    assert fractions(_reduce_roots(pairs(got))) == got  # idempotent: canonical buckets are fixed points
+
+
+def test_root_keys():
+    # any rational root is read modulo 1 and kept as its reduced pair
+    assert PhaseScalar({(0, Fraction(3, 2)): 1}) == PhaseScalar.root_of_unity(Fraction(1, 2))
+    assert PhaseScalar({(0, Fraction(-3, 4)): 1}).as_gaussian() == (0, 1)
+    # terms() yields Fraction roots sorted by value, not by (a, n) pair order.  No
+    # canonical bucket holds 1/3 next to 1/12 (at order 12 only j/12 with j < 4
+    # stay), so the order-12 bucket {0, 1/12, 1/6, 1/4} shows it: its pairs sort
+    # as (0, 1), (1, 12), (1, 4), (1, 6)
+    t = PhaseScalar({(0, Fraction(j, 12)): j + 1 for j in range(4)})
+    assert list(t.terms()) == [(0, Fraction(0), 1), (0, Fraction(1, 12), 2),
+                               (0, Fraction(1, 6), 3), (0, Fraction(1, 4), 4)]
+    assert all(type(r) is Fraction for _, r, _ in t.terms())
+    s = (PhaseScalar.root_of_unity(Fraction(1, 3)) + PhaseScalar.root_of_unity(Fraction(1, 4))
+         + PhaseScalar.root_of_unity(Fraction(1, 12)))
+    roots = [r for _, r, _ in s.terms()]
+    assert roots == sorted(roots) and len(roots) > 1
 
 
 def test_gauss_rat_equality_never_raises():
