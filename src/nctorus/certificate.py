@@ -31,6 +31,7 @@ from .scalars import GaussRat, PhaseScalar, as_fraction
 from .states import (
     HermitianMatrix,
     StateCandidate,
+    as_tolerance,
     eval_generator,
     evaluate,
     gram,
@@ -391,7 +392,9 @@ def verify(state: StateCandidate, cert: Certificate, ctx: PhaseContext,
     the certified value are negative and agree within tol, and
     "algebra-agreement" that its imaginary part vanishes within tol.
     avg_value is informational (refute's search margin) and is not checked.
+    A tol that is nan, infinite or negative raises ValueError.
     """
+    as_tolerance(tol)
     clauses: list[ClauseResult] = []
 
     def clause(name: str, ok: bool, detail: str = "") -> bool:

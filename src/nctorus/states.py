@@ -65,7 +65,8 @@ class StateCandidate:
         return iter(sorted(self._values.items()))
 
     def to_json(self) -> dict:
-        return {"orbit_values": {str(j): float(p) for j, p in self.items()}}
+        """Values as floats where the float reads back exact, else as "a/b"."""
+        return {"orbit_values": {str(j): _json_rational(p) for j, p in self.items()}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "StateCandidate":
@@ -82,6 +83,14 @@ class StateCandidate:
 
     def __repr__(self):
         return f"StateCandidate({dict(self.items())!r})"
+
+
+def _json_rational(p: Fraction):
+    try:
+        f = float(p)
+    except OverflowError:
+        return str(p)
+    return f if as_fraction(f) == p else str(p)
 
 
 def trace_state() -> StateCandidate:
@@ -124,80 +133,51 @@ def evaluate_exact(state: StateCandidate, a: AlgebraElement) -> PhaseScalar:
 # ---------------------------------------------------------------------------
 
 class HermitianMatrix:
-    """Square matrix with numeric (complex) or exact (PhaseScalar) entries."""
+    """Square n x n matrix, n >= 1, held as a tuple of row tuples.
+
+    Entries are complex for a numeric matrix and PhaseScalar for an exact
+    one (exact=True, where other numbers are read as Gaussian rationals).
+    """
+
+    __slots__ = ("exact", "dim", "_rows")
 
     def __init__(self, rows, exact: bool = False):
-        if exact:
-            data = []
-            for row in rows:
-                out = []
-                for c in row:
-                    if not isinstance(c, PhaseScalar):
-                        c = PhaseScalar.rational(c)
-                    out.append(c)
-                data.append(tuple(out))
-            self._exact = tuple(data)
-            self._num = None
-            n = len(self._exact)
-            if any(len(r) != n for r in self._exact):
-                raise ValueError("matrix must be square")
-        else:
-            arr = np.asarray(rows, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError("matrix must be square")
-            self._num = arr
-            self._exact = None
-
-    @property
-    def exact(self) -> bool:
-        return self._exact is not None
-
-    @property
-    def dim(self) -> int:
-        return len(self._exact) if self.exact else self._num.shape[0]
+        data = tuple(tuple(map(_coerce_scalar if exact else complex, row)) for row in rows)
+        if not data:
+            raise ValueError("matrix must have at least one row")
+        if any(len(r) != len(data) for r in data):
+            raise ValueError("matrix must be square")
+        self.exact = exact
+        self.dim = len(data)
+        self._rows = data
 
     def entry(self, i: int, j: int):
-        return self._exact[i][j] if self.exact else self._num[i, j]
+        return self._rows[i][j]
 
-    def rows(self):
-        if self.exact:
-            return self._exact
-        return self._num
+    def rows(self) -> tuple[tuple, ...]:
+        return self._rows
 
     def to_numpy(self, ctx: PhaseContext | None = None) -> np.ndarray:
-        if not self.exact:
-            return self._num.copy()
-        n = self.dim
-        out = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = numeric_eval(self._exact[i][j], ctx)
-        return out
+        rows = self._rows
+        if self.exact:
+            rows = [[numeric_eval(c, ctx) for c in row] for row in rows]
+        return np.array(rows, dtype=complex)
 
     def is_hermitian(self, tol: float = 1e-9) -> bool:
-        if self.exact:
-            n = self.dim
-            return all(
-                self._exact[i][j] == self._exact[j][i].conjugate()
-                for i in range(n)
-                for j in range(i, n)
-            )
-        return bool(np.max(np.abs(self._num - self._num.conj().T), initial=0.0) <= tol)
+        """H = H^dagger: exactly for an exact matrix, entrywise within tol
+        for a numeric one."""
+        r, n = self._rows, self.dim
+        same = (lambda a, b: a == b) if self.exact else (lambda a, b: abs(a - b) <= tol)
+        return all(same(r[i][j], r[j][i].conjugate()) for i in range(n) for j in range(i, n))
 
     def gaussian_entries(self) -> list[list[GaussRat]] | None:
         """Entries as Gaussian rationals, or None if any entry is not one."""
-        if self.exact:
-            out = []
-            for row in self._exact:
-                line = []
-                for c in row:
-                    g = c.as_gaussian()
-                    if g is None:
-                        return None
-                    line.append(GaussRat(*g))
-                out.append(line)
-            return out
-        return None
+        if not self.exact:
+            return None
+        parts = [[c.as_gaussian() for c in row] for row in self._rows]
+        if any(None in row for row in parts):
+            return None
+        return [[GaussRat._of(*g) for g in row] for row in parts]
 
 
 def gram(state: StateCandidate, gens, ctx: PhaseContext, exact: bool = False) -> HermitianMatrix:
@@ -227,22 +207,20 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext, exact: bool = False) ->
 def quadratic_form(H: HermitianMatrix, v, ctx: PhaseContext | None = None):
     """The (real) value v^dagger H v.
 
-    Numeric matrices give a float; exact matrices with exact vectors give an
-    exact Fraction whenever the result is rational (a PhaseContext is needed
-    otherwise to evaluate leftover phases).
+    Only the nonzero H_ij contribute.  Numeric matrices give a float, the
+    math.fsum of the real parts of the term products conj(v_i) H_ij v_j:
+    the correctly rounded sum of the rounded products.  Exact matrices with
+    exact vectors give an exact Fraction whenever the result is rational (a
+    PhaseContext is needed otherwise to evaluate leftover phases).
     """
     if len(v) != H.dim:
         raise ValueError(f"dimension mismatch: matrix is {H.dim}x{H.dim}, vector has length {len(v)}")
+    vec = list(map(_coerce_scalar if H.exact else complex, v))
+    terms = (ci * c * vj for ci, row in zip([x.conjugate() for x in vec], H.rows())
+             for c, vj in zip(row, vec) if c)
     if not H.exact:
-        vv = np.asarray([complex(x) if not isinstance(x, (complex, float, int)) else x for x in v],
-                        dtype=complex)
-        return float((vv.conj() @ H.rows() @ vv).real)
-    vec = [_coerce_scalar(x) for x in v]
-    total = PhaseScalar.zero()
-    for i in range(H.dim):
-        ci = vec[i].conjugate()
-        for j in range(H.dim):
-            total = total + ci * H.entry(i, j) * vec[j]
+        return math.fsum(t.real for t in terms)
+    total = sum(terms, PhaseScalar.zero())
     q = total.as_rational()
     if q is not None:
         return q
@@ -267,49 +245,64 @@ def _coerce_scalar(x) -> PhaseScalar:
 
 @dataclass(frozen=True)
 class PsdVerdict:
-    """Outcome of a positivity test; non-PSD comes with an explicit witness
-    whose quadratic form value is certified below -tol."""
+    """Outcome of a positivity test.  Non-PSD comes with an explicit witness
+    of GaussRat entries and the exact Fraction value of its quadratic form,
+    which is at most -1 - tol*|w|^2 < -tol (see is_psd)."""
 
     is_psd: bool
     witness: tuple | None = None
-    value: object = None
+    value: Fraction | None = None
 
     def __bool__(self):
         return self.is_psd
 
 
-def is_psd(H: HermitianMatrix, tol: float = 1e-9, ctx: PhaseContext | None = None) -> PsdVerdict:
-    """Positive-semidefiniteness with witness extraction.
+def as_tolerance(tol) -> Fraction:
+    """A tolerance as the exact rational it stands for (scalars.as_fraction:
+    1e-9 is 1/10^9).  nan, inf and negative values raise ValueError."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return as_fraction(tol)
 
-    Exact matrices with Gaussian-rational entries are decided by exact
-    pivoted elimination; everything else falls back to the symmetric
-    eigenvalue decomposition with tolerance.
+
+def is_psd(H: HermitianMatrix, tol: float = 1e-9, ctx: PhaseContext | None = None) -> PsdVerdict:
+    """Positive-semidefiniteness with witness extraction, decided by exact
+    pivoted elimination (_psd_exact) for every matrix.
+
+    An exact matrix with Gaussian-rational entries is decided as it stands;
+    tol is not used.  Every other matrix has rounded entries: a numeric
+    matrix, or an exact one whose entries carry phases (evaluated with
+    numeric_eval at ctx).  It must be Hermitian within max(tol, 1e-9), and
+    what is decided is H + tol*I >= 0 with H read from its lower triangle at
+    the decimal values of the entries (as_fraction; the real part on the
+    diagonal).  A non-PSD witness w reports its value on the unshifted
+    matrix, value - tol*|w|^2, which is <= -1 - tol*|w|^2 < -tol.  A tol
+    that is nan, infinite or negative raises ValueError.
     """
-    if H.exact:
-        entries = H.gaussian_entries()
-        if entries is not None:
-            if not H.is_hermitian():
-                raise ValueError("matrix is not Hermitian")
-            return _psd_exact(entries)
-        arr = H.to_numpy(ctx)
-    else:
-        arr = H.rows()
-    if np.max(np.abs(arr - arr.conj().T), initial=0.0) > max(tol, 1e-9):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    sym = (arr + arr.conj().T) / 2
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    if eigvals[0] >= -tol:
-        return PsdVerdict(True)
-    v = eigvecs[:, 0]
-    value = float((v.conj() @ arr @ v).real)
-    return PsdVerdict(False, tuple(complex(x) for x in v), value)
+    shift = as_tolerance(tol)
+    entries = H.gaussian_entries()
+    if H.exact and entries is None:
+        H = HermitianMatrix([[numeric_eval(c, ctx) for c in row] for row in H.rows()])
+    if not H.is_hermitian(max(tol, 1e-9)):
+        raise ValueError("matrix is not Hermitian")
+    if entries is not None:
+        return _psd_exact(entries)
+    lower = [[GaussRat(c.real, c.imag) for c in row[:i]]
+             + [GaussRat(as_fraction(row[i].real) + shift)]
+             for i, row in enumerate(H.rows())]
+    verdict = _psd_exact(lower)
+    if verdict.is_psd:
+        return verdict
+    value = verdict.value - shift * sum(w.abs2() for w in verdict.witness)
+    return PsdVerdict(False, verdict.witness, value)
 
 
 def _psd_exact(entries: list[list[GaussRat]]) -> PsdVerdict:
     # entries is Hermitian (is_psd checked it) and every update keeps the
-    # residual s Hermitian, so only its lower triangle (j <= i) is kept current
+    # residual s Hermitian, so only its lower triangle (j <= i) is read, and
+    # entries may hold just that triangle
     n = len(entries)
-    s = [[entries[i][j] for j in range(n)] for i in range(n)]
+    s = [list(row[:i + 1]) for i, row in enumerate(entries)]
     lcols: list[list[GaussRat]] = [[GaussRat(0)] * n for _ in range(n)]  # lcols[k][i] = L[i][k]
     for k in range(n):
         d = s[k][k]
@@ -362,7 +355,7 @@ def _exact_witness(lcols, y, value: Fraction, n: int, upto: int) -> PsdVerdict:
 def determinant_exact(H: HermitianMatrix) -> GaussRat:
     """Exact determinant by fraction elimination; entries must be Gaussian
     rationals (no unresolved phases)."""
-    entries = H.gaussian_entries() if H.exact else None
+    entries = H.gaussian_entries()
     if entries is None:
         raise ValueError("exact determinant requires Gaussian-rational entries")
     n = len(entries)

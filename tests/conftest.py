@@ -1,11 +1,18 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from nctorus import AlgebraElement, PhaseContext
 from nctorus.lattice import identity, mat_mul
 from nctorus.scalars import PhaseScalar
+
+# CI runs with HYPOTHESIS_PROFILE=ci: examples derandomized, and any failure
+# printed with the blob that replays it locally (@reproduce_failure)
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 SL2_GENS = (
     ((1, 1), (0, 1)),

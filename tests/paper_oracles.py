@@ -4,8 +4,10 @@ build_H_prime and det_P are the idealized restriction matrix H'_l and the
 closed-form determinant of P_d; scan_hit is the brute-force linear scan
 that the minimal-hit solver circle.first_hit must agree with; relabel is
 the bare support relabelling that the automorphism criterion tests
-against.  All are exact; numeric comparisons go through
-HermitianMatrix.to_numpy().
+against.  These are exact; numeric comparisons go through
+HermitianMatrix.to_numpy().  min_eigenvalue is the one floating-point
+reference that the exact positivity decision of states.is_psd is checked
+against; the library itself uses no eigendecomposition.
 
 The second half keeps the exact kernel in its plain form, which the fast
 paths of scalars, algebra.multiply and states._psd_exact must reproduce
@@ -19,6 +21,8 @@ residual matrix.
 
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 from nctorus.algebra import AlgebraElement
 from nctorus.lattice import as_matrix, mat_vec, pairing
@@ -59,6 +63,11 @@ def det_P(p, d: int) -> Fraction:
         raise ValueError("d must be positive")
     pf = as_fraction(p)
     return 1 - d * pf * pf
+
+
+def min_eigenvalue(h: HermitianMatrix, ctx=None) -> float:
+    """Smallest eigenvalue of h by numpy's eigvalsh, in floating point."""
+    return float(np.linalg.eigvalsh(h.to_numpy(ctx))[0])
 
 
 def scan_hit(a: int, m: int, t: int, w: int, limit: int) -> int | None:

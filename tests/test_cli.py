@@ -155,6 +155,24 @@ def test_usage_errors(capsys):
     assert code == 2 and err.startswith("error: ")
     code, _, err = run(capsys, "--h", "0", "orbit", "1", "2")
     assert code == 2 and err.startswith("error: ")
+    # a tolerance that is not finite or is negative decides nothing
+    state = '{"orbit_values":{"1":0.5}}'
+    code, out, _ = run(capsys, "refute", "--state", state)
+    assert code == 0
+    cert = json.loads(out)
+    cert["value"] = -1e6  # the true value is -1.25; only an infinite tol could accept it
+    for tol in ("nan", "inf", "-1e-9"):
+        code, out, err = run(capsys, f"--tol={tol}", "psd", '{"matrix": [[1, 0], [0, 1]]}')
+        assert code == 2 and out == "" and "tolerance" in err, tol
+        code, out, err = run(capsys, f"--tol={tol}", "verify", "--state", state,
+                             "--cert", json.dumps(cert))
+        assert code == 2 and out == "" and "tolerance" in err, tol
+    # an empty matrix is rejected in both modes, with one message
+    for mode in ((), ("--exact",)):
+        code, out, err = run(capsys, *mode, "psd", '{"matrix": []}')
+        assert code == 2 and out == "" and "at least one row" in err, mode
+        code, out, err = run(capsys, *mode, "gram", "--state", state, "--gens", "[]")
+        assert code == 2 and out == "" and "at least one row" in err, mode
 
 
 def test_malformed_state_values(capsys):

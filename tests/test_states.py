@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import assume, given, settings, strategies as hs
 
 from nctorus.algebra import adjoint, multiply, weyl
 from nctorus.scalars import GaussRat, PhaseScalar
@@ -20,7 +21,7 @@ from nctorus.states import (
     trace_state,
 )
 from conftest import random_element, random_scalar, random_sl2
-from paper_oracles import psd_exact_full_square
+from paper_oracles import min_eigenvalue, psd_exact_full_square
 
 
 def test_candidate_decimal_semantics():
@@ -44,6 +45,11 @@ def test_candidate_json_round_trip():
     assert blob == {"orbit_values": {"1": 0.5, "2": 0.0}}
     assert StateCandidate.from_json(blob) == s
     assert StateCandidate.loads('{"orbit_values": {"1": 0.5, "2": 0.0}}') == s
+    # a value no float reads back as is written exactly
+    third = StateCandidate({1: Fraction(1, 3), 2: 0.2})
+    assert third.to_json() == {"orbit_values": {"1": "1/3", "2": 0.2}}
+    assert StateCandidate.from_json(third.to_json()) == third
+    assert StateCandidate.loads(json.dumps(third.to_json())) == third
 
 
 def test_trace_examples(ctx):
@@ -275,3 +281,72 @@ def test_determinant_exact():
     assert d == GaussRat(5, 0)  # 2*3 - (i)(-i) = 6 - 1
     with pytest.raises(ValueError):
         determinant_exact(HermitianMatrix(np.eye(2)))
+
+
+finite = hs.floats(-2, 2, allow_nan=False, allow_infinity=False)
+
+
+@hs.composite
+def numeric_hermitian(draw):
+    n = draw(hs.integers(2, 5))
+    rows = [[0j] * n for _ in range(n)]
+    shift = draw(hs.floats(0, 4))  # moves the spectrum across zero
+    for i in range(n):
+        rows[i][i] = complex(draw(finite) + shift)
+        for j in range(i):
+            rows[i][j] = complex(draw(finite), draw(finite))
+            rows[j][i] = rows[i][j].conjugate()
+    return HermitianMatrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(numeric_hermitian(), hs.sampled_from([0.0, 1e-9, 0.25]))
+def test_is_psd_rounded_entries_match_eigenvalues(h, tol):
+    lam = min_eigenvalue(h)
+    assume(abs(lam + tol) > 1e-6)
+    verdict = is_psd(h, tol)
+    assert verdict.is_psd == (lam >= -tol)
+    if not verdict.is_psd:
+        # the value is exact, on the decimal values of the entries, unshifted
+        decimal = HermitianMatrix(h.rows(), exact=True)
+        assert quadratic_form(decimal, verdict.witness) == verdict.value < -tol
+
+
+def test_is_psd_tolerance_shifts_the_diagonal():
+    h = HermitianMatrix([[-0.25, 0], [0, 1]])
+    assert not is_psd(h, 0.2).is_psd
+    verdict = is_psd(h, 0.25)  # H + I/4 is PSD with a zero eigenvalue
+    assert verdict.is_psd
+    bad = is_psd(h, 0.0)
+    assert bad.value <= -1 and quadratic_form(h, bad.witness) == bad.value
+    for tol in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(ValueError):
+            is_psd(h, tol)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy used outside to_numpy: np.{name}")
+
+
+def test_pipeline_needs_no_numpy(ctx, monkeypatch):
+    from nctorus import states
+    from nctorus.certificate import refute, verify
+
+    monkeypatch.setattr(states, "np", _NoNumpy())
+    single = StateCandidate({1: 0.5})
+    cert = refute(single, ctx)
+    assert verify(single, cert, ctx).accepted
+    n_val = cert.params.N
+    multi = StateCandidate({1: 0.5, n_val: 0.25, 2 * n_val: -0.125})
+    cert = refute(multi, ctx)
+    assert cert.params.N == n_val and verify(multi, cert, ctx).accepted
+
+    numeric = HermitianMatrix([[1, 2], [2, 1]])
+    assert quadratic_form(numeric, [1, -1]) == -2.0
+    assert not is_psd(numeric).is_psd
+    gaussian = HermitianMatrix([[2, PhaseScalar.gaussian(0, 1)],
+                                [PhaseScalar.gaussian(0, -1), 1]], exact=True)
+    assert is_psd(gaussian).is_psd
+    phased = gram(single, [(0, 0), (1, 0), (0, 1)], ctx, exact=True)
+    assert phased.gaussian_entries() is None and is_psd(phased, ctx=ctx).is_psd
