@@ -6,9 +6,9 @@ a parsed element), `gram`, `psd`, `refute` and `verify`.  JSON arguments
 accept either a file path or an inline JSON string.
 
 Exit codes: 0 success/accept, 1 reject or non-PSD verdict, 2 usage or
-malformed input (including JSON of the wrong shape), 3 search-budget
-exhaustion, 4 refute could not reach a negative witness margin
-(degenerate candidate).
+malformed input (JSON of the wrong shape, a value too large for a float),
+3 search-budget exhaustion, 4 refute could not reach a negative witness
+margin (degenerate candidate).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .certificate import (
 from .lattice import SkewForm, as_vector, orbit_rep, symplectic_normal_form
 from .parser import ParseError, parse_element, to_element
 from .scalars import PhaseScalar
-from .states import HermitianMatrix, StateCandidate, evaluate, evaluate_exact, gram, is_psd
+from .states import HermitianMatrix, StateCandidate, evaluate_exact, gram, is_psd
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -147,21 +147,17 @@ def _cmd_orbit(args, ctx) -> int:
 
 def _cmd_eval(args, ctx) -> int:
     state = _load_state(args.state)
-    element = to_element(parse_element(args.expr, ctx), ctx)
-    if args.exact:
-        exact = evaluate_exact(state, element)
-        value = numeric_eval(exact, ctx)
-        if args.as_json:
-            print(json.dumps({"value": _complex_pair(value), "value_exact": str(exact)}))
-        else:
-            print(f"exact: {exact}")
-            print(f"value: {value.real:.17g} + {value.imag:.17g}i")
+    exact = evaluate_exact(state, to_element(parse_element(args.expr, ctx), ctx))
+    value = numeric_eval(exact, ctx)
+    if args.as_json:
+        payload = {"value": _complex_pair(value)}
+        if args.exact:
+            payload["value_exact"] = str(exact)
+        print(json.dumps(payload))
     else:
-        value = evaluate(state, element, ctx)
-        if args.as_json:
-            print(json.dumps({"value": _complex_pair(value)}))
-        else:
-            print(f"value: {value.real:.17g} + {value.imag:.17g}i")
+        if args.exact:
+            print(f"exact: {exact}")
+        print(f"value: {value.real:.17g} + {value.imag:.17g}i")
     return EXIT_OK
 
 
@@ -169,15 +165,12 @@ def _cmd_gram(args, ctx) -> int:
     state = _load_state(args.state)
     matrix = gram(state, _vectors_from_json(_load_json(args.gens), "--gens"), ctx, exact=args.exact)
     if args.as_json:
-        arr = matrix.to_numpy(ctx)
-        print(json.dumps({"matrix": [[_complex_pair(x) for x in row] for row in arr]}))
-    elif args.exact:
-        for i in range(matrix.dim):
-            print("  ".join(str(matrix.entry(i, j)) for j in range(matrix.dim)))
+        rows = matrix.rounded(ctx).rows()
+        print(json.dumps({"matrix": [[_complex_pair(x) for x in row] for row in rows]}))
     else:
-        arr = matrix.to_numpy(ctx)
-        for row in arr:
-            print("  ".join(f"{x.real:+.12g}{x.imag:+.12g}i" for x in row))
+        fmt = str if args.exact else (lambda x: f"{x.real:+.12g}{x.imag:+.12g}i")
+        for row in matrix.rows():
+            print("  ".join(map(fmt, row)))
     return EXIT_OK
 
 
@@ -252,7 +245,7 @@ def main(argv=None) -> int:
     except RefutationMarginError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MARGIN
-    except (ParseError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

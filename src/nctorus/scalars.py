@@ -195,6 +195,14 @@ def _product_into(raw: dict[int, dict[Root, Fraction]], left: Mapping, right: Ma
     return raw
 
 
+def _sum_of_products(pairs: Iterable[tuple["PhaseScalar", "PhaseScalar"]]) -> "PhaseScalar":
+    """sum x*y over the pairs, all in one set of root buckets, each reduced once."""
+    raw: dict[int, dict[Root, Fraction]] = {}
+    for x, y in pairs:
+        _product_into(raw, x._terms, y._terms)
+    return PhaseScalar._of(_canonical(raw))
+
+
 # ---------------------------------------------------------------------------
 # PhaseScalar
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from . import circle
 from .algebra import AlgebraElement, PhaseContext, numeric_eval
 from .lattice import as_integer, as_vector, pairing
-from .scalars import GaussRat, PhaseScalar, as_fraction
+from .scalars import GaussRat, PhaseScalar, _sum_of_products, as_fraction
 
 
 class StateCandidate:
@@ -109,23 +109,17 @@ def eval_generator(state: StateCandidate, m) -> Fraction:
 
 
 def evaluate(state: StateCandidate, a: AlgebraElement, ctx: PhaseContext) -> complex:
-    """omega extended by linearity, evaluated numerically."""
-    total = 0j
-    for m, c in a.items():
-        p = eval_generator(state, m)
-        if p:
-            total += numeric_eval(c, ctx) * float(p)
-    return total
+    """omega extended by linearity, rounded once: numeric_eval of the exact
+    total evaluate_exact(state, a) at ctx."""
+    return numeric_eval(evaluate_exact(state, a), ctx)
 
 
 def evaluate_exact(state: StateCandidate, a: AlgebraElement) -> PhaseScalar:
-    """omega extended by linearity, as an exact scalar."""
-    total = PhaseScalar.zero()
-    for m, c in a.items():
-        p = eval_generator(state, m)
-        if p:
-            total = total + c * p
-    return total
+    """omega extended by linearity, as an exact scalar: every p(m) * a_m term
+    goes into one set of root buckets, each reduced once (the rule of
+    algebra.multiply), so the result does not depend on the term order."""
+    return _sum_of_products((c, PhaseScalar.rational(p)) for m, c in a.items()
+                            if (p := eval_generator(state, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +151,15 @@ class HermitianMatrix:
     def rows(self) -> tuple[tuple, ...]:
         return self._rows
 
+    def rounded(self, ctx: PhaseContext | None = None) -> "HermitianMatrix":
+        """The numeric matrix: self, or every exact entry through numeric_eval
+        at ctx (which may be None when no entry carries a zeta power)."""
+        if not self.exact:
+            return self
+        return HermitianMatrix([[numeric_eval(c, ctx) for c in row] for row in self._rows])
+
     def to_numpy(self, ctx: PhaseContext | None = None) -> np.ndarray:
-        rows = self._rows
-        if self.exact:
-            rows = [[numeric_eval(c, ctx) for c in row] for row in rows]
-        return np.array(rows, dtype=complex)
+        return np.array(self.rounded(ctx).rows(), dtype=complex)
 
     def is_hermitian(self, tol: float = 1e-9) -> bool:
         """H = H^dagger: exactly for an exact matrix, entrywise within tol
@@ -209,24 +207,22 @@ def quadratic_form(H: HermitianMatrix, v, ctx: PhaseContext | None = None):
 
     Only the nonzero H_ij contribute.  Numeric matrices give a float, the
     math.fsum of the real parts of the term products conj(v_i) H_ij v_j:
-    the correctly rounded sum of the rounded products.  Exact matrices with
-    exact vectors give an exact Fraction whenever the result is rational (a
-    PhaseContext is needed otherwise to evaluate leftover phases).
+    the correctly rounded sum of the rounded products.  Exact matrices sum
+    the products in one set of root buckets, reduced once, and give the
+    exact Fraction when the total is rational, else its real part rounded
+    once by numeric_eval (a PhaseContext is needed for the phases).
     """
     if len(v) != H.dim:
         raise ValueError(f"dimension mismatch: matrix is {H.dim}x{H.dim}, vector has length {len(v)}")
     vec = list(map(_coerce_scalar if H.exact else complex, v))
-    terms = (ci * c * vj for ci, row in zip([x.conjugate() for x in vec], H.rows())
+    pairs = ((ci * c, vj) for ci, row in zip([x.conjugate() for x in vec], H.rows())
              for c, vj in zip(row, vec) if c)
     if not H.exact:
-        return math.fsum(t.real for t in terms)
-    total = sum(terms, PhaseScalar.zero())
+        return math.fsum((x * y).real for x, y in pairs)
+    total = _sum_of_products(pairs)
     q = total.as_rational()
     if q is not None:
         return q
-    g = total.as_gaussian()
-    if g is not None and g[1] == 0:
-        return g[0]
     if ctx is None:
         raise ValueError("a PhaseContext is needed to evaluate this quadratic form numerically")
     return numeric_eval(total, ctx).real
@@ -282,7 +278,7 @@ def is_psd(H: HermitianMatrix, tol: float = 1e-9, ctx: PhaseContext | None = Non
     shift = as_tolerance(tol)
     entries = H.gaussian_entries()
     if H.exact and entries is None:
-        H = HermitianMatrix([[numeric_eval(c, ctx) for c in row] for row in H.rows()])
+        H = H.rounded(ctx)
     if not H.is_hermitian(max(tol, 1e-9)):
         raise ValueError("matrix is not Hermitian")
     if entries is not None:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from nctorus import AlgebraElement, PhaseContext
 from nctorus.lattice import identity, mat_mul
@@ -60,3 +60,22 @@ def random_element(rng: random.Random, dim: int = 2, max_terms: int = 5,
         c = random_scalar(rng)
         terms[m] = terms[m] + c if m in terms else c
     return AlgebraElement(dim, terms)
+
+
+# exact scalars with roots outside Q(i) too, given as term lists
+# [((zeta degree, root), coefficient), ...], and elements of Z^2 built from them
+ROOT_DENOMINATORS = [1, 2, 3, 4, 5, 6, 8, 12]
+scalar_terms = st.lists(
+    st.tuples(st.tuples(st.integers(-3, 3),
+                        st.builds(Fraction, st.integers(0, 11), st.sampled_from(ROOT_DENOMINATORS))),
+              st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))),
+    min_size=1, max_size=3)
+element_terms = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), scalar_terms,
+                                min_size=1, max_size=3)
+
+
+def shuffled_element(terms: dict, rnd: random.Random) -> AlgebraElement:
+    """The element with support and scalar term lists fed in a random order."""
+    support = list(terms.items())
+    rnd.shuffle(support)
+    return AlgebraElement(2, {m: PhaseScalar(rnd.sample(t, len(t))) for m, t in support})

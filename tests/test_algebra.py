@@ -17,7 +17,7 @@ from nctorus.algebra import (
 )
 from nctorus.lattice import SIGMA2, SkewForm, int_det, is_symplectic, mat_mul, standard_form
 from nctorus.scalars import PhaseScalar
-from conftest import random_element, random_sl2
+from conftest import element_terms, random_element, random_sl2, shuffled_element
 from paper_oracles import multiply_by_pairing, multiply_reduced_once, relabel
 
 SHEAR_U = ((1, 1), (0, 1))
@@ -67,25 +67,8 @@ def test_multiply_matches_pairing_product(form):
 # roots outside Q(i) too: there a product's printed form depends on how it
 # was reduced, so multiply_by_pairing (one reduction per pair sum) is compared
 # by value, and multiply_reduced_once (the documented rule) term for term
-ROOT_DENOMINATORS = [1, 2, 3, 4, 5, 6, 8, 12]
-scalar_terms = st.lists(
-    st.tuples(st.tuples(st.integers(-3, 3),
-                        st.builds(Fraction, st.integers(0, 11), st.sampled_from(ROOT_DENOMINATORS))),
-              st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))),
-    min_size=1, max_size=3)
-element_terms = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), scalar_terms,
-                                min_size=1, max_size=3)
-
-
 def listing(e: AlgebraElement) -> list:
     return [(m, list(c.terms())) for m, c in e.items()]
-
-
-def shuffled_element(terms: dict, rnd: random.Random) -> AlgebraElement:
-    """The element with support and scalar term lists fed in a random order."""
-    support = list(terms.items())
-    rnd.shuffle(support)
-    return AlgebraElement(2, {m: PhaseScalar(rnd.sample(t, len(t))) for m, t in support})
 
 
 @settings(max_examples=150, deadline=None)

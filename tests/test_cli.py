@@ -114,6 +114,20 @@ def test_refute_verify_round_trip(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith("error: "), field
 
 
+def test_verify_agreement_is_relative(capsys, tmp_path):
+    # at |omega(a* a)| = 1.5e12 one float ulp is 2.4e-4, far above tol = 1e-9
+    state = '{"orbit_values":{"1":1234567.89}}'
+    cert_path = tmp_path / "cert.json"
+    assert main(["refute", "--state", state, "-o", str(cert_path)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", "--state", state, "--cert", str(cert_path))
+    assert (code, out) == (0, "ACCEPT\n")
+    blob = json.loads(cert_path.read_text())
+    blob["value"] *= 1 + 1e-6
+    code, out, _ = run(capsys, "verify", "--state", state, "--cert", json.dumps(blob))
+    assert code == 1 and out.startswith("REJECT: negativity")
+
+
 def test_refute_verify_full_corpus(capsys, tmp_path):
     for i, (j, p) in enumerate([(1, 0.9), (2, 0.9), (1, 0.5), (2, 0.5), (1, 0.2), (2, 0.2)]):
         state = json.dumps({"orbit_values": {str(j): p}})
@@ -173,6 +187,13 @@ def test_usage_errors(capsys):
         assert code == 2 and out == "" and "at least one row" in err, mode
         code, out, err = run(capsys, *mode, "gram", "--state", state, "--gens", "[]")
         assert code == 2 and out == "" and "at least one row" in err, mode
+    # a value too large for a float is a usage error where it is rounded
+    huge = '{"orbit_values":{"1":1e400}}'
+    for argv in (("eval", "--state", huge, "W[1,1]"), ("refute", "--state", huge),
+                 ("gram", "--state", huge, "--gens", "[[0,0],[1,1]]"),
+                 ("psd", '{"matrix":[[1e400]]}')):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv[0]
 
 
 def test_malformed_state_values(capsys):
@@ -226,3 +247,55 @@ def test_custom_h_flag(capsys):
     import cmath
 
     assert abs(got - cmath.exp(0.5j)) < 1e-12
+
+
+PIN_STATE = '{"orbit_values":{"1":0.5,"2":-0.25}}'
+PIN_GRAM_ROUNDED = [
+    "+1+0i  +0.5+0i  +0.5+0i  +0.5+0i",
+    "+0.5+0i  +1+0i  +0.270151152934-0.420735492404i  +0.270151152934-0.420735492404i",
+    "+0.5+0i  +0.270151152934+0.420735492404i  +1+0i  +0.270151152934+0.420735492404i",
+    "+0.5+0i  +0.270151152934+0.420735492404i  +0.270151152934-0.420735492404i  +1+0i",
+]
+PIN_GRAM_EXACT = [
+    "1  1/2  1/2  1/2",
+    "1/2  1  1/2*z^-1  1/2*z^-1",
+    "1/2  1/2*z^1  1  1/2*z^1",
+    "1/2  1/2*z^1  1/2*z^-1  1",
+]
+PIN_GRAM_JSON = (
+    '{"matrix": [[[1.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]], '
+    '[[0.5, 0.0], [1.0, 0.0], [0.27015115293406977, -0.4207354924039483], '
+    '[0.27015115293406977, -0.4207354924039483]], '
+    '[[0.5, 0.0], [0.2701511529340699, 0.42073549240394825], [1.0, 0.0], '
+    '[0.2701511529340699, 0.42073549240394825]], '
+    '[[0.5, 0.0], [0.2701511529340699, 0.42073549240394825], '
+    '[0.27015115293406977, -0.4207354924039483], [1.0, 0.0]]]}'
+)
+
+
+@pytest.mark.parametrize("mode, lines", [
+    ((), PIN_GRAM_ROUNDED),
+    (("--exact",), PIN_GRAM_EXACT),
+    (("--json",), [PIN_GRAM_JSON]),
+    (("--json", "--exact"), [PIN_GRAM_JSON]),
+])
+def test_gram_output_is_pinned(capsys, mode, lines):
+    code, out, _ = run(capsys, *mode, "gram", "--state", PIN_STATE,
+                       "--gens", "[[0,0],[1,0],[0,1],[1,1]]")
+    assert code == 0
+    assert out == "".join(line + "\n" for line in lines)
+
+
+def test_eval_exact_output_is_pinned(capsys):
+    expr = "(1+2i z^3) * W[1,0] * W[0,1]^* + 1/3 z^-1 * W[2,2]"
+    code, out, _ = run(capsys, "--exact", "eval", "--state", PIN_STATE, expr)
+    assert code == 0
+    assert out == ("exact: -1/12*z^-1 + 1/2*z^2 + 1*z^2*e(1/4)\n"
+                   "value: -1.1623960372549313 + 0.10862445893302364i\n")
+    code, out, _ = run(capsys, "--json", "--exact", "eval", "--state", PIN_STATE, expr)
+    assert code == 0
+    assert out == ('{"value": [-1.1623960372549313, 0.10862445893302364], '
+                   '"value_exact": "-1/12*z^-1 + 1/2*z^2 + 1*z^2*e(1/4)"}\n')
+    # without --exact the same value is printed, and only the value
+    code, out, _ = run(capsys, "eval", "--state", PIN_STATE, expr)
+    assert out == "value: -1.1623960372549313 + 0.10862445893302364i\n"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as hs
 
-from nctorus.algebra import adjoint, multiply, weyl
+from nctorus.algebra import AlgebraElement, PhaseContext, adjoint, multiply, numeric_eval, weyl
+from nctorus.certificate import refute
 from nctorus.scalars import GaussRat, PhaseScalar
 from nctorus.states import (
     HermitianMatrix,
@@ -20,7 +21,7 @@ from nctorus.states import (
     quadratic_form,
     trace_state,
 )
-from conftest import random_element, random_scalar, random_sl2
+from conftest import element_terms, random_element, random_scalar, random_sl2, shuffled_element
 from paper_oracles import min_eigenvalue, psd_exact_full_square
 
 
@@ -83,6 +84,35 @@ def test_evaluate_examples(ctx):
     assert abs(evaluate(tau, a, ctx) - 2) < 1e-14
     st = StateCandidate({1: 0.5})
     assert abs(evaluate(st, weyl((1, 1)), ctx) - 0.5) < 1e-14
+
+
+def test_evaluate_rounds_the_exact_total_once(ctx):
+    # the a* a that refutes {1: 13/100} (d = 60) sums exactly to -21/25;
+    # rounding every coefficient first and adding the floats gave -0.840000000000128
+    state = StateCandidate({1: Fraction(13, 100)})
+    cert = refute(state, ctx)
+    a = AlgebraElement(2, {g: PhaseScalar.gaussian(w.re, w.im)
+                           for w, g in zip(cert.witness, cert.generators)})
+    a_star_a = multiply(adjoint(a), a, ctx)
+    assert evaluate_exact(state, a_star_a) == Fraction(-21, 25)
+    assert evaluate(state, a_star_a, ctx) == float(Fraction(-21, 25))
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_terms, hs.randoms(use_true_random=False))
+def test_evaluate_exact_reduces_once_in_any_order(terms, rnd):
+    # roots of order 3, 5, 8 or 12 in several coefficients of one orbit: the
+    # total's form is that of one reduction of all its terms, whatever the order
+    ctx = PhaseContext()
+    state = StateCandidate({1: Fraction(1, 3), 2: Fraction(-5, 4)})
+    a = shuffled_element(terms, rnd)
+    got = evaluate_exact(state, a)
+    again = evaluate_exact(state, shuffled_element(terms, rnd))
+    assert list(again.terms()) == list(got.terms())
+    once = PhaseScalar([((k, r), c * eval_generator(state, m))
+                        for m, coeff in a.items() for k, r, c in coeff.terms()])
+    assert list(got.terms()) == list(once.terms())
+    assert evaluate(state, a, ctx) == numeric_eval(got, ctx)
 
 
 def test_state_invariance_under_action(ctx):
