@@ -9,6 +9,7 @@ coefficients.  Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -199,13 +200,15 @@ def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
     """Evaluate an exact scalar to a complex float at the context's h.
 
     Phases are reduced mod 2*pi in 256-bit fixed point first, so the result
-    stays accurate even for zeta-exponents far beyond float range.  ctx may
-    be None when no term carries a zeta power.
+    stays accurate even for zeta-exponents far beyond float range.  Each
+    component is the math.fsum of the rounded terms: it does not depend on
+    the term order, and conjugate terms cancel exactly, so a real total has
+    imaginary part 0.0.  ctx may be None when no term carries a zeta power.
     """
     h = ctx.h if ctx is not None else Fraction(0)  # h only scales zeta powers
-    total = 0j
+    parts = []
     for k, r, c in s.terms():
         if k and ctx is None:
             raise ValueError("a PhaseContext is needed to evaluate zeta powers")
-        total += float(c) * cmath.exp(1j * circle.phase_angle(h, k, r))
-    return total
+        parts.append(float(c) * cmath.exp(1j * circle.phase_angle(h, k, r)))
+    return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))

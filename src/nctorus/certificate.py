@@ -9,12 +9,13 @@ P_d = [p; 1; 0; ...; 0], whose explicit witness (-p*d, 1, ..., 1) has
 quadratic value d*(1 - d*p^2) < 0, so some family l* is not positive
 either.  Each family's Gram matrix is Toeplitz, so refute() scores the d
 families with the closed-form witness value (d - 1 phases each), takes l*
-and the average's value from those scores, and builds the dense Gram
+and the average's value from those scores, and builds the exact Gram
 matrix of l* alone.  The average only guides refute() to l*; the proof is
 the single element a = sum v_i W_(g_i) on that family with
-omega(a* a) < 0.  verify() re-derives the parameters and the l*
-generators, and evaluates omega(a* a) once, through bare algebra
-multiplication; it builds no Gram matrix.
+omega(a* a) < 0, and refute() certifies its exact total rounded once.
+verify() re-derives the parameters and the l* generators, and evaluates
+omega(a* a) once, through bare algebra multiplication; it builds no Gram
+matrix and rounds the same exact total to the same float.
 """
 
 from __future__ import annotations
@@ -42,12 +43,7 @@ DEFAULT_BUDGET = 10**9
 
 
 class DiophantineBudgetError(RuntimeError):
-    """The Diophantine search gave up; best_n carries the minimal N when
-    only the budget stood in its way."""
-
-    def __init__(self, message: str, best_n: int | None = None):
-        super().__init__(message)
-        self.best_n = best_n
+    """The Diophantine search gave up."""
 
 
 class RefutationMarginError(RuntimeError):
@@ -199,9 +195,7 @@ def diophantine_N(ctx: PhaseContext, xi2: int, d: int, eps, *,
     if k > budget:
         raise DiophantineBudgetError(
             f"minimal k = {k} exceeds the search budget {budget}; "
-            f"best candidate N = {fact * k}",
-            best_n=fact * k,
-        )
+            f"best candidate N = {fact * k}")
     # guard the fixed-point answer with the exact rational inequality
     for _ in range(4):
         if satisfies_diophantine(ctx.h, fact * k, xi2, d, eps):
@@ -245,7 +239,8 @@ def _family_values(state: StateCandidate, params: CertParams,
     e_k is the exponent gram() uses for the entry (i, i+k), -sigma(g_i, g_(i+k));
     since g_(i+k) - g_i = k (g_2 - g_1) and sigma is bilinear, e_k = k e_1
     with e_1 = -sigma(g_1, g_2), read from ctx.sigma rather than assumed.
-    Costs d-1 phases per family instead of a dense (d+1)^2 Gram build.
+    These float scores, at d-1 phases per family, only choose l* and
+    avg_value; refute() certifies the exact total on the l* Gram matrix.
     """
     d, n_val, x = params.d, params.N, params.xi[0]
     p = eval_generator(state, params.xi)
@@ -313,9 +308,11 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
     ConsistentWithTrace when every declared orbit value vanishes.  The d
     families are scored in closed form (_family_values); their mean is
     avg_value, which must fall below -1e-6 (else eps halves and N is
-    searched again).  The lowest-scoring family is l*, and the certified
-    value is the witness value on its dense Gram matrix, the number
-    verify() recomputes.
+    searched again).  The lowest-scoring family is l*.  The certified value
+    is the exact witness total v^dagger H v on l*'s Gram matrix, rounded
+    once.  omega(a* a) is the same exact scalar, and its roots lie in Q(i),
+    where the canonical form is unique, so the value is bit for bit the
+    float verify() recomputes through algebra.multiply.
     """
     if ctx.genus != 1:
         raise ValueError(
@@ -346,7 +343,7 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
                 l_star=l_star,
                 generators=family_generators(params, l_star),
                 witness=v,
-                value=quadratic_form(build_H_second(state, params, l_star, ctx), v),
+                value=float(quadratic_form(build_H_second(state, params, l_star, ctx), v, ctx)),
                 avg_value=avg_value,
             )
         eps = eps / 2  # shrink the phase tolerance and retry

@@ -48,13 +48,15 @@ def fixed_to_angle(fixed: int) -> float:
 
 
 def phase_angle(h: Fraction, zeta_exp: int, root: Fraction = Fraction(0)) -> float:
-    """Angle of zeta^k * e(r) in radians, exactly reduced mod 2*pi.
+    """Angle of zeta^k * e(r) in radians, the signed residue in [-pi, pi).
 
     zeta_exp may be astronomically large; the reduction happens on 256-bit
-    integers before any float is produced.
+    integers before any float is produced.  The residue is signed, so the
+    angle of zeta^-k is exactly the negated angle of zeta^k, and their
+    rounded values are exact conjugates.
     """
     fixed = (zeta_exp * hbar_fixed(h) + to_fixed(root)) % MODULUS
-    return fixed_to_angle(fixed)
+    return fixed_to_angle(fixed) if 2 * fixed < MODULUS else -fixed_to_angle(MODULUS - fixed)
 
 
 # ---------------------------------------------------------------------------

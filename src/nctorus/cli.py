@@ -87,7 +87,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="nctorus",
         description="Exact noncommutative-torus algebra and invariant-state refutation.",
     )
-    ap.add_argument("--h", type=Fraction, default=Fraction(1),
+    # --h stays a string here: PhaseContext reads it through scalars.as_fraction
+    ap.add_argument("--h", default="1",
                     help="phase parameter h (default 1; h/2pi must stay irrational)")
     ap.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)")
     ap.add_argument("--exact", action="store_true", help="exact mode where available")
@@ -163,12 +164,13 @@ def _cmd_eval(args, ctx) -> int:
 
 def _cmd_gram(args, ctx) -> int:
     state = _load_state(args.state)
-    matrix = gram(state, _vectors_from_json(_load_json(args.gens), "--gens"), ctx, exact=args.exact)
+    matrix = gram(state, _vectors_from_json(_load_json(args.gens), "--gens"), ctx)
+    if args.as_json or not args.exact:
+        matrix = matrix.rounded(ctx)
     if args.as_json:
-        rows = matrix.rounded(ctx).rows()
-        print(json.dumps({"matrix": [[_complex_pair(x) for x in row] for row in rows]}))
+        print(json.dumps({"matrix": [[_complex_pair(x) for x in row] for row in matrix.rows()]}))
     else:
-        fmt = str if args.exact else (lambda x: f"{x.real:+.12g}{x.imag:+.12g}i")
+        fmt = str if matrix.exact else (lambda x: f"{x.real:+.12g}{x.imag:+.12g}i")
         for row in matrix.rows():
             print("  ".join(map(fmt, row)))
     return EXIT_OK

@@ -65,8 +65,8 @@ def as_fraction(value) -> Fraction:
     are kept exactly; a float is read as its shortest decimal, so 0.1 means
     1/10 (the number its JSON text or repr shows, not its binary
     expansion); a str is parsed by Fraction ("1/3", "0.25").  bool and
-    every other type raise TypeError; a malformed string, inf or nan
-    raises ValueError.
+    every other type raise TypeError; a malformed string (such as "1/0"),
+    inf or nan raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -75,7 +75,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(float(value)))  # float(): numpy scalars repr with their type
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational value: {value!r}")
 
 
@@ -282,16 +285,6 @@ class PhaseScalar:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def as_rational(self) -> Fraction | None:
-        """The value as a plain rational, or None if it is not one."""
-        if not self._terms:
-            return ZERO
-        if len(self._terms) == 1:
-            ((k, r), c) = next(iter(self._terms.items()))
-            if k == 0 and r == ROOT_ONE:
-                return c
-        return None
 
     def as_gaussian(self) -> tuple[Fraction, Fraction] | None:
         """The value as (re, im) Gaussian rational, or None."""

@@ -12,7 +12,6 @@ the same orbit ("1" and "01") are rejected.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from collections.abc import Mapping
@@ -22,9 +21,8 @@ from math import gcd as _gcd, isqrt
 
 import numpy as np
 
-from . import circle
 from .algebra import AlgebraElement, PhaseContext, numeric_eval
-from .lattice import as_integer, as_vector, pairing
+from .lattice import as_integer, as_vector
 from .scalars import GaussRat, PhaseScalar, _sum_of_products, as_fraction
 
 
@@ -178,8 +176,12 @@ class HermitianMatrix:
         return [[GaussRat._of(*g) for g in row] for row in parts]
 
 
-def gram(state: StateCandidate, gens, ctx: PhaseContext, exact: bool = False) -> HermitianMatrix:
-    """Gram matrix H_ij = omega(W_i^* W_j) = zeta^(-sigma(m_i, m_j)) * p(m_j - m_i)."""
+def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
+    """Exact Gram matrix H_ij = omega(W_i^* W_j) = zeta^(-sigma(m_i, m_j)) * p(m_j - m_i).
+
+    As in algebra.multiply, m_i^T Sigma is formed once per row, and p is read
+    from the orbit gcd(m_j - m_i); rounded(ctx) gives the numeric matrix.
+    """
     if ctx.genus != 1:
         raise ValueError("Gram matrices are built for genus 1")
     vecs = [as_vector(g) for g in gens]
@@ -187,42 +189,40 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext, exact: bool = False) ->
         raise ValueError("generators must be lattice points of Z^2")
     if len(set(vecs)) != len(vecs):
         raise ValueError("duplicate generators give a degenerate Gram request")
-    if exact:
-        zero, entry = PhaseScalar.zero(), PhaseScalar.zeta
-    else:
-        zero, entry = 0j, lambda k, p: float(p) * cmath.exp(1j * circle.phase_angle(ctx.h, k))
-    n = len(vecs)
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            diff = (vecs[j][0] - vecs[i][0], vecs[j][1] - vecs[i][1])
-            p = eval_generator(state, diff)
-            if p:
-                rows[i][j] = entry(-pairing(ctx.sigma, vecs[i], vecs[j]), p)
-    return HermitianMatrix(rows, exact=exact)
+    (s00, s01), (s10, s11) = ctx.sigma.matrix
+    zero = PhaseScalar.zero()
+    rows = []
+    for x, y in vecs:
+        r0, r1 = x * s00 + y * s10, x * s01 + y * s11  # m_i^T Sigma
+        row = []
+        for u, v in vecs:
+            p = state.value(_gcd(u - x, v - y))
+            row.append(PhaseScalar.zeta(-(r0 * u + r1 * v), p) if p else zero)
+        rows.append(row)
+    return HermitianMatrix(rows, exact=True)
 
 
 def quadratic_form(H: HermitianMatrix, v, ctx: PhaseContext | None = None):
-    """The (real) value v^dagger H v.
+    """The real value v^dagger H v, from its exact total.
 
-    Only the nonzero H_ij contribute.  Numeric matrices give a float, the
-    math.fsum of the real parts of the term products conj(v_i) H_ij v_j:
-    the correctly rounded sum of the rounded products.  Exact matrices sum
-    the products in one set of root buckets, reduced once, and give the
-    exact Fraction when the total is rational, else its real part rounded
-    once by numeric_eval (a PhaseContext is needed for the phases).
+    A numeric matrix or vector is read at the decimal values of its entries
+    (as_fraction), as is_psd reads it.  The products conj(v_i) H_ij v_j of
+    the nonzero H_ij go into one set of root buckets, each reduced once.
+    A Gaussian-rational total gives its real part as an exact Fraction;
+    any other total gives the real part of numeric_eval at ctx, rounded
+    once (a PhaseContext is needed for the phases).
     """
     if len(v) != H.dim:
         raise ValueError(f"dimension mismatch: matrix is {H.dim}x{H.dim}, vector has length {len(v)}")
-    vec = list(map(_coerce_scalar if H.exact else complex, v))
-    pairs = ((ci * c, vj) for ci, row in zip([x.conjugate() for x in vec], H.rows())
-             for c, vj in zip(row, vec) if c)
     if not H.exact:
-        return math.fsum((x * y).real for x, y in pairs)
-    total = _sum_of_products(pairs)
-    q = total.as_rational()
-    if q is not None:
-        return q
+        H = HermitianMatrix(H.rows(), exact=True)
+    vec = list(map(_coerce_scalar, v))
+    total = _sum_of_products((ci * c, vj)
+                             for ci, row in zip([x.conjugate() for x in vec], H.rows())
+                             for c, vj in zip(row, vec) if c)
+    g = total.as_gaussian()
+    if g is not None:
+        return g[0]
     if ctx is None:
         raise ValueError("a PhaseContext is needed to evaluate this quadratic form numerically")
     return numeric_eval(total, ctx).real

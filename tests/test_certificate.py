@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctorus.algebra import PhaseContext
+from nctorus.algebra import AlgebraElement, PhaseContext, adjoint, multiply
 from nctorus.certificate import (
     CertParams,
     Certificate,
@@ -29,6 +29,7 @@ from nctorus.states import (
     StateCandidate,
     determinant_exact,
     eval_generator,
+    evaluate,
     gram,
     is_psd,
     quadratic_form,
@@ -36,7 +37,7 @@ from nctorus.states import (
 )
 from nctorus.circle import MODULUS
 from nctorus.lattice import SIGMA2, SkewForm
-from nctorus.scalars import GaussRat
+from nctorus.scalars import GaussRat, PhaseScalar
 from paper_oracles import build_H_prime, det_P, scan_hit
 
 
@@ -65,7 +66,8 @@ def test_diophantine_scan_agrees_with_exact(ctx):
 def test_diophantine_budget_error(ctx):
     with pytest.raises(DiophantineBudgetError) as info:
         diophantine_N(ctx, 1, 3, Fraction(1, 10**6), budget=50)
-    assert info.value.best_n is not None
+    n_val = int(str(info.value).rsplit("N = ", 1)[1])
+    assert n_val % math.factorial(3) == 0
 
 
 def test_diophantine_rejects_bad_args(ctx):
@@ -100,7 +102,7 @@ def test_build_H_prime_root_of_unity_phase():
 def test_build_H_second_trace_identity(ctx):
     params = CertParams(xi=(1, 1), d=3, N=math.factorial(3) * 4, epsilon=Fraction(1, 10))
     for l in range(1, 4):
-        h = gram(trace_state(), family_generators(params, l), ctx, exact=True)
+        h = gram(trace_state(), family_generators(params, l), ctx)
         arr = h.to_numpy(ctx)
         assert np.allclose(arr, np.eye(4))
 
@@ -109,7 +111,7 @@ def test_build_H_second_first_row(ctx):
     state = StateCandidate({1: 0.5})
     params = CertParams(xi=(1, 1), d=4, N=math.factorial(4) * 3, epsilon=Fraction(1, 10))
     h = build_H_second(state, params, 2, ctx)
-    arr = h.to_numpy()
+    arr = h.to_numpy(ctx)
     assert np.allclose(arr[0, 1:], 0.5)
     assert np.allclose(arr[1:, 0], 0.5)
     assert np.allclose(np.diag(arr), 1.0)
@@ -140,7 +142,7 @@ def test_family_values_match_dense_gram(data):
     closed = _family_values(state, params, ctx)
     assert len(closed) == d
     for l in range(1, d + 1):
-        dense = quadratic_form(build_H_second(state, params, l, ctx), v)
+        dense = quadratic_form(build_H_second(state, params, l, ctx), v, ctx)
         assert abs(closed[l - 1] - dense) <= 1e-9 * max(1.0, abs(dense)), (l, closed, dense)
 
 
@@ -157,7 +159,7 @@ def test_perturbation_bound(ctx):
             state = StateCandidate({1: Fraction(1, 2), **q_orbits})
             params = CertParams(xi=(1, 1), d=d, N=n_val, epsilon=eps)
             for l in range(1, d + 1):
-                second = build_H_second(state, params, l, ctx).to_numpy()
+                second = build_H_second(state, params, l, ctx).to_numpy(ctx)
                 prime = build_H_prime(Fraction(1, 2),
                                       _q_map_from_state(state, d, n_val, 1),
                                       d, l, n_val).to_numpy()
@@ -173,7 +175,7 @@ def test_error_budget_bound(ctx):
         state = StateCandidate({1: p, **q_orbits})
         params = CertParams(xi=(1, 1), d=d, N=n_val, epsilon=eps)
         mats = [build_H_second(state, params, l, ctx) for l in range(1, d + 1)]
-        avg = average_R(mats).to_numpy()
+        avg = average_R(mats).to_numpy(ctx)
         det_avg = np.linalg.det(avg).real
         bound = float(eps) * 2 * d * (d - 1) * math.factorial(d)
         assert abs(det_avg - float(det_P(p, d))) <= bound
@@ -200,7 +202,7 @@ def test_average_cancellation_exact():
 def test_average_of_equal_matrices(ctx):
     h = gram(StateCandidate({1: 0.5}), [(0, 0), (1, 1)], ctx)
     avg = average_R([h, h, h])
-    assert np.allclose(avg.to_numpy(), h.to_numpy())
+    assert np.allclose(avg.to_numpy(ctx), h.to_numpy(ctx))
     with pytest.raises(ValueError):
         average_R([])
 
@@ -294,7 +296,7 @@ def test_refute_short_form(ctx):
     assert cert.params.d == 1
     assert cert.generators[0] == (0, 0) and len(cert.generators) == 2
     # the restriction matrix is exactly the 2x2 minor [[1, p], [p, 1]]
-    h = build_H_second(state, cert.params, 1, ctx).to_numpy()
+    h = build_H_second(state, cert.params, 1, ctx).to_numpy(ctx)
     assert np.allclose(h, np.array([[1, 1.5], [1.5, 1]]))
     assert cert.value == pytest.approx(1 - 1.5**2, abs=1e-9)
     assert verify(state, cert, ctx).accepted
@@ -326,7 +328,7 @@ def test_l_star_witnesses_non_positive_matrix(ctx):
     state = StateCandidate({1: 0.5})
     cert = refute(state, ctx)
     worst = build_H_second(state, cert.params, cert.l_star, ctx)
-    verdict = is_psd(worst, tol=1e-9)
+    verdict = is_psd(worst, tol=1e-9, ctx=ctx)
     assert not verdict.is_psd
 
 
@@ -431,7 +433,26 @@ def test_refute_builds_one_gram(ctx, monkeypatch):
             cert = refute(state, ctx)
         assert len(built) == 1
         dense = build_H_second(state, cert.params, cert.l_star, ctx)
-        assert cert.value == quadratic_form(dense, cert.witness)
+        assert cert.value == float(quadratic_form(dense, cert.witness, ctx))
+
+
+@pytest.mark.parametrize("h", [Fraction(1), Fraction(5, 7)])
+def test_refute_value_is_verify_value(h):
+    # refute certifies the exact witness total rounded once: the very float
+    # verify recomputes by bare multiplication, on single- and multi-orbit states
+    ctx = PhaseContext(h=h)
+    for orbit, p in ((1, 0.3), (2, -0.45), (1, 0.5), (3, 1.5)):
+        single = StateCandidate({orbit: p})
+        n_val, d = refute(single, ctx).params.N, choose_parameters(p)[0]
+        multi = StateCandidate({orbit: p, **{k * n_val * orbit: Fraction((-1) ** k, 2 + k)
+                                             for k in range(1, max(d, 3))}})
+        for state in (single, multi):
+            cert = refute(state, ctx)
+            element = AlgebraElement(2, {g: PhaseScalar.gaussian(w.re, w.im)
+                                         for w, g in zip(cert.witness, cert.generators)})
+            direct = evaluate(state, multiply(adjoint(element), element, ctx), ctx)
+            assert cert.value == direct.real, (orbit, p, state)
+            assert direct.imag == 0.0  # the real exact total rounds to a real float
 
 
 def test_verify_algebra_agreement_clause(ctx):
@@ -465,7 +486,7 @@ def test_refute_with_nonzero_q_orbits(ctx):
     cert = refute(state, ctx)
     assert cert.params.N == n_val and cert.params.d == d
     # some matrix entry is genuinely nonzero off the P_d pattern
-    mats = [build_H_second(state, cert.params, l, ctx).to_numpy() for l in range(1, d + 1)]
+    mats = [build_H_second(state, cert.params, l, ctx).to_numpy(ctx) for l in range(1, d + 1)]
     assert max(abs(m[1, 2]) for m in mats) > 0.1
     # the eps rule keeps the witness value within half the ideal margin
     ideal = d * (1 - d * 0.25)
@@ -487,7 +508,7 @@ def test_gram_matches_H_entry_formulas(ctx):
     state = StateCandidate({xi2: Fraction(1, 2), **q_orbits})
     params = CertParams(xi=(xi2, xi2), d=d, N=n_val, epsilon=eps)
 
-    built = build_H_second(state, params, l, ctx).to_numpy()
+    built = build_H_second(state, params, l, ctx).to_numpy(ctx)
     manual = np.eye(d + 1, dtype=complex)
     p = float(eval_generator(state, (xi2, xi2)))
     manual[0, 1:] = p
@@ -503,5 +524,5 @@ def test_gram_matches_H_entry_formulas(ctx):
     # and gram() on the same generators is the same matrix
     from nctorus.states import gram as gram_fn
 
-    direct = gram_fn(state, family_generators(params, l), ctx).to_numpy()
+    direct = gram_fn(state, family_generators(params, l), ctx).to_numpy(ctx)
     assert np.max(np.abs(built - direct)) == 0.0

@@ -60,11 +60,17 @@ def test_pi_constant_consistency():
     assert abs(fixed / MODULUS - 1 / (2 * math.pi)) < 1e-15
 
 
+def _congruent_mod_two_pi(a, b):
+    x = (a - b) % (2 * math.pi)
+    return min(x, 2 * math.pi - x) < 1e-9
+
+
 def test_phase_angle_small_exponents():
     for k in range(-20, 21):
-        want = (k * 1.0) % (2 * math.pi)
         got = phase_angle(Fraction(1), k)
-        assert abs(got - want) < 1e-9 or abs(abs(got - want) - 2 * math.pi) < 1e-9
+        assert -math.pi <= got < math.pi
+        assert _congruent_mod_two_pi(got, k * 1.0)
+        assert phase_angle(Fraction(1), -k) == -got or got == -math.pi
 
 
 def test_phase_angle_huge_exponent_exact():
@@ -74,7 +80,9 @@ def test_phase_angle_huge_exponent_exact():
         turns = h * k / (2 * PI)
         frac = turns - math.floor(turns)
         want = float(frac) * 2 * math.pi
-        assert abs(phase_angle(h, k) - want) < 1e-9
+        got = phase_angle(h, k)
+        assert -math.pi <= got < math.pi
+        assert _congruent_mod_two_pi(got, want)
 
 
 def test_to_fixed_round_trip():

@@ -35,7 +35,7 @@ def test_as_fraction_rule():
     for bad in (True, None, 1j):
         with pytest.raises(TypeError):
             as_fraction(bad)
-    for bad in ("x", float("inf"), float("nan")):
+    for bad in ("x", "1/0", float("inf"), float("nan")):
         with pytest.raises(ValueError):
             as_fraction(bad)
 

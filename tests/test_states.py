@@ -131,11 +131,11 @@ def test_state_invariance_under_action(ctx):
 def test_gram_examples(ctx):
     tau = trace_state()
     h = gram(tau, [(0, 0), (1, 1), (2, 2)], ctx)
-    assert np.allclose(h.to_numpy(), np.eye(3))
+    assert np.allclose(h.to_numpy(ctx), np.eye(3))
 
     st = StateCandidate({1: 0.5})
     h2 = gram(st, [(0, 0), (1, 1)], ctx)
-    assert np.allclose(h2.to_numpy(), np.array([[1, 0.5], [0.5, 1]]))
+    assert np.allclose(h2.to_numpy(ctx), np.array([[1, 0.5], [0.5, 1]]))
 
     with pytest.raises(ValueError):
         gram(tau, [(0, 0), (0, 0)], ctx)
@@ -148,8 +148,24 @@ def test_gram_hermitian_exact(ctx):
         gens = set()
         while len(gens) < 4:
             gens.add((rng.randint(-5, 5), rng.randint(-5, 5)))
-        h = gram(state, sorted(gens), ctx, exact=True)
+        h = gram(state, sorted(gens), ctx)
         assert h.is_hermitian()
+
+
+def test_rounded_gram_is_exactly_hermitian():
+    # signed phases round zeta^-k to the exact conjugate of zeta^k
+    rng = random.Random(17)
+    for h in (Fraction(1), Fraction(1, 2), Fraction(5, 7)):
+        ctx = PhaseContext(h=h)
+        for _ in range(30):
+            state = StateCandidate({j: Fraction(rng.randint(-8, 8), 8) for j in (1, 2, 3)})
+            span = rng.choice((5, 10**12))
+            gens = set()
+            while len(gens) < 5:
+                gens.add((rng.randint(-span, span), rng.randint(-span, span)))
+            rows = gram(state, sorted(gens), ctx).rounded(ctx).rows()
+            assert all(rows[i][j] == rows[j][i].conjugate()
+                       for i in range(5) for j in range(5)), rows
 
 
 def test_gram_direct_agreement(ctx):
@@ -172,16 +188,15 @@ def test_gram_direct_agreement(ctx):
         from nctorus.algebra import numeric_eval
 
         vec = [numeric_eval(c, ctx) for c in coeffs]
-        quad = quadratic_form(h, vec)
+        quad = quadratic_form(h, vec, ctx)
         assert abs(direct - quad) < 1e-10
 
-        # exact mode: same identity with no roundoff at all
-        h_exact = gram(state, gens, ctx, exact=True)
+        # exact entries: same identity with no roundoff at all
         direct_exact = evaluate_exact(state, multiply(adjoint(a), a, ctx))
         total = PhaseScalar.zero()
         for i in range(len(gens)):
             for j in range(len(gens)):
-                total = total + coeffs[i].conjugate() * h_exact.entry(i, j) * coeffs[j]
+                total = total + coeffs[i].conjugate() * h.entry(i, j) * coeffs[j]
         assert total == direct_exact
 
 
@@ -282,24 +297,24 @@ def test_psd_two_by_two_iff(ctx):
     for p in [-1.2, -1.0, -0.5, 0.0, 0.5, 0.99, 1.0, 1.001, 1.5]:
         st = StateCandidate({1: abs(p)}) if p >= 0 else StateCandidate({1: p})
         h = gram(st, [(0, 0), (1, 1)], ctx)
-        assert is_psd(h, tol=1e-9).is_psd == (abs(p) <= 1 + 1e-9)
+        assert is_psd(h, tol=1e-9, ctx=ctx).is_psd == (abs(p) <= 1 + 1e-9)
 
 
 def test_quadratic_form_exact_needs_ctx_for_phases(ctx):
     state = StateCandidate({1: 0.5, 2: 0.25})
     gens = [(0, 0), (1, 0), (0, 1)]
-    h = gram(state, gens, ctx, exact=True)
+    h = gram(state, gens, ctx)
     v = (1, 1, 1)
     with pytest.raises(ValueError):
         quadratic_form(h, v)
     exact_val = quadratic_form(h, v, ctx)
-    numeric_val = quadratic_form(gram(state, gens, ctx), [1, 1, 1])
+    numeric_val = quadratic_form(h.rounded(ctx), [1, 1, 1])
     assert abs(exact_val - numeric_val) < 1e-12
 
 
 def test_is_psd_exact_matrix_with_phases_uses_numeric(ctx):
     state = StateCandidate({1: 0.5})
-    h = gram(state, [(0, 0), (1, 0), (0, 1)], ctx, exact=True)
+    h = gram(state, [(0, 0), (1, 0), (0, 1)], ctx)
     verdict = is_psd(h, tol=1e-9, ctx=ctx)
     assert verdict.is_psd  # |p| <= 1 on a 3-generator span of orbit-1 points
 
@@ -378,5 +393,5 @@ def test_pipeline_needs_no_numpy(ctx, monkeypatch):
     gaussian = HermitianMatrix([[2, PhaseScalar.gaussian(0, 1)],
                                 [PhaseScalar.gaussian(0, -1), 1]], exact=True)
     assert is_psd(gaussian).is_psd
-    phased = gram(single, [(0, 0), (1, 0), (0, 1)], ctx, exact=True)
+    phased = gram(single, [(0, 0), (1, 0), (0, 1)], ctx)
     assert phased.gaussian_entries() is None and is_psd(phased, ctx=ctx).is_psd
