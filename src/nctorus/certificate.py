@@ -256,7 +256,7 @@ def _family_values(state: StateCandidate, params: CertParams,
 
 
 def average_R(matrices) -> HermitianMatrix:
-    """Entrywise arithmetic mean; exact inputs give an exact mean.
+    """Entrywise arithmetic mean, exact.
 
     refute() does not call it: by linearity the witness value on the family
     average is the mean of the closed-form family values.  It stays as the
@@ -265,13 +265,11 @@ def average_R(matrices) -> HermitianMatrix:
     mats = list(matrices)
     if not mats:
         raise ValueError("cannot average an empty list of matrices")
-    n, exact = mats[0].dim, mats[0].exact
+    n = mats[0].dim
     if any(m.dim != n for m in mats):
         raise ValueError("dimension mismatch in matrix average")
-    if any(m.exact != exact for m in mats):
-        raise ValueError("cannot mix exact and numeric matrices in an average")
     rows = [[sum(m.entry(i, j) for m in mats) / len(mats) for j in range(n)] for i in range(n)]
-    return HermitianMatrix(rows, exact=exact)
+    return HermitianMatrix(rows)
 
 
 def choose_parameters(p) -> tuple[int, Fraction]:

@@ -30,7 +30,7 @@ from .certificate import (
 from .lattice import SkewForm, as_vector, orbit_rep, symplectic_normal_form
 from .parser import ParseError, parse_element, to_element
 from .scalars import PhaseScalar
-from .states import HermitianMatrix, StateCandidate, evaluate_exact, gram, is_psd
+from .states import HermitianMatrix, StateCandidate, as_tolerance, evaluate_exact, gram, is_psd
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -67,19 +67,18 @@ def _complex_pair(value) -> list[float]:
 def _matrix_from_json(obj, exact: bool) -> HermitianMatrix:
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ValueError('matrix JSON must be {"matrix": [[...]]}')
-    rows = obj["matrix"]
 
     def entry(x):
-        if isinstance(x, (list, tuple)):
-            re, im = x
-            return PhaseScalar.gaussian(re, im) if exact else complex(re, im)
-        return PhaseScalar.rational(x) if exact else complex(float(x), 0.0)
+        re, im = x if isinstance(x, (list, tuple)) else (x, 0)
+        if not exact:  # each number is a float first, so 1e400 overflows
+            re, im = float(re), float(im)
+        return PhaseScalar.gaussian(re, im)
 
     try:
-        data = [[entry(x) for x in row] for row in rows]
+        data = [[entry(x) for x in row] for row in obj["matrix"]]
     except TypeError as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
-    return HermitianMatrix(data, exact=exact)
+    return HermitianMatrix(data)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -90,8 +89,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     # --h stays a string here: PhaseContext reads it through scalars.as_fraction
     ap.add_argument("--h", default="1",
                     help="phase parameter h (default 1; h/2pi must stay irrational)")
-    ap.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)")
-    ap.add_argument("--exact", action="store_true", help="exact mode where available")
+    ap.add_argument("--tol", type=float, default=1e-9, help="psd and verify tolerance (default 1e-9)")
+    ap.add_argument("--exact", action="store_true", help="exact output (eval, gram) or input (psd)")
     ap.add_argument("--json", action="store_true", dest="as_json", help="machine-readable output")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -165,20 +164,20 @@ def _cmd_eval(args, ctx) -> int:
 def _cmd_gram(args, ctx) -> int:
     state = _load_state(args.state)
     matrix = gram(state, _vectors_from_json(_load_json(args.gens), "--gens"), ctx)
-    if args.as_json or not args.exact:
-        matrix = matrix.rounded(ctx)
     if args.as_json:
-        print(json.dumps({"matrix": [[_complex_pair(x) for x in row] for row in matrix.rows()]}))
-    else:
-        fmt = str if matrix.exact else (lambda x: f"{x.real:+.12g}{x.imag:+.12g}i")
+        print(json.dumps({"matrix": [[_complex_pair(x) for x in row] for row in matrix.rounded(ctx)]}))
+    elif args.exact:
         for row in matrix.rows():
-            print("  ".join(map(fmt, row)))
+            print("  ".join(map(str, row)))
+    else:
+        for row in matrix.rounded(ctx):
+            print("  ".join(f"{x.real:+.12g}{x.imag:+.12g}i" for x in row))
     return EXIT_OK
 
 
 def _cmd_psd(args, ctx) -> int:
     matrix = _matrix_from_json(_load_json(args.matrix), exact=args.exact)
-    verdict = is_psd(matrix, tol=args.tol, ctx=ctx)
+    verdict = is_psd(matrix, tol=0 if args.exact else args.tol)
     if args.as_json:
         payload = {"psd": verdict.is_psd}
         if not verdict.is_psd:
@@ -240,6 +239,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
+        as_tolerance(args.tol)
         return _COMMANDS[args.command](args, PhaseContext(h=args.h))
     except DiophantineBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,6 +46,7 @@ does not depend on how the value was built at all.
 """
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -64,9 +65,10 @@ def as_fraction(value) -> Fraction:
     This is the package's one rule for rationals: Fraction and int values
     are kept exactly; a float is read as its shortest decimal, so 0.1 means
     1/10 (the number its JSON text or repr shows, not its binary
-    expansion); a str is parsed by Fraction ("1/3", "0.25").  bool and
-    every other type raise TypeError; a malformed string (such as "1/0"),
-    inf or nan raises ValueError.
+    expansion); a str is parsed by Fraction ("1/3", "0.25"); another
+    numbers.Integral (a numpy integer) is read as its int.  bool and every
+    other type raise TypeError; a malformed string (such as "1/0"), inf or
+    nan raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -79,6 +81,8 @@ def as_fraction(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return Fraction(int(value))
     raise TypeError(f"not an exact rational value: {value!r}")
 
 

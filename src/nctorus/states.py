@@ -125,51 +125,45 @@ def evaluate_exact(state: StateCandidate, a: AlgebraElement) -> PhaseScalar:
 # ---------------------------------------------------------------------------
 
 class HermitianMatrix:
-    """Square n x n matrix, n >= 1, held as a tuple of row tuples.
+    """Square n x n matrix, n >= 1, of exact PhaseScalar entries in a tuple of
+    row tuples.  Any other entry is read once (_coerce_scalar) as the Gaussian
+    rational of its decimal value: 0.1 is 1/10.  rounded(ctx) gives the
+    numeric rows.  The exact keyword is accepted only as True."""
 
-    Entries are complex for a numeric matrix and PhaseScalar for an exact
-    one (exact=True, where other numbers are read as Gaussian rationals).
-    """
+    __slots__ = ("dim", "_rows")
 
-    __slots__ = ("exact", "dim", "_rows")
-
-    def __init__(self, rows, exact: bool = False):
-        data = tuple(tuple(map(_coerce_scalar if exact else complex, row)) for row in rows)
+    def __init__(self, rows, exact: bool = True):
+        if exact is not True:
+            raise TypeError(f"HermitianMatrix holds exact entries only, got exact={exact!r}")
+        data = tuple(tuple(map(_coerce_scalar, row)) for row in rows)
         if not data:
             raise ValueError("matrix must have at least one row")
         if any(len(r) != len(data) for r in data):
             raise ValueError("matrix must be square")
-        self.exact = exact
         self.dim = len(data)
         self._rows = data
 
-    def entry(self, i: int, j: int):
+    def entry(self, i: int, j: int) -> PhaseScalar:
         return self._rows[i][j]
 
-    def rows(self) -> tuple[tuple, ...]:
+    def rows(self) -> tuple[tuple[PhaseScalar, ...], ...]:
         return self._rows
 
-    def rounded(self, ctx: PhaseContext | None = None) -> "HermitianMatrix":
-        """The numeric matrix: self, or every exact entry through numeric_eval
-        at ctx (which may be None when no entry carries a zeta power)."""
-        if not self.exact:
-            return self
-        return HermitianMatrix([[numeric_eval(c, ctx) for c in row] for row in self._rows])
+    def rounded(self, ctx: PhaseContext | None = None) -> tuple[tuple[complex, ...], ...]:
+        """The rows with every entry through numeric_eval at ctx (which may be
+        None when no entry carries a zeta power)."""
+        return tuple(tuple(numeric_eval(c, ctx) for c in row) for row in self._rows)
 
     def to_numpy(self, ctx: PhaseContext | None = None) -> np.ndarray:
-        return np.array(self.rounded(ctx).rows(), dtype=complex)
+        return np.array(self.rounded(ctx), dtype=complex)
 
-    def is_hermitian(self, tol: float = 1e-9) -> bool:
-        """H = H^dagger: exactly for an exact matrix, entrywise within tol
-        for a numeric one."""
+    def is_hermitian(self) -> bool:
+        """H = H^dagger, exactly."""
         r, n = self._rows, self.dim
-        same = (lambda a, b: a == b) if self.exact else (lambda a, b: abs(a - b) <= tol)
-        return all(same(r[i][j], r[j][i].conjugate()) for i in range(n) for j in range(i, n))
+        return all(r[i][j] == r[j][i].conjugate() for i in range(n) for j in range(i, n))
 
     def gaussian_entries(self) -> list[list[GaussRat]] | None:
         """Entries as Gaussian rationals, or None if any entry is not one."""
-        if not self.exact:
-            return None
         parts = [[c.as_gaussian() for c in row] for row in self._rows]
         if any(None in row for row in parts):
             return None
@@ -180,7 +174,7 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
     """Exact Gram matrix H_ij = omega(W_i^* W_j) = zeta^(-sigma(m_i, m_j)) * p(m_j - m_i).
 
     As in algebra.multiply, m_i^T Sigma is formed once per row, and p is read
-    from the orbit gcd(m_j - m_i); rounded(ctx) gives the numeric matrix.
+    from the orbit gcd(m_j - m_i); rounded(ctx) gives the numeric rows.
     """
     if ctx.genus != 1:
         raise ValueError("Gram matrices are built for genus 1")
@@ -199,27 +193,24 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
             p = state.value(_gcd(u - x, v - y))
             row.append(PhaseScalar.zeta(-(r0 * u + r1 * v), p) if p else zero)
         rows.append(row)
-    return HermitianMatrix(rows, exact=True)
+    return HermitianMatrix(rows)
 
 
 def quadratic_form(H: HermitianMatrix, v, ctx: PhaseContext | None = None):
     """The real value v^dagger H v, from its exact total.
 
-    A numeric matrix or vector is read at the decimal values of its entries
-    (as_fraction), as is_psd reads it.  The products conj(v_i) H_ij v_j of
-    the nonzero H_ij go into one set of root buckets, each reduced once.
-    A Gaussian-rational total gives its real part as an exact Fraction;
-    any other total gives the real part of numeric_eval at ctx, rounded
-    once (a PhaseContext is needed for the phases).
+    The vector is read as the matrix is (_coerce_scalar).  Each row total
+    sum_j H_ij v_j goes into one set of root buckets, reduced once, and the
+    products conj(v_i) times row total i go into another, so every entry is
+    multiplied once.  A Gaussian-rational total gives its real part as an
+    exact Fraction; any other total gives the real part of numeric_eval at
+    ctx, rounded once (a PhaseContext is needed for the phases).
     """
     if len(v) != H.dim:
         raise ValueError(f"dimension mismatch: matrix is {H.dim}x{H.dim}, vector has length {len(v)}")
-    if not H.exact:
-        H = HermitianMatrix(H.rows(), exact=True)
     vec = list(map(_coerce_scalar, v))
-    total = _sum_of_products((ci * c, vj)
-                             for ci, row in zip([x.conjugate() for x in vec], H.rows())
-                             for c, vj in zip(row, vec) if c)
+    rows = [_sum_of_products((c, vj) for c, vj in zip(row, vec) if c and vj) for row in H.rows()]
+    total = _sum_of_products((vi.conjugate(), r) for vi, r in zip(vec, rows) if vi and r)
     g = total.as_gaussian()
     if g is not None:
         return g[0]
@@ -261,36 +252,40 @@ def as_tolerance(tol) -> Fraction:
     return as_fraction(tol)
 
 
-def is_psd(H: HermitianMatrix, tol: float = 1e-9, ctx: PhaseContext | None = None) -> PsdVerdict:
-    """Positive-semidefiniteness with witness extraction, decided by exact
-    pivoted elimination (_psd_exact) for every matrix.
+def is_psd(H: HermitianMatrix, tol=0) -> PsdVerdict:
+    """Whether H + tol*I is positive semidefinite, decided by exact pivoted
+    elimination (_psd_exact), with witness extraction.
 
-    An exact matrix with Gaussian-rational entries is decided as it stands;
-    tol is not used.  Every other matrix has rounded entries: a numeric
-    matrix, or an exact one whose entries carry phases (evaluated with
-    numeric_eval at ctx).  It must be Hermitian within max(tol, 1e-9), and
-    what is decided is H + tol*I >= 0 with H read from its lower triangle at
-    the decimal values of the entries (as_fraction; the real part on the
-    diagonal).  A non-PSD witness w reports its value on the unshifted
-    matrix, value - tol*|w|^2, which is <= -1 - tol*|w|^2 < -tol.  A tol
+    Entries with zeta powers raise ValueError: round them first, as in
+    HermitianMatrix(H.rounded(ctx)).  H must be Hermitian within tol,
+    |H_ij - conj(H_ji)| <= tol, and is read from its lower triangle with the
+    real part on the diagonal; the default tol = 0 asks for H = H^dagger
+    exactly and decides H itself.  A non-PSD witness w reports its value on
+    the unshifted matrix, value - tol*|w|^2 <= -1 - tol*|w|^2 < -tol.  A tol
     that is nan, infinite or negative raises ValueError.
     """
     shift = as_tolerance(tol)
     entries = H.gaussian_entries()
-    if H.exact and entries is None:
-        H = H.rounded(ctx)
-    if not H.is_hermitian(max(tol, 1e-9)):
+    if entries is None:
+        raise ValueError("is_psd needs Gaussian-rational entries: round zeta powers first")
+    if not _hermitian_within(entries, shift):
         raise ValueError("matrix is not Hermitian")
-    if entries is not None:
-        return _psd_exact(entries)
-    lower = [[GaussRat(c.real, c.imag) for c in row[:i]]
-             + [GaussRat(as_fraction(row[i].real) + shift)]
-             for i, row in enumerate(H.rows())]
+    lower = [row[:i] + [GaussRat(row[i].re + shift)] for i, row in enumerate(entries)]
     verdict = _psd_exact(lower)
     if verdict.is_psd:
         return verdict
     value = verdict.value - shift * sum(w.abs2() for w in verdict.witness)
     return PsdVerdict(False, verdict.witness, value)
+
+
+def _hermitian_within(entries: list[list[GaussRat]], tol: Fraction) -> bool:
+    # |H_ij - conj(H_ji)| <= tol for i <= j; at tol = 0 compare parts, negating only nonzero ones
+    n = len(entries)
+    pairs = ((entries[i][j], entries[j][i]) for i in range(n) for j in range(i, n))
+    if not tol:
+        return all(a.re == b.re and (a.im == -b.im if a.im else not b.im) for a, b in pairs)
+    bound = tol * tol
+    return all((a.re - b.re) ** 2 + (a.im + b.im) ** 2 <= bound for a, b in pairs)
 
 
 def _psd_exact(entries: list[list[GaussRat]]) -> PsdVerdict:
@@ -302,8 +297,6 @@ def _psd_exact(entries: list[list[GaussRat]]) -> PsdVerdict:
     lcols: list[list[GaussRat]] = [[GaussRat(0)] * n for _ in range(n)]  # lcols[k][i] = L[i][k]
     for k in range(n):
         d = s[k][k]
-        if d.im:
-            raise ValueError("matrix is not Hermitian")
         if d.re < 0:
             y = [GaussRat(0)] * n
             y[k] = GaussRat(1)

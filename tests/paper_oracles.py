@@ -54,7 +54,7 @@ def build_H_prime(p, q, d: int, l: int, N: int) -> HermitianMatrix:
             if qv:
                 rows[j][i] = PhaseScalar.root_of_unity(Fraction((i - j) * l, d), qv)
                 rows[i][j] = rows[j][i].conjugate()
-    return HermitianMatrix(rows, exact=True)
+    return HermitianMatrix(rows)
 
 
 def det_P(p, d: int) -> Fraction:

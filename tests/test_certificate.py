@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,7 +330,7 @@ def test_l_star_witnesses_non_positive_matrix(ctx):
     state = StateCandidate({1: 0.5})
     cert = refute(state, ctx)
     worst = build_H_second(state, cert.params, cert.l_star, ctx)
-    verdict = is_psd(worst, tol=1e-9, ctx=ctx)
+    verdict = is_psd(HermitianMatrix(worst.rounded(ctx)), tol=1e-9)
     assert not verdict.is_psd
 
 
@@ -526,3 +528,33 @@ def test_gram_matches_H_entry_formulas(ctx):
 
     direct = gram_fn(state, family_generators(params, l), ctx).to_numpy(ctx)
     assert np.max(np.abs(built - direct)) == 0.0
+
+
+# -- open soundness defects, decided by the independent reference -------------
+
+def _reference_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="phases and the Diophantine clause are computed with "
+                   "256-bit h/2pi and a 200-digit pi (ROADMAP item 1)")
+@pytest.mark.parametrize("p, multiples", [
+    # defect A: zeta exponents past 2^256 lose their phase
+    (Fraction(13, 100), {k: Fraction(9, 10) for k in range(1, 5)}),  # d = 60
+    (Fraction(1, 10), {1: Fraction(1, 4), 2: Fraction(-1, 8), 3: Fraction(1, 3)}),  # d = 101
+    # defect B: the approximation clause is false from d ~ 115 on
+    (Fraction(9, 100), {}),  # d = 124
+], ids=["A-d60", "A-d101", "B-d124"])
+def test_verify_verdict_matches_reference(ctx, p, multiples):
+    budget = 10**30
+    n_val = refute(StateCandidate({1: p}), ctx, budget=budget).params.N
+    values = {1: p, **{k * n_val: q for k, q in multiples.items()}}
+    state = StateCandidate(values)
+    cert = refute(state, ctx, budget=budget)
+    valid, _, why = _reference_module().check_certificate(cert.dumps(), values)
+    assert verify(state, cert, ctx).accepted == valid, why

@@ -189,6 +189,11 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, f"--tol={tol}", "verify", "--state", state,
                              "--cert", json.dumps(cert))
         assert code == 2 and out == "" and "tolerance" in err, tol
+    # --tol is checked for every command, also where it is not used
+    for argv in (("--exact", "--tol", "nan", "psd", '{"matrix": [[1, 0], [0, 1]]}'),
+                 ("--tol", "nan", "eval", "--state", state, "W[1,1]")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "tolerance" in err, argv
     # an empty matrix is rejected in both modes, with one message
     for mode in ((), ("--exact",)):
         code, out, err = run(capsys, *mode, "psd", '{"matrix": []}')
@@ -307,3 +312,61 @@ def test_eval_exact_output_is_pinned(capsys):
     # without --exact the same value is printed, and only the value
     code, out, _ = run(capsys, "eval", "--state", PIN_STATE, expr)
     assert out == "value: -1.1623960372549311 + 0.10862445893302299i\n"
+
+
+PIN_PSD_MATRICES = {
+    "psd": '{"matrix": [[1, 0.5], [0.5, 1]]}',
+    "not_psd": '{"matrix": [[1, 2], [2, 1]]}',
+    "complex": '{"matrix": [[2, [0, 1.5]], [[0, -1.5], 1]]}',
+}
+# (matrix, --json, --exact, --tol or None for the default) -> (exit code, stdout)
+PIN_PSD = {
+    ("psd", False, False, None): (0, "PSD\n"),
+    ("psd", False, False, "0.25"): (0, "PSD\n"),
+    ("psd", False, True, None): (0, "PSD\n"),
+    ("psd", False, True, "0.25"): (0, "PSD\n"),
+    ("psd", True, False, None): (0, '{"psd": true}\n'),
+    ("psd", True, False, "0.25"): (0, '{"psd": true}\n'),
+    ("psd", True, True, None): (0, '{"psd": true}\n'),
+    ("psd", True, True, "0.25"): (0, '{"psd": true}\n'),
+    ("not_psd", False, False, None):
+        (1, "NOT PSD: value -1.200000e+01 at witness [[-3.999999996, 0.0], [2.0, 0.0]]\n"),
+    ("not_psd", False, False, "0.25"):
+        (1, "NOT PSD: value -1.136000e+01 at witness [[-3.2, 0.0], [2.0, 0.0]]\n"),
+    ("not_psd", False, True, None):
+        (1, "NOT PSD: value -1.200000e+01 at witness [[-4.0, 0.0], [2.0, 0.0]]\n"),
+    ("not_psd", False, True, "0.25"):
+        (1, "NOT PSD: value -1.200000e+01 at witness [[-4.0, 0.0], [2.0, 0.0]]\n"),
+    ("not_psd", True, False, None):
+        (1, '{"psd": false, "witness": [[-3.999999996, 0.0], [2.0, 0.0]], "value": -12.0}\n'),
+    ("not_psd", True, False, "0.25"):
+        (1, '{"psd": false, "witness": [[-3.2, 0.0], [2.0, 0.0]], "value": -11.36}\n'),
+    ("not_psd", True, True, None):
+        (1, '{"psd": false, "witness": [[-4.0, 0.0], [2.0, 0.0]], "value": -12.0}\n'),
+    ("not_psd", True, True, "0.25"):
+        (1, '{"psd": false, "witness": [[-4.0, 0.0], [2.0, 0.0]], "value": -12.0}\n'),
+    ("complex", False, False, None):
+        (1, "NOT PSD: value -2.000000e+00 at witness [[0.0, -2.9999999985], [4.0, 0.0]]\n"),
+    ("complex", False, False, "0.25"): (0, "PSD\n"),
+    ("complex", False, True, None):
+        (1, "NOT PSD: value -1.125000e+00 at witness [[0.0, -2.25], [3.0, 0.0]]\n"),
+    ("complex", False, True, "0.25"):
+        (1, "NOT PSD: value -1.125000e+00 at witness [[0.0, -2.25], [3.0, 0.0]]\n"),
+    ("complex", True, False, None):
+        (1, '{"psd": false, "witness": [[0.0, -2.9999999985], [4.0, 0.0]], "value": -2.0}\n'),
+    ("complex", True, False, "0.25"): (0, '{"psd": true}\n'),
+    ("complex", True, True, None):
+        (1, '{"psd": false, "witness": [[0.0, -2.25], [3.0, 0.0]], "value": -1.125}\n'),
+    ("complex", True, True, "0.25"):
+        (1, '{"psd": false, "witness": [[0.0, -2.25], [3.0, 0.0]], "value": -1.125}\n'),
+}
+
+
+def test_psd_output_is_pinned(capsys):
+    # --exact decides H itself; otherwise H + tol*I is decided, and a witness
+    # reports its value on the unshifted matrix
+    for (name, as_json, exact, tol), want in PIN_PSD.items():
+        argv = (["--json"] * as_json + ["--exact"] * exact
+                + ([f"--tol={tol}"] if tol else []) + ["psd", PIN_PSD_MATRICES[name]])
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == want, argv

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +33,8 @@ def test_as_fraction_rule():
     assert as_fraction("1/3") == Fraction(1, 3)
     assert PhaseContext(h=0.1).h == Fraction(1, 10)
     assert GaussRat.from_number(0.5 + 0.1j).im == Fraction(1, 10)
-    for bad in (True, None, 1j):
+    assert as_fraction(np.int64(-3)) == -3 and as_fraction(np.float64(0.1)) == Fraction(1, 10)
+    for bad in (True, np.bool_(True), None, 1j):
         with pytest.raises(TypeError):
             as_fraction(bad)
     for bad in ("x", "1/0", float("inf"), float("nan")):

@@ -163,7 +163,7 @@ def test_rounded_gram_is_exactly_hermitian():
             gens = set()
             while len(gens) < 5:
                 gens.add((rng.randint(-span, span), rng.randint(-span, span)))
-            rows = gram(state, sorted(gens), ctx).rounded(ctx).rows()
+            rows = gram(state, sorted(gens), ctx).rounded(ctx)
             assert all(rows[i][j] == rows[j][i].conjugate()
                        for i in range(5) for j in range(5)), rows
 
@@ -207,6 +207,30 @@ def test_quadratic_form_examples():
     assert quadratic_form(h, [1, -1]) == -2.0
     with pytest.raises(ValueError):
         quadratic_form(h, [1, 0, 0])
+
+
+def test_quadratic_form_multiplies_each_entry_once(ctx, monkeypatch):
+    from nctorus import scalars
+
+    state = StateCandidate({1: 0.5, 2: -0.25})
+    h = gram(state, [(0, 0), (1, 0), (0, 1), (2, 2)], ctx)
+    v = [PhaseScalar.gaussian(1, 2), PhaseScalar.rational(-1), 0, PhaseScalar.zeta(3, 2)]
+    direct = PhaseScalar.zero()
+    for i in range(4):
+        for j in range(4):
+            direct = direct + v[i].conjugate() * h.entry(i, j) * v[j]
+    product_into, pairs = scalars._product_into, []
+
+    def counted(raw, x, y, *rest):
+        pairs.append((x, y))
+        return product_into(raw, x, y, *rest)
+
+    monkeypatch.setattr(scalars, "_product_into", counted)
+    monkeypatch.setattr(PhaseScalar, "__mul__", None)  # no full product per entry
+    assert quadratic_form(h, v, ctx) == numeric_eval(direct, ctx).real
+    # H_ij v_j for each nonzero pair, then conj(v_i) times each row total with v_i != 0
+    per_row = [sum(1 for c, x in zip(row, v) if c and x) for row in h.rows()]
+    assert len(pairs) == sum(per_row) + sum(1 for x, n in zip(v, per_row) if x and n)
 
 
 def test_quadratic_form_exact_p5():
@@ -255,7 +279,7 @@ def test_is_psd_exact_boundary():
     assert is_psd(pd).is_psd
     # indefinite with a zero pivot
     h = HermitianMatrix([[PhaseScalar.zero(), PhaseScalar.one()],
-                         [PhaseScalar.one(), PhaseScalar.zero()]], exact=True)
+                         [PhaseScalar.one(), PhaseScalar.zero()]])
     verdict = is_psd(h)
     assert not verdict.is_psd and quadratic_form(h, verdict.witness) == verdict.value < 0
 
@@ -279,8 +303,7 @@ def hermitian(draw):
         b = [[draw(gauss) for _ in range(n)] for _ in range(draw(hs.integers(1, n)))]
         rows = [[sum((r[i].conjugate() * r[j] for r in b), GaussRat(0)) for j in range(n)]
                 for i in range(n)]
-    return HermitianMatrix([[PhaseScalar.gaussian(g.re, g.im) for g in row] for row in rows],
-                           exact=True)
+    return HermitianMatrix([[PhaseScalar.gaussian(g.re, g.im) for g in row] for row in rows])
 
 
 @settings(max_examples=200, deadline=None)
@@ -297,7 +320,7 @@ def test_psd_two_by_two_iff(ctx):
     for p in [-1.2, -1.0, -0.5, 0.0, 0.5, 0.99, 1.0, 1.001, 1.5]:
         st = StateCandidate({1: abs(p)}) if p >= 0 else StateCandidate({1: p})
         h = gram(st, [(0, 0), (1, 1)], ctx)
-        assert is_psd(h, tol=1e-9, ctx=ctx).is_psd == (abs(p) <= 1 + 1e-9)
+        assert is_psd(HermitianMatrix(h.rounded(ctx)), tol=1e-9).is_psd == (abs(p) <= 1 + 1e-9)
 
 
 def test_quadratic_form_exact_needs_ctx_for_phases(ctx):
@@ -308,24 +331,28 @@ def test_quadratic_form_exact_needs_ctx_for_phases(ctx):
     with pytest.raises(ValueError):
         quadratic_form(h, v)
     exact_val = quadratic_form(h, v, ctx)
-    numeric_val = quadratic_form(h.rounded(ctx), [1, 1, 1])
+    numeric_val = quadratic_form(HermitianMatrix(h.rounded(ctx)), [1, 1, 1])
     assert abs(exact_val - numeric_val) < 1e-12
 
 
 def test_is_psd_exact_matrix_with_phases_uses_numeric(ctx):
     state = StateCandidate({1: 0.5})
     h = gram(state, [(0, 0), (1, 0), (0, 1)], ctx)
-    verdict = is_psd(h, tol=1e-9, ctx=ctx)
+    with pytest.raises(ValueError):  # zeta powers are rounded by the caller
+        is_psd(h)
+    verdict = is_psd(HermitianMatrix(h.rounded(ctx)), tol=1e-9)
     assert verdict.is_psd  # |p| <= 1 on a 3-generator span of orbit-1 points
 
 
 def test_determinant_exact():
     h = HermitianMatrix([[PhaseScalar.rational(2), PhaseScalar.gaussian(0, 1)],
-                         [PhaseScalar.gaussian(0, -1), PhaseScalar.rational(3)]], exact=True)
+                         [PhaseScalar.gaussian(0, -1), PhaseScalar.rational(3)]])
     d = determinant_exact(h)
     assert d == GaussRat(5, 0)  # 2*3 - (i)(-i) = 6 - 1
+    assert determinant_exact(HermitianMatrix(np.eye(2))) == 1  # floats read exactly
+    assert determinant_exact(HermitianMatrix(np.eye(2, dtype=int))) == 1  # and numpy ints
     with pytest.raises(ValueError):
-        determinant_exact(HermitianMatrix(np.eye(2)))
+        determinant_exact(HermitianMatrix([[1, PhaseScalar.zeta(1)], [PhaseScalar.zeta(-1), 1]]))
 
 
 finite = hs.floats(-2, 2, allow_nan=False, allow_infinity=False)
@@ -353,8 +380,7 @@ def test_is_psd_rounded_entries_match_eigenvalues(h, tol):
     assert verdict.is_psd == (lam >= -tol)
     if not verdict.is_psd:
         # the value is exact, on the decimal values of the entries, unshifted
-        decimal = HermitianMatrix(h.rows(), exact=True)
-        assert quadratic_form(decimal, verdict.witness) == verdict.value < -tol
+        assert quadratic_form(h, verdict.witness) == verdict.value < -tol
 
 
 def test_is_psd_tolerance_shifts_the_diagonal():
@@ -391,7 +417,8 @@ def test_pipeline_needs_no_numpy(ctx, monkeypatch):
     assert quadratic_form(numeric, [1, -1]) == -2.0
     assert not is_psd(numeric).is_psd
     gaussian = HermitianMatrix([[2, PhaseScalar.gaussian(0, 1)],
-                                [PhaseScalar.gaussian(0, -1), 1]], exact=True)
+                                [PhaseScalar.gaussian(0, -1), 1]])
     assert is_psd(gaussian).is_psd
     phased = gram(single, [(0, 0), (1, 0), (0, 1)], ctx)
-    assert phased.gaussian_entries() is None and is_psd(phased, ctx=ctx).is_psd
+    assert phased.gaussian_entries() is None
+    assert is_psd(HermitianMatrix(phased.rounded(ctx)), tol=1e-9).is_psd
