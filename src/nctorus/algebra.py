@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterator, Mapping
 
 from . import circle
@@ -167,8 +168,8 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: PhaseContext) -> Algebra
         row = [sum(n[i] * sig[i][j] for i in range(d)) for j in range(d)]  # n^T Sigma
         left = cn._terms
         for m, cm in right:
-            key = tuple(x + y for x, y in zip(n, m))
-            _product_into(raw.setdefault(key, {}), left, cm, sum(x * y for x, y in zip(row, m)))
+            key = tuple(map(add, n, m))
+            _product_into(raw.setdefault(key, {}), left, cm, sum(map(mul, row, m)))
     return AlgebraElement._of(d, {key: PhaseScalar._of(_canonical(buckets))
                                   for key, buckets in raw.items()})
 
@@ -199,8 +200,11 @@ def cocycle_check(m, n, g, ctx: PhaseContext) -> bool:
 def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
     """Evaluate an exact scalar to a complex float at the context's h.
 
-    Phases are reduced mod 2*pi in 256-bit fixed point first, so the result
-    stays accurate even for zeta-exponents far beyond float range.  Each
+    Phases are reduced mod 2*pi in 256-bit fixed point first
+    (circle.phase_angle), so zeta-exponents far beyond float range still
+    give a deterministic phase.  Its error grows like |k| * 2^-256 turns: it
+    is no longer small past |k| ~ 2^240, and the phase is lost past 2^256
+    (ROADMAP item 1).  Each
     component is the math.fsum of the rounded terms: it does not depend on
     the term order, and conjugate terms cancel exactly, so a real total has
     imaginary part 0.0.  ctx may be None when no term carries a zeta power.

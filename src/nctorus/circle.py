@@ -1,10 +1,15 @@
 """Fixed-point arithmetic on the unit circle.
 
 Angles are represented as 256-bit fixed-point fractions of a full turn.
-The certificate pipeline produces zeta-exponents around 10^35, where a
+The certificate pipeline produces zeta-exponents far beyond 2^53, where a
 double carries no phase information at all; reducing k * hbar mod 1 in
-integer arithmetic keeps every numeric phase deterministic and accurate
-to ~2^-250 of a turn.
+integer arithmetic keeps every numeric phase deterministic.  It is not
+accurate to 2^-256 of a turn, though: hbar_fixed keeps 256 bits of
+hbar = h/(2*pi), so the phase of zeta^k carries an error of about
+|k| * 2^-256 turns.  Past |k| ~ 2^240 that error is no longer small
+(2^-16 turns), and past 2^256 the phase is lost; the multi-orbit
+certificate at d = 60 reaches k ~ 2^309.  ROADMAP item 1 replaces this
+with a phase precision chosen per exponent.
 
 The module also hosts the minimal-hit solver for irrational rotations:
 the smallest k >= 1 with k * alpha landing in a prescribed arc.  This is
@@ -51,9 +56,12 @@ def phase_angle(h: Fraction, zeta_exp: int, root: Fraction = Fraction(0)) -> flo
     """Angle of zeta^k * e(r) in radians, the signed residue in [-pi, pi).
 
     zeta_exp may be astronomically large; the reduction happens on 256-bit
-    integers before any float is produced.  The residue is signed, so the
-    angle of zeta^-k is exactly the negated angle of zeta^k, and their
-    rounded values are exact conjugates.
+    integers before any float is produced.  The angle is only as good as
+    hbar_fixed, whose 256 bits leave an error of about |zeta_exp| * 2^-256
+    turns: 2^-16 turns at 2^240, and the phase is lost past 2^256 (module
+    docstring).  The residue is signed, so the angle of zeta^-k is exactly
+    the negated angle of zeta^k, and their rounded values are exact
+    conjugates.
     """
     fixed = (zeta_exp * hbar_fixed(h) + to_fixed(root)) % MODULUS
     return fixed_to_angle(fixed) if 2 * fixed < MODULUS else -fixed_to_angle(MODULUS - fixed)

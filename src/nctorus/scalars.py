@@ -19,6 +19,17 @@ is (1, 4).  Root sums, hashes and reductions then work on ints and tuples.
 The public surface speaks Fraction: terms() yields the root as a Fraction,
 sorted by value, and the constructors accept any rational r.
 
+Coefficients.  A coefficient c is an int or a Fraction; both are exact.
+Every constructor, and the quotient of /, stores an integral value as an
+int, and the arithmetic never converts: int * int and int + int stay ints,
+while anything that meets a Fraction is a Fraction, possibly an integral
+one.  The products that verify multiplies are almost all 1 * 1 (the
+witness is (-p*d, 1, ..., 1)), so the product kernel runs on machine ints
+and pays for a gcd only where a non-integral coefficient takes part.  An
+int and a Fraction of equal value compare, hash and print alike, so the
+type never decides a value or a printed form.  as_gaussian hands out
+Fraction parts, because GaussRat divides and int / int would be a float.
+
 Canonical form.  A PhaseScalar stores {(k, (a, n)): c} with no zero c, and
 the roots of each zeta degree k form the bucket _reduce_roots returns:
 reduced at the joint order n of the bucket's denominators, every root is
@@ -53,6 +64,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 Root = tuple[int, int]  # (a, n) for e(a/n), reduced with 0 <= a < n
+Coeff = int | Fraction  # an integral coefficient is stored as an int
 
 ZERO = Fraction(0)
 ROOT_ONE: Root = (0, 1)
@@ -84,6 +96,13 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return Fraction(int(value))
     raise TypeError(f"not an exact rational value: {value!r}")
+
+
+def _coefficient(value) -> Coeff:
+    """as_fraction's rational, as an int when it is integral (the module
+    docstring's coefficient rule)."""
+    q = as_fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +139,7 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_roots(parts: dict[Root, Fraction]) -> dict[Root, Fraction]:
+def _reduce_roots(parts: dict[Root, Coeff]) -> dict[Root, Coeff]:
     """Canonicalize sum_r c_r * e(r) over root keys r = (a, n), by reduction
     mod the joint cyclotomic."""
     if len(parts) == 1:
@@ -133,11 +152,11 @@ def _reduce_roots(parts: dict[Root, Fraction]) -> dict[Root, Fraction]:
     n = lcm(*dens)
     if n <= 2:
         # e(0) = 1, e(1/2) = -1
-        total = ZERO
+        total = 0
         for (a, _), c in parts.items():
             total += -c if a else c
         return {ROOT_ONE: total} if total else {}
-    coeffs = [ZERO] * n
+    coeffs = [0] * n
     for (a, m), c in parts.items():
         if c:
             coeffs[a * (n // m)] = c  # distinct roots, distinct slots
@@ -149,7 +168,7 @@ def _reduce_roots(parts: dict[Root, Fraction]) -> dict[Root, Fraction]:
     for i in range(n - 1, deg - 1, -1):
         c = coeffs[i]
         if c:
-            coeffs[i] = ZERO
+            coeffs[i] = 0
             for j in range(deg):
                 if phi[j]:
                     coeffs[i - deg + j] -= c * phi[j]
@@ -161,17 +180,17 @@ def _reduce_roots(parts: dict[Root, Fraction]) -> dict[Root, Fraction]:
     return out
 
 
-def _canonical(raw: dict[int, dict[Root, Fraction]]) -> dict[tuple[int, Root], Fraction]:
+def _canonical(raw: dict[int, dict[Root, Coeff]]) -> dict[tuple[int, Root], Coeff]:
     """Flat canonical terms from root buckets keyed by zeta degree."""
-    out: dict[tuple[int, Root], Fraction] = {}
+    out: dict[tuple[int, Root], Coeff] = {}
     for k, bucket in raw.items():
         for r, c in _reduce_roots(bucket).items():
             out[k, r] = c
     return out
 
 
-def _product_into(raw: dict[int, dict[Root, Fraction]], left: Mapping, right: Mapping,
-                  shift: int = 0) -> dict[int, dict[Root, Fraction]]:
+def _product_into(raw: dict[int, dict[Root, Coeff]], left: Mapping, right: Mapping,
+                  shift: int = 0) -> dict[int, dict[Root, Coeff]]:
     """Add zeta^shift times the product of two canonical term dicts into raw.
 
     Every pair c1*zeta^k1*e(r1), c2*zeta^k2*e(r2) adds c1*c2 to the bucket
@@ -204,7 +223,7 @@ def _product_into(raw: dict[int, dict[Root, Fraction]], left: Mapping, right: Ma
 
 def _sum_of_products(pairs: Iterable[tuple["PhaseScalar", "PhaseScalar"]]) -> "PhaseScalar":
     """sum x*y over the pairs, all in one set of root buckets, each reduced once."""
-    raw: dict[int, dict[Root, Fraction]] = {}
+    raw: dict[int, dict[Root, Coeff]] = {}
     for x, y in pairs:
         _product_into(raw, x._terms, y._terms)
     return PhaseScalar._of(_canonical(raw))
@@ -227,7 +246,7 @@ class PhaseScalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, Fraction], Fraction] | Iterable = ()):
-        raw: dict[int, dict[Root, Fraction]] = {}
+        raw: dict[int, dict[Root, Coeff]] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (k, r), c in items:
             c = as_fraction(c)
@@ -237,10 +256,10 @@ class PhaseScalar:
             r = r.numerator, r.denominator
             bucket = raw.setdefault(k, {})
             bucket[r] = bucket.get(r, ZERO) + c
-        self._terms = _canonical(raw)
+        self._terms = {key: _coefficient(c) for key, c in _canonical(raw).items()}
 
     @classmethod
-    def _of(cls, terms: dict[tuple[int, Root], Fraction]) -> "PhaseScalar":
+    def _of(cls, terms: dict[tuple[int, Root], Coeff]) -> "PhaseScalar":
         """Trusted constructor: terms must already be canonical, and are kept."""
         out = object.__new__(cls)
         out._terms = terms
@@ -262,13 +281,13 @@ class PhaseScalar:
 
     @staticmethod
     def gaussian(re, im) -> "PhaseScalar":
-        terms = {(0, ROOT_ONE): as_fraction(re), (0, ROOT_I): as_fraction(im)}
+        terms = {(0, ROOT_ONE): _coefficient(re), (0, ROOT_I): _coefficient(im)}
         return PhaseScalar._of({key: c for key, c in terms.items() if c})
 
     @staticmethod
     def zeta(k: int, coeff=1) -> "PhaseScalar":
         """coeff * zeta^k."""
-        c = as_fraction(coeff)
+        c = _coefficient(coeff)
         return PhaseScalar._of({(k, ROOT_ONE): c} if c else {})
 
     @staticmethod
@@ -278,9 +297,10 @@ class PhaseScalar:
 
     # -- queries ------------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[int, Fraction, Fraction]]:
+    def terms(self) -> Iterator[tuple[int, Fraction, Coeff]]:
         """Yield (zeta_exponent, root_of_unity, coefficient) triples, the root
-        as a Fraction in [0, 1), sorted by exponent and then root value."""
+        as a Fraction in [0, 1) and the coefficient an int or a Fraction (module
+        docstring), sorted by exponent and then root value."""
         yield from sorted((k, Fraction(a, n), c) for (k, (a, n)), c in self._terms.items())
 
     @property
@@ -291,15 +311,19 @@ class PhaseScalar:
         return bool(self._terms)
 
     def as_gaussian(self) -> tuple[Fraction, Fraction] | None:
-        """The value as (re, im) Gaussian rational, or None."""
+        """The value as (re, im) Gaussian rational with Fraction parts, or None.
+
+        The parts are Fractions even where the coefficient is an int: they feed
+        GaussRat, whose division must stay exact (int / int is a float).
+        """
         re = im = ZERO
         for (k, r), c in self._terms.items():
             if k != 0:
                 return None
             if r == ROOT_ONE:
-                re = c
+                re = Fraction(c)
             elif r == ROOT_I:
-                im = c
+                im = Fraction(c)
             else:
                 return None
         return re, im
@@ -323,8 +347,8 @@ class PhaseScalar:
             return o
         # only the degrees both sides have can need a new reduction
         shared = {k for k, _ in self._terms}.intersection(k for k, _ in o._terms)
-        out: dict[tuple[int, Root], Fraction] = {}
-        raw: dict[int, dict[Root, Fraction]] = {}
+        out: dict[tuple[int, Root], Coeff] = {}
+        raw: dict[int, dict[Root, Coeff]] = {}
         for terms in (self._terms, o._terms):
             for key, c in terms.items():
                 k, r = key
@@ -371,12 +395,12 @@ class PhaseScalar:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = as_fraction(other)
-            return PhaseScalar._of({key: c / q for key, c in self._terms.items()})
+            return PhaseScalar._of({key: _coefficient(c / q) for key, c in self._terms.items()})
         return NotImplemented
 
     def conjugate(self) -> "PhaseScalar":
         """Complex conjugation: zeta^k -> zeta^(-k), e(r) -> e(-r)."""
-        raw: dict[int, dict[Root, Fraction]] = {}
+        raw: dict[int, dict[Root, Coeff]] = {}
         for (k, (a, n)), c in self._terms.items():
             raw.setdefault(-k, {})[(n - a, n) if a else ROOT_ONE] = c
         return PhaseScalar._of(_canonical(raw))

@@ -15,7 +15,9 @@ from nctorus.algebra import (
     numeric_eval,
     weyl,
 )
+from nctorus.certificate import CertParams, family_generators
 from nctorus.lattice import SIGMA2, SkewForm, int_det, is_symplectic, mat_mul, standard_form
+from nctorus.parser import format_element
 from nctorus.scalars import PhaseScalar
 from conftest import element_terms, random_element, random_sl2, shuffled_element
 from paper_oracles import multiply_by_pairing, multiply_reduced_once, relabel
@@ -94,6 +96,46 @@ def test_multiply_reduces_each_bucket_once(ctx):
     assert str(got.coefficient((0, 1))) == "-1*z^-1 + -2*z^-1*e(1/6)"
     assert got.coefficient((0, 1)) == PhaseScalar.zeta(-1, -3) - third.times_zeta(-1) * 2
     assert listing(got) == listing(multiply_reduced_once(a, b, ctx))
+
+
+def test_family_product_has_int_coefficients(ctx):
+    # omega(a* a) for a = sum W_(g_i) on a certificate family: every pair product is 1 * 1,
+    # so the product kernel adds machine ints and no coefficient becomes a Fraction
+    params = CertParams(xi=(1, 1), d=5, N=120, epsilon=Fraction(1, 100))
+    a = AlgebraElement(2, {g: 1 for g in family_generators(params, 2)})
+    prod = multiply(adjoint(a), a, ctx)
+    coeffs = [c for _, s in prod.items() for c in s._terms.values()]
+    assert len(coeffs) > 6 and all(type(c) is int for c in coeffs)
+
+
+# integer coefficients on roots in Q(i), which the element grammar prints
+qi_roots = st.sampled_from([0, Fraction(1, 4), Fraction(1, 2)])
+integral_terms = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.lists(st.tuples(st.tuples(st.integers(-3, 3), qi_roots), st.integers(-4, 4)),
+             min_size=1, max_size=3),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integral_terms, integral_terms)
+def test_coefficient_spelling_does_not_reach_the_product(a_terms, b_terms):
+    # an integral coefficient given as n, Fraction(n) or "n" is the same stored int
+    ctx = PhaseContext()
+
+    def element(terms, spell):
+        return AlgebraElement(2, {m: PhaseScalar([(key, spell(c)) for key, c in t])
+                                  for m, t in terms.items()})
+
+    def stored(e):
+        return [(m, [(key, type(c), c) for key, c in s._terms.items()]) for m, s in e.items()]
+
+    outs = []
+    for spell in (int, Fraction, str):
+        a, b = element(a_terms, spell), element(b_terms, spell)
+        prod = multiply(a, b, ctx)
+        outs.append((stored(prod), repr(prod), format_element(multiply(adjoint(a), a, ctx))))
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_multiply_dimension_mismatch(ctx):

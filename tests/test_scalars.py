@@ -48,6 +48,21 @@ def test_gaussian_embedding():
     s = PhaseScalar.gaussian(Fraction(1, 2), Fraction(3, 4))
     assert s.as_gaussian() == (Fraction(1, 2), Fraction(3, 4))
     assert s.conjugate().as_gaussian() == (Fraction(1, 2), Fraction(-3, 4))
+    # Fraction parts even for int coefficients: they feed GaussRat, where int / int is a float
+    for s in (PhaseScalar.gaussian(2, -1), PhaseScalar.rational(3), PhaseScalar.zero()):
+        assert all(type(x) is Fraction for x in s.as_gaussian())
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    # the product kernel multiplies and adds these as machine ints
+    for s in (PhaseScalar.gaussian(Fraction(2), 0), PhaseScalar.gaussian("-3", Fraction(4, 2)),
+              PhaseScalar.rational(Fraction(6, 3)), PhaseScalar.zeta(5, 2.0),
+              PhaseScalar.root_of_unity(Fraction(1, 3), Fraction(7)),
+              PhaseScalar({(1, Fraction(1, 2)): Fraction(1, 2), (1, 0): Fraction(3, 2)}),
+              PhaseScalar.gaussian(Fraction(3, 2), 1) / Fraction(1, 2)):
+        assert s._terms and all(type(c) is int for c in s._terms.values()), s
+    half = PhaseScalar.gaussian(Fraction(1, 2), 3)  # only the non-integral part is a Fraction
+    assert {type(c) for c in half._terms.values()} == {Fraction, int}
 
 
 def test_mixed_order_equality():

@@ -205,6 +205,9 @@ def test_quadratic_form_examples():
     assert quadratic_form(ident, [1, 0, 0]) == 1.0
     h = HermitianMatrix(np.array([[1, 2], [2, 1]], dtype=complex))
     assert quadratic_form(h, [1, -1]) == -2.0
+    # integer entries are stored as int coefficients; the exact result is still a Fraction
+    q = quadratic_form(HermitianMatrix([[1, 2], [2, 1]]), [1, -1])
+    assert q == -2 and type(q) is Fraction
     with pytest.raises(ValueError):
         quadratic_form(h, [1, 0, 0])
 
@@ -252,6 +255,8 @@ def test_is_psd_examples():
     bad = is_psd(HermitianMatrix(np.array([[1, 2], [2, 1]], dtype=complex)))
     assert not bad.is_psd
     assert bad.value < -1e-9
+    assert type(bad.value) is Fraction  # GaussRat parts are Fractions, so / stays exact
+    assert all(type(w.re) is Fraction and type(w.im) is Fraction for w in bad.witness)
     got = quadratic_form(HermitianMatrix(np.array([[1, 2], [2, 1]], dtype=complex)),
                          list(bad.witness))
     assert abs(got - bad.value) < 1e-12 and got < 0
@@ -349,6 +354,8 @@ def test_determinant_exact():
                          [PhaseScalar.gaussian(0, -1), PhaseScalar.rational(3)]])
     d = determinant_exact(h)
     assert d == GaussRat(5, 0)  # 2*3 - (i)(-i) = 6 - 1
+    d = determinant_exact(HermitianMatrix([[2, 1], [1, 2]]))  # int coefficients, Fraction parts
+    assert d == GaussRat(3) and type(d.re) is Fraction and type(d.im) is Fraction
     assert determinant_exact(HermitianMatrix(np.eye(2))) == 1  # floats read exactly
     assert determinant_exact(HermitianMatrix(np.eye(2, dtype=int))) == 1  # and numpy ints
     with pytest.raises(ValueError):
