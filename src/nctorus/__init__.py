@@ -48,8 +48,8 @@ from .lattice import (
     symplectic_normal_form,
     theta_j,
 )
-from .parser import ExprAST, ParseError, format_element, parse_element, to_element
-from .scalars import GaussRat, PhaseScalar
+from .parser import ParseError, format_element, parse_element, to_element
+from .scalars import GaussRat, PhaseScalar, as_scalar
 from .states import (
     HermitianMatrix,
     PsdVerdict,

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 
 from . import circle
 from .lattice import SIGMA2, SkewForm, Vec, as_matrix, as_vector, is_symplectic, mat_vec, pairing
-from .scalars import PhaseScalar, _canonical, _product_into, as_fraction
+from .scalars import PhaseScalar, _canonical, _operand, _product_into, as_fraction, as_scalar
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ class PhaseContext:
 
 
 class AlgebraElement:
-    """A finite linear combination of Weyl generators."""
+    """A finite linear combination of Weyl generators; coefficients, and the
+    scalars of *, are read by scalars.as_scalar."""
 
     __slots__ = ("_dim", "_terms")
 
@@ -54,8 +55,7 @@ class AlgebraElement:
             v = as_vector(m)
             if len(v) != dim:
                 raise ValueError(f"support vector {v} has length {len(v)}, expected {dim}")
-            if not isinstance(c, PhaseScalar):
-                c = PhaseScalar.rational(c)
+            c = as_scalar(c)
             if c:
                 clean[v] = clean[v] + c if v in clean else c
         self._terms = {m: c for m, c in clean.items() if c}
@@ -108,9 +108,10 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, scalar) -> "AlgebraElement":
-        if isinstance(scalar, (int, Fraction, PhaseScalar)):
-            return AlgebraElement._of(self._dim, {m: c * scalar for m, c in self._terms.items()})
-        return NotImplemented
+        s = _operand(scalar, as_scalar)
+        if s is None:
+            return NotImplemented
+        return AlgebraElement._of(self._dim, {m: c * s for m, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -143,8 +144,6 @@ def identity_element(dim: int = 2) -> AlgebraElement:
 
 
 def scalar_element(coeff, dim: int = 2) -> AlgebraElement:
-    if not isinstance(coeff, PhaseScalar):
-        coeff = PhaseScalar.rational(coeff)
     return AlgebraElement(dim, {(0,) * dim: coeff})
 
 
@@ -198,20 +197,24 @@ def cocycle_check(m, n, g, ctx: PhaseContext) -> bool:
 
 
 def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
-    """Evaluate an exact scalar to a complex float at the context's h.
+    """An exact scalar as a complex float at the context's h: the one place
+    the package rounds an exact value.
 
-    Phases are reduced mod 2*pi in 256-bit fixed point first
-    (circle.phase_angle), so zeta-exponents far beyond float range still
-    give a deterministic phase.  Its error grows like |k| * 2^-256 turns: it
-    is no longer small past |k| ~ 2^240, and the phase is lost past 2^256
-    (ROADMAP item 1).  Each
-    component is the math.fsum of the rounded terms: it does not depend on
-    the term order, and conjugate terms cancel exactly, so a real total has
-    imaginary part 0.0.  ctx may be None when no term carries a zeta power.
+    A term c or c*i rounds to exactly float(c) or float(c)*i.  Other phases
+    are reduced mod 2*pi in 256-bit fixed point first (circle.phase_angle),
+    so zeta-exponents far beyond float range still give a deterministic
+    phase.  Its error grows like |k| * 2^-256 turns: it is no longer small
+    past |k| ~ 2^240, and the phase is lost past 2^256 (ROADMAP item 1).
+    Each component is the math.fsum of the rounded terms: it does not depend
+    on the term order, and conjugate terms cancel exactly, so a real total
+    has imaginary part 0.0.  ctx may be None when no term has a zeta power.
     """
     h = ctx.h if ctx is not None else Fraction(0)  # h only scales zeta powers
     parts = []
     for k, r, c in s.terms():
+        if not k and r in (0, Fraction(1, 4)):
+            parts.append(complex(0, float(c)) if r else float(c))
+            continue
         if k and ctx is None:
             raise ValueError("a PhaseContext is needed to evaluate zeta powers")
         parts.append(float(c) * cmath.exp(1j * circle.phase_angle(h, k, r)))

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import circle
-from .algebra import AlgebraElement, PhaseContext, adjoint, multiply
+from .algebra import AlgebraElement, PhaseContext, adjoint, multiply, numeric_eval
 from .lattice import Vec, as_integer, as_vector, mat_vec, pairing, theta_j
-from .scalars import GaussRat, PhaseScalar, as_fraction
+from .scalars import GaussRat, as_fraction
 from .states import (
     HermitianMatrix,
     StateCandidate,
@@ -335,13 +335,14 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
         avg_value = math.fsum(values) / d
         if avg_value < -1e-6:
             l_star = values.index(min(values)) + 1
+            total = quadratic_form(build_H_second(state, params, l_star, ctx), v)
             return Certificate(
                 params=params,
                 p=p,
                 l_star=l_star,
                 generators=family_generators(params, l_star),
                 witness=v,
-                value=float(quadratic_form(build_H_second(state, params, l_star, ctx), v, ctx)),
+                value=numeric_eval(total, ctx).real,
                 avg_value=avg_value,
             )
         eps = eps / 2  # shrink the phase tolerance and retry
@@ -427,8 +428,7 @@ def verify(state: StateCandidate, cert: Certificate, ctx: PhaseContext,
     clause("generators", expected_gens == tuple(cert.generators),
            "generator family matches Theta_j xi for (N, l*)")
 
-    element = AlgebraElement(2, {g: PhaseScalar.gaussian(w.re, w.im)
-                                 for w, g in zip(cert.witness, cert.generators)})
+    element = AlgebraElement(2, dict(zip(cert.generators, cert.witness)))
     direct = evaluate(state, multiply(adjoint(element), element, ctx), ctx)
     bound = tol * max(1.0, abs(direct.real))
     clause("negativity",

@@ -28,7 +28,7 @@ from .certificate import (
     verify,
 )
 from .lattice import SkewForm, as_vector, orbit_rep, symplectic_normal_form
-from .parser import ParseError, parse_element, to_element
+from .parser import ParseError, parse_element
 from .scalars import PhaseScalar
 from .states import HermitianMatrix, StateCandidate, as_tolerance, evaluate_exact, gram, is_psd
 
@@ -147,7 +147,7 @@ def _cmd_orbit(args, ctx) -> int:
 
 def _cmd_eval(args, ctx) -> int:
     state = _load_state(args.state)
-    exact = evaluate_exact(state, to_element(parse_element(args.expr, ctx), ctx))
+    exact = evaluate_exact(state, parse_element(args.expr, ctx))
     value = numeric_eval(exact, ctx)
     if args.as_json:
         payload = {"value": _complex_pair(value)}

@@ -11,16 +11,17 @@ Grammar (whitespace-insensitive, left-associative):
     int      := '-'? DIGITS
 
 Scalar literals are Gaussian rationals times a power of zeta, so CLI
-arithmetic stays exact.  The canonical printer emits one
-"coefficient * W[...]" atom per (lattice point, zeta power), sorted
-lexicographically, which makes parse-print-parse idempotent.
+arithmetic stays exact.  parse_element builds the element as it reads:
+each grammar rule returns an AlgebraElement, and the rules combine them by
++, -, algebra.multiply and algebra.adjoint, left to right.  The canonical
+printer emits one "coefficient * W[...]" atom per (lattice point, zeta
+power), sorted lexicographically, which makes parse-print-parse idempotent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .algebra import AlgebraElement, PhaseContext, adjoint, multiply, scalar_element, weyl
 from .scalars import PhaseScalar
@@ -32,65 +33,14 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-# -- AST --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalarLit:
-    re: Fraction
-    im: Fraction
-    zeta: int = 0
-
-
-@dataclass(frozen=True)
-class WeylGen:
-    coords: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-' or '*'
-    left: "ExprAST"
-    right: "ExprAST"
-
-
-@dataclass(frozen=True)
-class Adjoint:
-    operand: "ExprAST"
-
-
-ExprAST = Union[ScalarLit, WeylGen, BinOp, Adjoint]
-
-
-def to_element(node: ExprAST, ctx: PhaseContext) -> AlgebraElement:
-    """Evaluate an AST to an algebra element."""
-    dim = ctx.dimension
-    if isinstance(node, ScalarLit):
-        coeff = PhaseScalar.gaussian(node.re, node.im).times_zeta(node.zeta)
-        return scalar_element(coeff, dim)
-    if isinstance(node, WeylGen):
-        return weyl(node.coords)
-    if isinstance(node, Adjoint):
-        return adjoint(to_element(node.operand, ctx))
-    if isinstance(node, BinOp):
-        left = to_element(node.left, ctx)
-        right = to_element(node.right, ctx)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return multiply(left, right, ctx)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 # -- tokenizer --------------------------------------------------------------
 
-_SYMBOLS = set("+-*/()[],^")
-_LETTERS = {"W", "z", "i"}
+_SYMBOLS = set("+-*/()[],^Wzi")
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # 'int', a symbol, a letter, or 'end'
+    kind: str  # 'int', a symbol or letter, or 'end'
     text: str
     pos: int
 
@@ -113,9 +63,6 @@ def _tokenize(text: str) -> list[_Token]:
         elif c in _SYMBOLS:
             out.append(_Token(c, c, i))
             i += 1
-        elif c in _LETTERS:
-            out.append(_Token(c, c, i))
-            i += 1
         else:
             raise ParseError(f"unexpected character {c!r}", i)
     out.append(_Token("end", "", n))
@@ -126,6 +73,7 @@ class _Parser:
     def __init__(self, text: str, ctx: PhaseContext):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.ctx = ctx
         self.dim = ctx.dimension
 
     def peek(self) -> _Token:
@@ -142,41 +90,43 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
         return self.next()
 
-    def parse(self) -> ExprAST:
+    def parse(self) -> AlgebraElement:
         node = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return node
 
-    def expr(self) -> ExprAST:
+    def expr(self) -> AlgebraElement:
         node = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            node = BinOp(op, node, self.term())
+            if self.next().kind == "+":
+                node = node + self.term()
+            else:
+                node = node - self.term()
         return node
 
-    def term(self) -> ExprAST:
+    def term(self) -> AlgebraElement:
         node = self.factor()
         while self.peek().kind == "*":
             self.next()
-            node = BinOp("*", node, self.factor())
+            node = multiply(node, self.factor(), self.ctx)
         return node
 
-    def factor(self) -> ExprAST:
+    def factor(self) -> AlgebraElement:
         node = self.primary()
         while self.peek().kind == "^":
             mark = self.pos
             self.next()
             if self.peek().kind == "*":
                 self.next()
-                node = Adjoint(node)
+                node = adjoint(node)
             else:
                 self.pos = mark
                 break
         return node
 
-    def primary(self) -> ExprAST:
+    def primary(self) -> AlgebraElement:
         tok = self.peek()
         if tok.kind == "W":
             return self.weyl_gen()
@@ -190,7 +140,7 @@ class _Parser:
         raise ParseError(f"expected a scalar, 'W[...]' or '(', found {tok.text or 'end of input'!r}",
                          tok.pos)
 
-    def weyl_gen(self) -> ExprAST:
+    def weyl_gen(self) -> AlgebraElement:
         start = self.expect("W")
         self.expect("[")
         coords = [self.signed_int()]
@@ -202,7 +152,7 @@ class _Parser:
             raise ParseError(
                 f"generator arity {len(coords)} does not match the context dimension {self.dim}",
                 start.pos)
-        return WeylGen(tuple(coords))
+        return weyl(coords)
 
     def signed_int(self) -> int:
         neg = False
@@ -214,21 +164,16 @@ class _Parser:
         return -val if neg else val
 
     def rational(self) -> Fraction:
-        neg = False
-        if self.peek().kind == "-":
-            self.next()
-            neg = True
-        num = int(self.expect("int").text)
+        num = self.signed_int()
         den = 1
         if self.peek().kind == "/":
             self.next()
             den = int(self.expect("int").text)
             if den == 0:
                 raise ParseError("zero denominator", self.tokens[self.pos - 1].pos)
-        q = Fraction(num, den)
-        return -q if neg else q
+        return Fraction(num, den)
 
-    def scalar(self) -> ExprAST:
+    def scalar(self) -> AlgebraElement:
         re = self.rational()
         im = Fraction(0)
         if self.peek().kind in ("+", "-"):
@@ -248,27 +193,25 @@ class _Parser:
             self.next()
             self.expect("^")
             zeta = self.signed_int()
-        return ScalarLit(re, im, zeta)
+        return scalar_element(PhaseScalar.gaussian(re, im).times_zeta(zeta), self.dim)
 
 
-def parse_element(text: str, ctx: PhaseContext) -> ExprAST:
-    """Parse an element expression; raises ParseError with a byte offset."""
+def parse_element(text: str, ctx: PhaseContext) -> AlgebraElement:
+    """The element an expression stands for; raises ParseError with a byte offset."""
     return _Parser(text, ctx).parse()
+
+
+def to_element(a: AlgebraElement, ctx: PhaseContext) -> AlgebraElement:
+    """The element itself, unchanged: parse_element already returns it."""
+    return a
 
 
 # -- canonical printer ------------------------------------------------------
 
-def _rational_str(q: Fraction) -> str:
-    return str(q)  # Fraction prints reduced 'a' or 'a/b'
-
-
 def _scalar_str(re: Fraction, im: Fraction, zeta: int) -> str:
-    if im == 0:
-        s = _rational_str(re)
-    elif im > 0:
-        s = f"{_rational_str(re)}+{_rational_str(im)}i"
-    else:
-        s = f"{_rational_str(re)}-{_rational_str(-im)}i"
+    s = str(re)  # Fraction prints reduced 'a' or 'a/b'
+    if im:
+        s += f"+{im}i" if im > 0 else f"-{-im}i"
     if zeta:
         s += f"z^{zeta}"
     return s
@@ -276,27 +219,15 @@ def _scalar_str(re: Fraction, im: Fraction, zeta: int) -> str:
 
 def format_element(a: AlgebraElement) -> str:
     """Canonical text: atoms sorted by (lattice point, zeta power)."""
-    atoms = []
+    bits = []
     for m, coeff in a.items():
         parts: dict[int, list[Fraction]] = {}
         for k, r, c in coeff.terms():
-            re_im = parts.setdefault(k, [Fraction(0), Fraction(0)])
-            if r == 0:
-                re_im[0] = c
-            elif r == Fraction(1, 4):
-                re_im[1] = c
-            else:
+            if r not in (0, Fraction(1, 4)):
                 raise ValueError(f"coefficient {coeff} is not expressible in the element grammar")
+            parts.setdefault(k, [Fraction(0), Fraction(0)])[1 if r else 0] = c
+        gen = f"W[{','.join(str(x) for x in m)}]"
         for k in sorted(parts):
             re, im = parts[k]
-            atoms.append((m, k, re, im))
-    if not atoms:
-        return "0"
-    bits = []
-    for m, k, re, im in atoms:
-        gen = f"W[{','.join(str(x) for x in m)}]"
-        if re == 1 and im == 0 and k == 0:
-            bits.append(gen)
-        else:
-            bits.append(f"{_scalar_str(re, im, k)} * {gen}")
-    return " + ".join(bits)
+            bits.append(gen if (re, im, k) == (1, 0, 0) else f"{_scalar_str(re, im, k)} * {gen}")
+    return " + ".join(bits) or "0"

@@ -98,6 +98,29 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational value: {value!r}")
 
 
+def as_scalar(value) -> "PhaseScalar":
+    """The exact scalar a number stands for: the package's one rule for
+    scalars, which the operators follow too.  A PhaseScalar is kept; any
+    other value is the Gaussian rational of GaussRat.from_number, whose parts
+    follow as_fraction (0.1 is 1/10, 0.5j is i/2).  Other types raise
+    TypeError; inf, nan and malformed strings raise ValueError."""
+    if isinstance(value, PhaseScalar):
+        return value
+    g = GaussRat.from_number(value)
+    return PhaseScalar.gaussian(g.re, g.im)
+
+
+def _operand(value, read):
+    """read(value) for an operator's other operand, or None, for which the
+    operator returns NotImplemented: a str, or a type read rejects."""
+    if isinstance(value, str):
+        return None
+    try:
+        return read(value)
+    except TypeError:
+        return None
+
+
 def _coefficient(value) -> Coeff:
     """as_fraction's rational, as an int when it is integral (the module
     docstring's coefficient rule)."""
@@ -328,17 +351,10 @@ class PhaseScalar:
                 return None
         return re, im
 
-    # -- ring operations ----------------------------------------------------
-
-    def _coerce(self, other) -> "PhaseScalar | None":
-        if isinstance(other, PhaseScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PhaseScalar.rational(other)
-        return None
+    # -- ring operations (the other operand is read by as_scalar) -----------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _operand(other, as_scalar)
         if o is None:
             return NotImplemented
         if not o._terms:
@@ -367,19 +383,19 @@ class PhaseScalar:
         return PhaseScalar._of({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _operand(other, as_scalar)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _operand(other, as_scalar)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _operand(other, as_scalar)
         if o is None:
             return NotImplemented
         return PhaseScalar._of(_canonical(_product_into({}, self._terms, o._terms)))
@@ -393,10 +409,11 @@ class PhaseScalar:
         return PhaseScalar._of({(j + k, r): c for (j, r), c in self._terms.items()})
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = as_fraction(other)
-            return PhaseScalar._of({key: _coefficient(c / q) for key, c in self._terms.items()})
-        return NotImplemented
+        """Division by a real number as_fraction reads (not a str)."""
+        q = _operand(other, as_fraction)
+        if q is None:
+            return NotImplemented
+        return PhaseScalar._of({key: _coefficient(c / q) for key, c in self._terms.items()})
 
     def conjugate(self) -> "PhaseScalar":
         """Complex conjugation: zeta^k -> zeta^(-k), e(r) -> e(-r)."""
@@ -406,7 +423,10 @@ class PhaseScalar:
         return PhaseScalar._of(_canonical(raw))
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        try:
+            o = _operand(other, as_scalar)
+        except ValueError:  # inf or nan: no exact scalar equals it
+            return False
         if o is None:
             return NotImplemented
         if self._terms == o._terms:
@@ -465,8 +485,10 @@ class GaussRat:
             return GaussRat(value.real, value.imag)
         return GaussRat(value)
 
-    def __add__(self, other):
-        o = GaussRat.from_number(other)
+    def __add__(self, other):  # the other operand is read by from_number
+        o = _operand(other, GaussRat.from_number)
+        if o is None:
+            return NotImplemented
         return GaussRat._of(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -475,14 +497,21 @@ class GaussRat:
         return GaussRat._of(-self.re, -self.im)
 
     def __sub__(self, other):
-        o = GaussRat.from_number(other)
+        o = _operand(other, GaussRat.from_number)
+        if o is None:
+            return NotImplemented
         return GaussRat._of(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        return GaussRat.from_number(other) + (-self)
+        o = _operand(other, GaussRat.from_number)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
 
     def __mul__(self, other):
-        o = GaussRat.from_number(other)
+        o = _operand(other, GaussRat.from_number)
+        if o is None:
+            return NotImplemented
         if not (self.im or o.im):  # every operand of the real P_d eliminations
             return GaussRat._of(self.re * o.re, ZERO)
         return GaussRat._of(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
@@ -490,7 +519,9 @@ class GaussRat:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = GaussRat.from_number(other)
+        o = _operand(other, GaussRat.from_number)
+        if o is None:
+            return NotImplemented
         d = o.abs2()
         if not d:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -504,12 +535,12 @@ class GaussRat:
         return self.re * self.re + self.im * self.im
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, bool) or not isinstance(other, (GaussRat, int, Fraction, float, complex)):
-            return NotImplemented
         try:
-            o = GaussRat.from_number(other)
+            o = _operand(other, GaussRat.from_number)
         except ValueError:  # inf or nan: no Gaussian rational equals it
             return False
+        if o is None:
+            return NotImplemented
         return self.re == o.re and self.im == o.im
 
     def __bool__(self) -> bool:

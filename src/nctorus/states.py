@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, PhaseContext, numeric_eval
 from .lattice import as_integer, as_vector
-from .scalars import GaussRat, PhaseScalar, _sum_of_products, as_fraction
+from .scalars import GaussRat, PhaseScalar, _sum_of_products, as_fraction, as_scalar
 
 
 class StateCandidate:
@@ -126,16 +126,17 @@ def evaluate_exact(state: StateCandidate, a: AlgebraElement) -> PhaseScalar:
 
 class HermitianMatrix:
     """Square n x n matrix, n >= 1, of exact PhaseScalar entries in a tuple of
-    row tuples.  Any other entry is read once (_coerce_scalar) as the Gaussian
-    rational of its decimal value: 0.1 is 1/10.  rounded(ctx) gives the
-    numeric rows.  The exact keyword is accepted only as True."""
+    row tuples.  Every entry is read once by scalars.as_scalar, so a number
+    is the Gaussian rational of its decimal value: 0.1 is 1/10.
+    rounded(ctx) gives the numeric rows.  The exact keyword is accepted only
+    as True."""
 
     __slots__ = ("dim", "_rows")
 
     def __init__(self, rows, exact: bool = True):
         if exact is not True:
             raise TypeError(f"HermitianMatrix holds exact entries only, got exact={exact!r}")
-        data = tuple(tuple(map(_coerce_scalar, row)) for row in rows)
+        data = tuple(tuple(map(as_scalar, row)) for row in rows)
         if not data:
             raise ValueError("matrix must have at least one row")
         if any(len(r) != len(data) for r in data):
@@ -196,34 +197,19 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
     return HermitianMatrix(rows)
 
 
-def quadratic_form(H: HermitianMatrix, v, ctx: PhaseContext | None = None):
-    """The real value v^dagger H v, from its exact total.
+def quadratic_form(H: HermitianMatrix, v) -> PhaseScalar:
+    """The exact total v^dagger H v; numeric_eval(total, ctx).real rounds it.
 
-    The vector is read as the matrix is (_coerce_scalar).  Each row total
+    The vector is read as the matrix is (scalars.as_scalar).  Each row total
     sum_j H_ij v_j goes into one set of root buckets, reduced once, and the
     products conj(v_i) times row total i go into another, so every entry is
-    multiplied once.  A Gaussian-rational total gives its real part as an
-    exact Fraction; any other total gives the real part of numeric_eval at
-    ctx, rounded once (a PhaseContext is needed for the phases).
+    multiplied once.
     """
     if len(v) != H.dim:
         raise ValueError(f"dimension mismatch: matrix is {H.dim}x{H.dim}, vector has length {len(v)}")
-    vec = list(map(_coerce_scalar, v))
+    vec = list(map(as_scalar, v))
     rows = [_sum_of_products((c, vj) for c, vj in zip(row, vec) if c and vj) for row in H.rows()]
-    total = _sum_of_products((vi.conjugate(), r) for vi, r in zip(vec, rows) if vi and r)
-    g = total.as_gaussian()
-    if g is not None:
-        return g[0]
-    if ctx is None:
-        raise ValueError("a PhaseContext is needed to evaluate this quadratic form numerically")
-    return numeric_eval(total, ctx).real
-
-
-def _coerce_scalar(x) -> PhaseScalar:
-    if isinstance(x, PhaseScalar):
-        return x
-    g = GaussRat.from_number(x)
-    return PhaseScalar.gaussian(g.re, g.im)
+    return _sum_of_products((vi.conjugate(), r) for vi, r in zip(vec, rows) if vi and r)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,13 @@ def test_numeric_eval_examples(ctx):
         assert abs(got - want) < 1e-13
 
 
+def test_numeric_eval_rounds_gaussian_values_exactly():
+    # c and c*i round only through float(c): no cos(pi/2) residue
+    assert numeric_eval(PhaseScalar.gaussian(2, -3), None) == complex(2, -3)
+    assert numeric_eval(PhaseScalar.gaussian(0, Fraction(1, 3)), None) == complex(0, 1 / 3)
+    assert numeric_eval(PhaseScalar.zeta(0, -7), None) == -7
+
+
 def test_numeric_eval_huge_exponent_is_sane(ctx):
     # |zeta^k| = 1 even at exponents far beyond float range
     k = 3**80

@@ -44,11 +44,17 @@ def test_eval_command(capsys):
     assert blob["value"] == pytest.approx([2.0, 0.0], abs=1e-12)
     assert blob["value_exact"] == "2"
 
+    # Gaussian values print exactly: no cos(pi/2) residue in the real part
+    code, out, _ = run(capsys, "--json", "eval", "--state", '{"orbit_values":{}}', "1i * W[0,0]")
+    assert out == '{"value": [0.0, 1.0]}\n'
+    code, out, _ = run(capsys, "eval", "--state", '{"orbit_values":{}}', "2-3i * W[0,0]")
+    assert out == "value: 2 + -3i\n"
+
 
 def test_eval_agrees_with_library(capsys, ctx):
     import random
 
-    from nctorus.parser import format_element, parse_element, to_element
+    from nctorus.parser import format_element, parse_element
     from nctorus.states import StateCandidate, evaluate
     from conftest import random_element
 
@@ -60,7 +66,7 @@ def test_eval_agrees_with_library(capsys, ctx):
         code, out, _ = run(capsys, "--json", "eval", "--state", state_text, expr)
         assert code == 0
         got = json.loads(out)["value"]
-        want = evaluate(state, to_element(parse_element(expr, ctx), ctx), ctx)
+        want = evaluate(state, parse_element(expr, ctx), ctx)
         assert abs(complex(got[0], got[1]) - want) < 1e-12
 
 

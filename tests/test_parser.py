@@ -9,19 +9,16 @@ from nctorus.scalars import PhaseScalar
 from conftest import random_element
 
 
-def parse_to_element(text, ctx):
-    return to_element(parse_element(text, ctx), ctx)
-
-
 def test_product_example(ctx):
-    got = parse_to_element("W[1,0]*W[0,1]", ctx)
+    got = parse_element("W[1,0]*W[0,1]", ctx)
     assert got == weyl((1, 1)) * PhaseScalar.zeta(1)
+    assert to_element(got, ctx) is got  # the identity on elements
 
 
 def test_adjoint_example(ctx):
-    assert parse_to_element("(W[1,2])^*", ctx) == weyl((-1, -2))
-    assert parse_to_element("W[1,2]^*", ctx) == weyl((-1, -2))
-    assert parse_to_element("W[1,2]^*^*", ctx) == weyl((1, 2))
+    assert parse_element("(W[1,2])^*", ctx) == weyl((-1, -2))
+    assert parse_element("W[1,2]^*", ctx) == weyl((-1, -2))
+    assert parse_element("W[1,2]^*^*", ctx) == weyl((1, 2))
 
 
 def test_arity_error(ctx):
@@ -40,34 +37,34 @@ def test_scalar_forms(ctx):
         "2z^-2": PhaseScalar.zeta(-2, 2),
     }
     for text, scalar in cases.items():
-        got = parse_to_element(text, ctx)
+        got = parse_element(text, ctx)
         assert got.coefficient((0, 0)) == scalar, text
 
 
 def test_precedence_and_parens(ctx):
-    a = parse_to_element("W[1,0] + 2 * W[0,1]", ctx)
+    a = parse_element("W[1,0] + 2 * W[0,1]", ctx)
     assert a == weyl((1, 0)) + weyl((0, 1)) * 2
-    b = parse_to_element("(W[1,0] + W[0,1]) * W[0,0]", ctx)
+    b = parse_element("(W[1,0] + W[0,1]) * W[0,0]", ctx)
     assert b == weyl((1, 0)) + weyl((0, 1))
-    c = parse_to_element("W[1,0] - W[1,0]", ctx)
+    c = parse_element("W[1,0] - W[1,0]", ctx)
     assert c.is_zero
 
 
 def test_adjoint_distributes_in_parser(ctx):
-    got = parse_to_element("(W[1,0] + W[0,1])^*", ctx)
+    got = parse_element("(W[1,0] + W[0,1])^*", ctx)
     assert got == weyl((-1, 0)) + weyl((0, -1))
-    got = parse_to_element("(2+1i * W[1,0])^*", ctx)
+    got = parse_element("(2+1i * W[1,0])^*", ctx)
     assert got == weyl((-1, 0)) * PhaseScalar.gaussian(2, -1)
-    nested = parse_to_element("((W[1,1]))", ctx)
+    nested = parse_element("((W[1,1]))", ctx)
     assert nested == weyl((1, 1))
 
 
 def test_scalar_plus_backtracking(ctx):
     # '+' binds into the scalar only when a trailing 'i' confirms it
-    a = parse_to_element("2 + 3 * W[1,0]", ctx)
+    a = parse_element("2 + 3 * W[1,0]", ctx)
     assert a.coefficient((0, 0)) == PhaseScalar.rational(2)
     assert a.coefficient((1, 0)) == PhaseScalar.rational(3)
-    b = parse_to_element("2+3i * W[1,0]", ctx)
+    b = parse_element("2+3i * W[1,0]", ctx)
     assert b.coefficient((1, 0)) == PhaseScalar.gaussian(2, 3)
 
 
@@ -93,9 +90,9 @@ def test_print_parse_round_trip_known(ctx):
         "-1 * W[2,2]",
     ]
     for text in texts:
-        element = parse_to_element(text, ctx)
+        element = parse_element(text, ctx)
         printed = format_element(element)
-        again = parse_to_element(printed, ctx)
+        again = parse_element(printed, ctx)
         assert again == element
         assert format_element(again) == printed
 
@@ -105,7 +102,7 @@ def test_print_parse_idempotent_random(ctx):
     for _ in range(100):
         element = random_element(rng)
         printed = format_element(element)
-        back = parse_to_element(printed, ctx)
+        back = parse_element(printed, ctx)
         assert back == element
         assert format_element(back) == printed
 
@@ -115,4 +112,4 @@ def test_product_round_trips_through_printer(ctx):
     for _ in range(30):
         a, b = random_element(rng, max_terms=3), random_element(rng, max_terms=3)
         prod = multiply(a, b, ctx)
-        assert parse_to_element(format_element(prod), ctx) == prod
+        assert parse_element(format_element(prod), ctx) == prod

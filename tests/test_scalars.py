@@ -1,12 +1,14 @@
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctorus.algebra import PhaseContext
-from nctorus.scalars import GaussRat, PhaseScalar, _reduce_roots, as_fraction, cyclotomic
+from nctorus.algebra import AlgebraElement, PhaseContext, scalar_element, weyl
+from nctorus.scalars import GaussRat, PhaseScalar, _reduce_roots, as_fraction, as_scalar, cyclotomic
+from nctorus.states import HermitianMatrix
 from paper_oracles import reduce_roots, scalar_add, scalar_conjugate, scalar_mul, scalar_neg
 
 
@@ -40,6 +42,47 @@ def test_as_fraction_rule():
     for bad in ("x", "1/0", float("inf"), float("nan")):
         with pytest.raises(ValueError):
             as_fraction(bad)
+
+
+def test_number_rule():
+    for x in (3, Fraction(-2, 3), 0.1, 0.5 - 0.25j, GaussRat(1, -2),
+              PhaseScalar.gaussian(1, 1), PhaseScalar.zeta(2, Fraction(3, 4))):
+        s = as_scalar(x)
+        assert isinstance(s, PhaseScalar)
+        assert s == x and x == s
+        assert PhaseScalar.one() * x == s and x * PhaseScalar.one() == s
+        assert PhaseScalar.zero() + x == s and x + PhaseScalar.zero() == s
+        assert AlgebraElement(2, {(0, 0): x}) == scalar_element(x) == weyl((0, 0)) * x
+        assert HermitianMatrix([[x]]).entry(0, 0) == s
+    assert as_scalar(0.1) == Fraction(1, 10)  # the decimal, as in as_fraction
+    for a in (PhaseScalar.one(), GaussRat(1), weyl((1, 0))):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(a, "1")
+            with pytest.raises(TypeError):
+                op("1", a)
+    nan = float("nan")
+    assert not PhaseScalar.one() == nan and PhaseScalar.one() != nan
+    assert not PhaseScalar.one() == float("inf") and not nan == PhaseScalar.one()
+
+
+def test_exact_types_work_together():
+    half = PhaseScalar.rational(Fraction(1, 2))
+    assert half == 0.5 and 0.5 == half
+    assert GaussRat(1) == PhaseScalar.one() and PhaseScalar.one() == GaussRat(1)
+    assert PhaseScalar.one() + 0.5 == Fraction(3, 2)
+    assert PhaseScalar.one() * 0.5j == PhaseScalar.gaussian(0, Fraction(1, 2))
+    assert half / 0.25 == 2 and half / np.int64(2) == Fraction(1, 4)
+    for bad in (1j, half):  # a divisor is a real number as_fraction reads
+        with pytest.raises(TypeError):
+            half / bad
+    got = GaussRat(1) + PhaseScalar.one()
+    assert isinstance(got, PhaseScalar) and got == 2
+    assert GaussRat(0, 1) * PhaseScalar.one() == PhaseScalar.gaussian(0, 1)
+    assert PhaseScalar.one() - GaussRat(1, 1) == PhaseScalar.gaussian(0, -1)
+    assert GaussRat(1) * weyl((1, 0)) == weyl((1, 0))
+    assert weyl((1, 0)) * 0.5 == AlgebraElement(2, {(1, 0): Fraction(1, 2)})
+    assert weyl((1, 0)) * GaussRat(0, 2) == AlgebraElement(2, {(1, 0): 2j})
 
 
 def test_gaussian_embedding():

@@ -188,7 +188,7 @@ def test_gram_direct_agreement(ctx):
         from nctorus.algebra import numeric_eval
 
         vec = [numeric_eval(c, ctx) for c in coeffs]
-        quad = quadratic_form(h, vec, ctx)
+        quad = numeric_eval(quadratic_form(h, vec), ctx).real
         assert abs(direct - quad) < 1e-10
 
         # exact entries: same identity with no roundoff at all
@@ -205,9 +205,11 @@ def test_quadratic_form_examples():
     assert quadratic_form(ident, [1, 0, 0]) == 1.0
     h = HermitianMatrix(np.array([[1, 2], [2, 1]], dtype=complex))
     assert quadratic_form(h, [1, -1]) == -2.0
-    # integer entries are stored as int coefficients; the exact result is still a Fraction
+    # the result is the exact total, with Fraction parts from int coefficients
     q = quadratic_form(HermitianMatrix([[1, 2], [2, 1]]), [1, -1])
-    assert q == -2 and type(q) is Fraction
+    assert isinstance(q, PhaseScalar) and q.as_gaussian() == (-2, 0)
+    assert all(type(x) is Fraction for x in q.as_gaussian())
+    assert numeric_eval(quadratic_form(h, [1, 1j]), None) == 2
     with pytest.raises(ValueError):
         quadratic_form(h, [1, 0, 0])
 
@@ -230,7 +232,7 @@ def test_quadratic_form_multiplies_each_entry_once(ctx, monkeypatch):
 
     monkeypatch.setattr(scalars, "_product_into", counted)
     monkeypatch.setattr(PhaseScalar, "__mul__", None)  # no full product per entry
-    assert quadratic_form(h, v, ctx) == numeric_eval(direct, ctx).real
+    assert numeric_eval(quadratic_form(h, v), ctx).real == numeric_eval(direct, ctx).real
     # H_ij v_j for each nonzero pair, then conj(v_i) times each row total with v_i != 0
     per_row = [sum(1 for c, x in zip(row, v) if c and x) for row in h.rows()]
     assert len(pairs) == sum(per_row) + sum(1 for x, n in zip(v, per_row) if x and n)
@@ -257,9 +259,9 @@ def test_is_psd_examples():
     assert bad.value < -1e-9
     assert type(bad.value) is Fraction  # GaussRat parts are Fractions, so / stays exact
     assert all(type(w.re) is Fraction and type(w.im) is Fraction for w in bad.witness)
-    got = quadratic_form(HermitianMatrix(np.array([[1, 2], [2, 1]], dtype=complex)),
-                         list(bad.witness))
-    assert abs(got - bad.value) < 1e-12 and got < 0
+    got = numeric_eval(quadratic_form(HermitianMatrix(np.array([[1, 2], [2, 1]], dtype=complex)),
+                                      list(bad.witness)), None).real
+    assert abs(got - float(bad.value)) < 1e-12 and got < 0
 
     with pytest.raises(ValueError):
         is_psd(HermitianMatrix(np.array([[0, 1], [0, 0]], dtype=complex)))
@@ -328,16 +330,17 @@ def test_psd_two_by_two_iff(ctx):
         assert is_psd(HermitianMatrix(h.rounded(ctx)), tol=1e-9).is_psd == (abs(p) <= 1 + 1e-9)
 
 
-def test_quadratic_form_exact_needs_ctx_for_phases(ctx):
+def test_quadratic_form_exact_total_rounds_to_numeric_value(ctx):
     state = StateCandidate({1: 0.5, 2: 0.25})
     gens = [(0, 0), (1, 0), (0, 1)]
     h = gram(state, gens, ctx)
-    v = (1, 1, 1)
-    with pytest.raises(ValueError):
-        quadratic_form(h, v)
-    exact_val = quadratic_form(h, v, ctx)
-    numeric_val = quadratic_form(HermitianMatrix(h.rounded(ctx)), [1, 1, 1])
-    assert abs(exact_val - numeric_val) < 1e-12
+    total = quadratic_form(h, (1, 1, 1))
+    assert total.as_gaussian() is None  # zeta powers stay exact in the total
+    with pytest.raises(ValueError):  # rounding them needs a PhaseContext
+        numeric_eval(total, None)
+    assert numeric_eval(total, ctx) == 5.54030230586814
+    numeric = quadratic_form(HermitianMatrix(h.rounded(ctx)), [1, 1, 1])
+    assert abs(numeric_eval(total, ctx).real - numeric_eval(numeric, None).real) < 1e-12
 
 
 def test_is_psd_exact_matrix_with_phases_uses_numeric(ctx):
