@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
@@ -17,7 +18,8 @@ from typing import Iterator, Mapping
 
 from . import circle
 from .lattice import SIGMA2, SkewForm, Vec, as_matrix, as_vector, is_symplectic, mat_vec, pairing
-from .scalars import PhaseScalar, _canonical, _operand, _product_into, as_fraction, as_scalar
+from .scalars import (PhaseScalar, _canonical, _integral, _operand, _product_into, as_fraction,
+                      as_scalar)
 
 
 @dataclass(frozen=True)
@@ -161,15 +163,17 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: PhaseContext) -> Algebra
         raise ValueError(f"dimension mismatch: elements of dimension {a.dimension}, "
                          f"{b.dimension} in a {d}-dimensional context")
     sig = ctx.sigma.matrix
-    right = [(m, cm._terms) for m, cm in b._terms.items()]
-    raw: dict[Vec, dict] = {}
-    for n, cn in a._terms.items():
+    da, left = _integral([c._terms for c in a._terms.values()])
+    db, right_terms = _integral([c._terms for c in b._terms.values()])
+    right = list(zip(b._terms, right_terms))
+    raw: dict[Vec, dict] = defaultdict(dict)  # a point's buckets are made when it first occurs
+    for n, cn in zip(a._terms, left):
         row = [sum(n[i] * sig[i][j] for i in range(d)) for j in range(d)]  # n^T Sigma
-        left = cn._terms
         for m, cm in right:
             key = tuple(map(add, n, m))
-            _product_into(raw.setdefault(key, {}), left, cm, sum(map(mul, row, m)))
-    return AlgebraElement._of(d, {key: PhaseScalar._of(_canonical(buckets))
+            _product_into(raw[key], cn, cm, sum(map(mul, row, m)))
+    den = da * db
+    return AlgebraElement._of(d, {key: PhaseScalar._of(_canonical(buckets, den))
                                   for key, buckets in raw.items()})
 
 

@@ -20,15 +20,13 @@ The public surface speaks Fraction: terms() yields the root as a Fraction,
 sorted by value, and the constructors accept any rational r.
 
 Coefficients.  A coefficient c is an int or a Fraction; both are exact.
-Every constructor, and the quotient of /, stores an integral value as an
-int, and the arithmetic never converts: int * int and int + int stay ints,
-while anything that meets a Fraction is a Fraction, possibly an integral
-one.  The products that verify multiplies are almost all 1 * 1 (the
-witness is (-p*d, 1, ..., 1)), so the product kernel runs on machine ints
-and pays for a gcd only where a non-integral coefficient takes part.  An
-int and a Fraction of equal value compare, hash and print alike, so the
-type never decides a value or a printed form.  as_gaussian hands out
-Fraction parts, because GaussRat divides and int / int would be a float.
+Every constructor, every product and the quotient of / store an integral
+value as an int.  Sums, negation and conjugation do not convert: int + int
+stays an int, and a sum that meets a Fraction is a Fraction, possibly an
+integral one (1/2 + 1/2).  An int and a Fraction of equal value compare,
+hash and print alike, so the type never decides a value or a printed form.
+as_gaussian hands out Fraction parts, because GaussRat divides and int /
+int would be a float.
 
 Canonical form.  A PhaseScalar stores {(k, (a, n)): c} with no zero c, and
 the roots of each zeta degree k form the bucket _reduce_roots returns:
@@ -41,11 +39,23 @@ coefficient where it is.  The arithmetic relies on this: a degree that only
 one operand of a sum has is copied unreduced, a bucket whose only root is 0
 is already canonical, and multiplying by zeta^k only relabels degrees.
 
-Products.  _product_into adds the pair products of two canonical term
-dicts, unreduced, into root buckets keyed by zeta degree; a product is
-reduced once, bucket by bucket, after every pair is in.  algebra.multiply
-feeds all term pairs of all its coefficient products into one set of
-buckets per support point, so it builds no PhaseScalar per pair.
+Products.  A product runs on integer numerators over common denominators,
+the representation of FLINT's fmpq_poly.  _integral scales each operand
+once by D, the lcm of its coefficient denominators (D = 1 and no copy when
+every coefficient is already an int); _product_into adds the int pair
+products of two term dicts, unreduced, into root buckets keyed by zeta
+degree; and _canonical reduces each bucket once, after every pair is in,
+and divides each reduced coefficient once by D_left * D_right: an exact
+quotient is an int, any other one a Fraction.  Cyclotomic reduction is
+linear over Q, so reducing D * bucket and dividing by D gives the very
+terms that reducing the Fraction bucket gives.  A gcd is paid once per
+result term, not once per pair.  The cost moves into the width of the
+ints: every numerator carries the bits of D, so operands with many
+coprime denominators make wide ints.  algebra.multiply scales each of its
+two elements once and feeds all term pairs of all its coefficient
+products into one set of buckets per support point, so it builds no
+PhaseScalar per pair; _sum_of_products does the same for a sum of scalar
+products.
 
 Printed form.  Equal values can have different canonical forms (1 + e(1/3)
 is e(1/6)), so which operations built a scalar decides its printed form:
@@ -203,13 +213,32 @@ def _reduce_roots(parts: dict[Root, Coeff]) -> dict[Root, Coeff]:
     return out
 
 
-def _canonical(raw: dict[int, dict[Root, Coeff]]) -> dict[tuple[int, Root], Coeff]:
-    """Flat canonical terms from root buckets keyed by zeta degree."""
+def _canonical(raw: dict[int, dict[Root, Coeff]], den: int = 1) -> dict[tuple[int, Root], Coeff]:
+    """Flat canonical terms from root buckets keyed by zeta degree, each
+    reduced coefficient divided by den (an int when den divides it)."""
     out: dict[tuple[int, Root], Coeff] = {}
     for k, bucket in raw.items():
         for r, c in _reduce_roots(bucket).items():
+            if den != 1:
+                q, rem = divmod(c, den)
+                c = Fraction(c, den) if rem else q
             out[k, r] = c
     return out
+
+
+def _integral(term_dicts: list[Mapping]) -> tuple[int, list[Mapping]]:
+    """(D, dicts times D): D is the lcm of every coefficient denominator, and
+    each scaled dict has int coefficients only.  Dicts that are all ints
+    already come back as they are, with D = 1."""
+    den, scale = 1, False
+    for terms in term_dicts:
+        for c in terms.values():
+            if type(c) is not int:
+                den, scale = lcm(den, c.denominator), True
+    if not scale:
+        return 1, term_dicts
+    return den, [{key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+                 for terms in term_dicts]
 
 
 def _product_into(raw: dict[int, dict[Root, Coeff]], left: Mapping, right: Mapping,
@@ -217,8 +246,10 @@ def _product_into(raw: dict[int, dict[Root, Coeff]], left: Mapping, right: Mappi
     """Add zeta^shift times the product of two canonical term dicts into raw.
 
     Every pair c1*zeta^k1*e(r1), c2*zeta^k2*e(r2) adds c1*c2 to the bucket
-    of degree k1 + k2 + shift at root r1 + r2.  Nothing is reduced here:
-    the caller runs _canonical once all pairs are in.  Returns raw.
+    of degree k1 + k2 + shift at root r1 + r2.  The callers pass dicts that
+    _integral scaled, so every c1*c2 is int * int.  Nothing is reduced or
+    divided here: the caller runs _canonical, with the product of the two
+    scales, once all pairs are in.  Returns raw.
     """
     for (k1, (a1, n1)), c1 in left.items():
         k1 += shift
@@ -245,11 +276,19 @@ def _product_into(raw: dict[int, dict[Root, Coeff]], left: Mapping, right: Mappi
 
 
 def _sum_of_products(pairs: Iterable[tuple["PhaseScalar", "PhaseScalar"]]) -> "PhaseScalar":
-    """sum x*y over the pairs, all in one set of root buckets, each reduced once."""
+    """sum x*y over the pairs, all in one set of root buckets, each reduced once.
+
+    The left and the right operands are scaled to ints by their own common
+    denominators, so every pair product is int * int; each reduced
+    coefficient is divided once by the product of the two denominators.
+    """
+    pairs = list(pairs)
+    dl, left = _integral([x._terms for x, _ in pairs])
+    dr, right = _integral([y._terms for _, y in pairs])
     raw: dict[int, dict[Root, Coeff]] = {}
-    for x, y in pairs:
-        _product_into(raw, x._terms, y._terms)
-    return PhaseScalar._of(_canonical(raw))
+    for x, y in zip(left, right):
+        _product_into(raw, x, y)
+    return PhaseScalar._of(_canonical(raw, dl * dr))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +437,7 @@ class PhaseScalar:
         o = _operand(other, as_scalar)
         if o is None:
             return NotImplemented
-        return PhaseScalar._of(_canonical(_product_into({}, self._terms, o._terms)))
+        return _sum_of_products(((self, o),))
 
     __rmul__ = __mul__
 

@@ -116,7 +116,7 @@ def evaluate_exact(state: StateCandidate, a: AlgebraElement) -> PhaseScalar:
     """omega extended by linearity, as an exact scalar: every p(m) * a_m term
     goes into one set of root buckets, each reduced once (the rule of
     algebra.multiply), so the result does not depend on the term order."""
-    return _sum_of_products((c, PhaseScalar.rational(p)) for m, c in a.items()
+    return _sum_of_products((c, PhaseScalar.rational(p)) for m, c in a._terms.items()
                             if (p := eval_generator(state, m)))
 
 

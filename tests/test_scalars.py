@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctorus.algebra import AlgebraElement, PhaseContext, scalar_element, weyl
+from nctorus.algebra import AlgebraElement, PhaseContext, multiply, scalar_element, weyl
 from nctorus.scalars import GaussRat, PhaseScalar, _reduce_roots, as_fraction, as_scalar, cyclotomic
-from nctorus.states import HermitianMatrix
-from paper_oracles import reduce_roots, scalar_add, scalar_conjugate, scalar_mul, scalar_neg
+from nctorus.states import HermitianMatrix, quadratic_form
+from conftest import ROOT_DENOMINATORS
+from paper_oracles import (multiply_reduced_once, reduce_roots, scalar_add, scalar_conjugate,
+                           scalar_mul, scalar_neg)
 
 
 def test_cyclotomic_first_few():
@@ -106,6 +108,17 @@ def test_integral_coefficients_are_stored_as_ints():
         assert s._terms and all(type(c) is int for c in s._terms.values()), s
     half = PhaseScalar.gaussian(Fraction(1, 2), 3)  # only the non-integral part is a Fraction
     assert {type(c) for c in half._terms.values()} == {Fraction, int}
+    # products too: each reduced coefficient is divided once by the operands'
+    # common denominators, and an exact quotient stays an int
+    ctx = PhaseContext()
+    left = AlgebraElement(2, {(1, 0): Fraction(1, 2)})
+    right = AlgebraElement(2, {(0, 1): 2})
+    h = HermitianMatrix([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), Fraction(3, 4)]])
+    for s in (PhaseScalar.rational(Fraction(1, 2)) * 2,
+              multiply(left, right, ctx).coefficient((1, 1)),
+              quadratic_form(h, [2, 2])):  # 2 + 1 + 1 + 3
+        assert s._terms and all(type(c) is int for c in s._terms.values()), s
+    assert quadratic_form(h, [2, 2]) == 7
 
 
 def test_mixed_order_equality():
@@ -236,3 +249,71 @@ def test_numeric_agreement():
 
     got = numeric_eval(s, PhaseContext())
     assert abs(got - want) < 1e-14
+
+
+# the common-denominator kernel on coefficients of mixed and large
+# denominators: decimals (10^6), float witnesses reloaded at full precision
+# (10^16), coprime primes near 10^9, and integral Fractions, which a sum can
+# store (1/2 + 1/2 is Fraction(1, 1)).  Every result must equal the plain
+# Fraction arithmetic term for term, with each integral coefficient an int.
+BIG_DENOMINATORS = [1, 10**6, 10**16, 999_999_937, 999_999_929, 998_244_353, 7919]
+big_coefficients = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool),
+                             st.sampled_from(BIG_DENOMINATORS))
+HALF = PhaseScalar.rational(Fraction(1, 2))
+
+
+def big_scalars(roots):
+    """Scalars on the given roots; the flag adds 1/2 twice, which stores the
+    degree-0 coefficient of e(0) as an integral Fraction when it is integral."""
+    terms = st.lists(st.tuples(st.tuples(st.integers(-3, 3), roots), big_coefficients),
+                     min_size=1, max_size=3)
+    return st.builds(lambda t, bump: PhaseScalar(t) + HALF + HALF if bump else PhaseScalar(t),
+                     terms, st.booleans())
+
+
+any_roots = st.builds(Fraction, st.integers(0, 11), st.sampled_from(ROOT_DENOMINATORS))
+gaussian_roots = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+big_elements = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                               big_scalars(any_roots), min_size=1, max_size=3)
+
+
+def stored(s: PhaseScalar) -> list:
+    """The stored terms with their coefficient types, after checking that
+    every integral coefficient is stored as an int."""
+    assert all(type(c) is int or c.denominator > 1 for c in s._terms.values()), s._terms
+    return sorted((key, type(c), c) for key, c in s._terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_elements, big_elements)
+def test_common_denominator_multiply_matches_fractions(a_terms, b_terms):
+    ctx = PhaseContext()
+    a, b = AlgebraElement(2, a_terms), AlgebraElement(2, b_terms)
+    got, want = multiply(a, b, ctx), multiply_reduced_once(a, b, ctx)
+    assert [(m, stored(c)) for m, c in got.items()] == [(m, stored(c)) for m, c in want.items()]
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_scalars(any_roots), big_scalars(any_roots))
+def test_common_denominator_scalar_product_matches_fractions(x, y):
+    got, want = x * y, scalar_mul(x, y)
+    assert stored(got) == stored(want)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(big_scalars(gaussian_roots), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(big_scalars(gaussian_roots), min_size=n, max_size=n))))
+def test_common_denominator_quadratic_form_matches_double_sum(case):
+    # roots in Q(i): the canonical form is unique, so the direct double sum
+    # must give the same terms whatever order it reduces in
+    rows, v = case
+    direct = PhaseScalar.zero()
+    for i, row in enumerate(rows):
+        for j, h in enumerate(row):
+            direct = scalar_add(direct, scalar_mul(scalar_mul(scalar_conjugate(v[i]), h), v[j]))
+    got = quadratic_form(HermitianMatrix(rows), v)
+    assert stored(got) == stored(direct)
+    assert repr(got) == repr(direct)
