@@ -55,7 +55,10 @@ coprime denominators make wide ints.  algebra.multiply scales each of its
 two elements once and feeds all term pairs of all its coefficient
 products into one set of buckets per support point, so it builds no
 PhaseScalar per pair; _sum_of_products does the same for a sum of scalar
-products.
+products.  The matrix counterpart is states._psd_exact and
+states.determinant_exact: they scale a GaussRat matrix once by the lcm of
+its denominators and eliminate on Gaussian integers (Bareiss), so no
+GaussRat is multiplied or divided inside the elimination.
 
 Printed form.  Equal values can have different canonical forms (1 + e(1/3)
 is e(1/6)), so which operations built a scalar decides its printed form:
@@ -496,7 +499,7 @@ _ONE_SCALAR = PhaseScalar.rational(1)
 
 
 # ---------------------------------------------------------------------------
-# Gaussian rationals (exact complex arithmetic for matrix elimination)
+# Gaussian rationals (exact matrix entries, witnesses and determinants)
 # ---------------------------------------------------------------------------
 
 class GaussRat:
@@ -551,7 +554,7 @@ class GaussRat:
         o = _operand(other, GaussRat.from_number)
         if o is None:
             return NotImplemented
-        if not (self.im or o.im):  # every operand of the real P_d eliminations
+        if not (self.im or o.im):  # every operand of a real matrix's witness
             return GaussRat._of(self.re * o.re, ZERO)
         return GaussRat._of(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 

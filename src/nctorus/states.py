@@ -17,7 +17,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _gcd, isqrt
+from math import gcd as _gcd, isqrt, lcm
 
 import numpy as np
 
@@ -239,8 +239,8 @@ def as_tolerance(tol) -> Fraction:
 
 
 def is_psd(H: HermitianMatrix, tol=0) -> PsdVerdict:
-    """Whether H + tol*I is positive semidefinite, decided by exact pivoted
-    elimination (_psd_exact), with witness extraction.
+    """Whether H + tol*I is positive semidefinite, decided by fraction-free
+    elimination on Gaussian integers (_psd_exact), with witness extraction.
 
     Entries with zeta powers raise ValueError: round them first, as in
     HermitianMatrix(H.rounded(ctx)).  H must be Hermitian within tol,
@@ -274,42 +274,57 @@ def _hermitian_within(entries: list[list[GaussRat]], tol: Fraction) -> bool:
     return all((a.re - b.re) ** 2 + (a.im + b.im) ** 2 <= bound for a, b in pairs)
 
 
+def _integer_rows(entries: list[list[GaussRat]]) -> tuple[int, list[list[int]], list[list[int]]]:
+    # D, the lcm of every denominator, and the int real and imaginary parts of D * entries
+    den = lcm(*{x.denominator for row in entries for g in row for x in (g.re, g.im)})
+    re = [[g.re.numerator * (den // g.re.denominator) for g in row] for row in entries]
+    im = [[g.im.numerator * (den // g.im.denominator) for g in row] for row in entries]
+    return den, re, im
+
+
 def _psd_exact(entries: list[list[GaussRat]]) -> PsdVerdict:
-    # entries is Hermitian (is_psd checked it) and every update keeps the
-    # residual s Hermitian, so only its lower triangle (j <= i) is read, and
-    # entries may hold just that triangle
+    """Bareiss elimination of the lower triangle of Hermitian entries,
+    scaled once to Gaussian integers A = D * H, D the lcm of the denominators.
+
+    Step k sets a_ij = (a_kk a_ij - a_ik conj(a_jk)) / prev, prev the last
+    pivot used (1 at first).  By Sylvester's identity a_ij is then a minor
+    of A, so the division is exact, and a_ij = prev * D * s_ij, s the
+    residual of LDL^H elimination of H.  Every pivot used was positive, so
+    a_kk has the sign of s_kk.  A zero pivot with a zero column is skipped
+    and keeps prev.  A negative pivot, or a zero one with coupling, gets a
+    witness, built once in Fractions from the integer columns that later
+    steps leave alone (L_ik = a_ik / a_kk), by _exact_witness.
+    """
     n = len(entries)
-    s = [list(row[:i + 1]) for i, row in enumerate(entries)]
-    lcols: list[list[GaussRat]] = [[GaussRat(0)] * n for _ in range(n)]  # lcols[k][i] = L[i][k]
+    den, re, im = _integer_rows(entries)
+    prev = 1
     for k in range(n):
-        d = s[k][k]
-        if d.re < 0:
-            y = [GaussRat(0)] * n
-            y[k] = GaussRat(1)
-            return _exact_witness(lcols, y, d.re, n, k)
-        if d.re == 0:
-            j = next((j for j in range(k + 1, n) if s[j][k]), None)
-            if j is None:
-                continue
-            # indefinite: a zero pivot with residual coupling s_kj = conj(s_jk)
-            c = s[j][j].re
-            alpha = GaussRat(-(c + 1)) / (2 * s[j][k])
-            y = [GaussRat(0)] * n
-            y[k] = alpha
-            y[j] = GaussRat(1)
-            return _exact_witness(lcols, y, Fraction(-1), n, k)
-        col = lcols[k]
-        for i in range(k + 1, n):
-            col[i] = s[i][k] / d
-        # rank-1 update s_ij -= L_ik d conj(L_jk) = s_ik conj(L_jk), zero factors skipped
-        for i in range(k + 1, n):
-            a = s[i][k]
-            if not a:
-                continue
-            row = s[i]
-            for j in range(k + 1, i + 1):
-                if col[j]:
-                    row[j] = row[j] - a * col[j].conjugate()
+        d = re[k][k]
+        if d > 0:
+            for i in range(k + 1, n):
+                ar, ai, rr, ri = re[i][k], im[i][k], re[i], im[i]
+                for j in range(k + 1, i + 1):
+                    br, bi = re[j][k], im[j][k]
+                    rr[j] = (d * rr[j] - ar * br - ai * bi) // prev
+                    ri[j] = (d * ri[j] - ai * br + ar * bi) // prev
+            prev = d
+            continue
+        j = k if d else next((j for j in range(k + 1, n) if re[j][k] or im[j][k]), None)
+        if j is None:
+            continue
+        unit = prev * den  # a_ij = unit * s_ij
+        y = [GaussRat(0)] * n
+        y[j], value = GaussRat(1), Fraction(d, unit)
+        if j != k:  # indefinite: a zero pivot with residual coupling s_kj = conj(s_jk)
+            y[k] = GaussRat(-(Fraction(re[j][j], unit) + 1)) / (
+                2 * GaussRat(Fraction(re[j][k], unit), Fraction(im[j][k], unit)))
+            value = Fraction(-1)
+        lcols = [[None] * n for _ in range(k)]  # lcols[c][i] = L[i][c] = a_ic / a_cc for i > c
+        for c in range(k):
+            p = re[c][c] or 1  # a skipped pivot has a zero column
+            for i in range(c + 1, n):
+                lcols[c][i] = GaussRat._of(Fraction(re[i][c], p), Fraction(im[i][c], p))
+        return _exact_witness(lcols, y, value, n, k)
     return PsdVerdict(True)
 
 
@@ -328,26 +343,32 @@ def _exact_witness(lcols, y, value: Fraction, n: int, upto: int) -> PsdVerdict:
 
 
 def determinant_exact(H: HermitianMatrix) -> GaussRat:
-    """Exact determinant by fraction elimination; entries must be Gaussian
-    rationals (no unresolved phases)."""
+    """Exact determinant by Bareiss elimination of A = D * H, as in
+    _psd_exact, pivoting on the first nonzero entry at or below row k (a
+    swap flips the sign); entries must be Gaussian rationals.  The exact
+    division by a complex pivot q is x * conj(q) / |q|^2, and the result
+    is sign * a_nn / D^n."""
     entries = H.gaussian_entries()
     if entries is None:
         raise ValueError("exact determinant requires Gaussian-rational entries")
     n = len(entries)
-    a = [row[:] for row in entries]
-    det = GaussRat(1)
+    den, re, im = _integer_rows(entries)
+    sign, qr, qi = 1, 1, 0  # the last pivot q, 1 at first
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
+        piv = next((i for i in range(k, n) if re[i][k] or im[i][k]), None)
         if piv is None:
             return GaussRat(0)
         if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k]
-        inv = GaussRat(1) / a[k][k]
+            re[k], re[piv], im[k], im[piv] = re[piv], re[k], im[piv], im[k]
+            sign = -sign
+        dr, di, kr, ki = re[k][k], im[k][k], re[k], im[k]
+        norm = qr * qr + qi * qi
         for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] * inv
-                for j in range(k + 1, n):  # column k is never read again
-                    a[i][j] = a[i][j] - f * a[k][j]
-    return det
+            ar, ai, rr, ri = re[i][k], im[i][k], re[i], im[i]
+            for j in range(k + 1, n):  # column k is never read again
+                xr = dr * rr[j] - di * ri[j] - ar * kr[j] + ai * ki[j]
+                xi = dr * ri[j] + di * rr[j] - ar * ki[j] - ai * kr[j]
+                rr[j] = (xr * qr + xi * qi) // norm
+                ri[j] = (xi * qr - xr * qi) // norm
+        qr, qi = dr, di
+    return GaussRat._of(Fraction(sign * qr, den ** n), Fraction(sign * qi, den ** n))

@@ -15,8 +15,10 @@ term for term: reduce_roots, scalar sums and products that canonicalize
 every zeta degree again through the public PhaseScalar constructor,
 multiply_by_pairing with one zeta product per term pair,
 multiply_reduced_once, which sums every scalar term pair of a support point
-before one reduction, and psd_exact_full_square, which updates the whole
-residual matrix.
+before one reduction, psd_exact_full_square, which updates the whole
+residual matrix, and psd_exact_fractions and determinant_fractions, the
+Fraction eliminations that the integer kernels of states.is_psd and
+states.determinant_exact replace.
 """
 
 from fractions import Fraction
@@ -219,3 +221,62 @@ def psd_exact_full_square(entries: list) -> PsdVerdict:
             for j in range(k + 1, n):
                 s[i][j] = s[i][j] - lcols[k][i] * d * lcols[k][j].conjugate()
     return PsdVerdict(True)
+
+
+def psd_exact_fractions(entries: list) -> PsdVerdict:
+    """Pivoted LDL^H elimination in GaussRat of the lower triangle of
+    Hermitian entries (each row may hold just that triangle)."""
+    n = len(entries)
+    s = [list(row[:i + 1]) for i, row in enumerate(entries)]
+    lcols = [[GaussRat(0)] * n for _ in range(n)]  # lcols[k][i] = L[i][k]
+    for k in range(n):
+        d = s[k][k]
+        if d.re < 0:
+            y = [GaussRat(0)] * n
+            y[k] = GaussRat(1)
+            return _exact_witness(lcols, y, d.re, n, k)
+        if d.re == 0:
+            j = next((j for j in range(k + 1, n) if s[j][k]), None)
+            if j is None:
+                continue
+            c = s[j][j].re
+            alpha = GaussRat(-(c + 1)) / (2 * s[j][k])
+            y = [GaussRat(0)] * n
+            y[k] = alpha
+            y[j] = GaussRat(1)
+            return _exact_witness(lcols, y, Fraction(-1), n, k)
+        col = lcols[k]
+        for i in range(k + 1, n):
+            col[i] = s[i][k] / d
+        for i in range(k + 1, n):
+            a = s[i][k]
+            if not a:
+                continue
+            row = s[i]
+            for j in range(k + 1, i + 1):
+                if col[j]:
+                    row[j] = row[j] - a * col[j].conjugate()
+    return PsdVerdict(True)
+
+
+def determinant_fractions(entries: list) -> GaussRat:
+    """Determinant by GaussRat elimination, pivoting on the first row with a
+    nonzero entry in the column."""
+    n = len(entries)
+    a = [list(row) for row in entries]
+    det = GaussRat(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return GaussRat(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det = det * a[k][k]
+        inv = GaussRat(1) / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] * inv
+                for j in range(k + 1, n):
+                    a[i][j] = a[i][j] - f * a[k][j]
+    return det

@@ -12,6 +12,7 @@ from nctorus.scalars import GaussRat, PhaseScalar
 from nctorus.states import (
     HermitianMatrix,
     StateCandidate,
+    as_tolerance,
     determinant_exact,
     eval_generator,
     evaluate,
@@ -22,7 +23,12 @@ from nctorus.states import (
     trace_state,
 )
 from conftest import element_terms, random_element, random_scalar, random_sl2, shuffled_element
-from paper_oracles import min_eigenvalue, psd_exact_full_square
+from paper_oracles import (
+    determinant_fractions,
+    min_eigenvalue,
+    psd_exact_fractions,
+    psd_exact_full_square,
+)
 
 
 def test_candidate_decimal_semantics():
@@ -321,6 +327,71 @@ def test_psd_exact_matches_full_square_elimination(h):
     assert (verdict.is_psd, verdict.witness, verdict.value) == (want.is_psd, want.witness, want.value)
     if not verdict.is_psd:
         assert quadratic_form(h, verdict.witness) == verdict.value < 0
+
+
+# denominators whose lcm D makes wide ints, a prime near 10^9 among them
+DENOMINATORS = [1, 2, 3, 7, 10**9, 10**17, 999_999_937]
+wide_part = hs.builds(Fraction, hs.sampled_from([0, 0, 1, -1, 2, -3]), hs.sampled_from(DENOMINATORS))
+wide_gauss = hs.builds(GaussRat, wide_part, wide_part | hs.just(0))
+
+
+@hs.composite
+def wide_hermitian(draw):
+    n = draw(hs.integers(1, 8))
+    rows = [[GaussRat(0)] * n for _ in range(n)]
+    if draw(hs.booleans()):
+        for i in range(n):
+            rows[i][i] = GaussRat(draw(wide_part))
+            for j in range(i):
+                rows[i][j] = draw(wide_gauss)
+                rows[j][i] = rows[i][j].conjugate()
+    else:  # sum of r v v^H, r < n once n > 1: PSD and singular
+        for _ in range(draw(hs.integers(1, max(1, n - 1)))):
+            v = [draw(wide_gauss) for _ in range(n)]
+            rows = [[rows[i][j] + v[i] * v[j].conjugate() for j in range(n)] for i in range(n)]
+    for i in draw(hs.sets(hs.integers(0, n - 1), max_size=n)):
+        rows[i][i] = GaussRat(0)  # a zero pivot, coupled to its row unless that is cleared
+        if draw(hs.booleans()):
+            for j in range(n):
+                rows[i][j] = rows[j][i] = GaussRat(0)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_hermitian(), hs.sampled_from([0, 1e-9, Fraction(1, 4)]))
+def test_integer_elimination_matches_fraction_elimination(rows, tol):
+    h = HermitianMatrix([[PhaseScalar.gaussian(g.re, g.im) for g in row] for row in rows])
+    shift = as_tolerance(tol)
+    verdict = is_psd(h, tol)
+    want = psd_exact_fractions([row[:i] + [row[i] + shift] for i, row in enumerate(rows)])
+    assert verdict.is_psd == want.is_psd
+    det, want_det = determinant_exact(h), determinant_fractions(rows)
+    assert (det.re, det.im) == (want_det.re, want_det.im)
+    if verdict.is_psd:
+        return
+    w = verdict.witness
+    assert [(x.re, x.im) for x in w] == [(x.re, x.im) for x in want.witness]
+    norm = sum(x.abs2() for x in w)
+    assert verdict.value == want.value - shift * norm
+    # w^H (H + tol*I) w - tol*|w|^2, exactly
+    shifted = HermitianMatrix([[PhaseScalar.gaussian(g.re + shift * (i == j), g.im)
+                                for j, g in enumerate(row)] for i, row in enumerate(rows)])
+    re_part, im_part = quadratic_form(shifted, w).as_gaussian()
+    assert (re_part - shift * norm, im_part) == (verdict.value, 0)
+
+
+def test_integer_elimination_needs_no_gaussrat_products(monkeypatch):
+    from paper_oracles import build_H_prime
+
+    pd = build_H_prime(Fraction(1, 5), {}, 25, 1, 1)  # d p^2 = 1: PSD, det 0
+
+    def refused(*_):
+        raise AssertionError("GaussRat arithmetic inside the elimination")
+
+    for name in ("__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(GaussRat, name, refused)
+    assert is_psd(pd).is_psd
+    assert determinant_exact(pd) == 0
 
 
 def test_psd_two_by_two_iff(ctx):
