@@ -23,7 +23,9 @@ import numpy as np
 
 from .algebra import AlgebraElement, PhaseContext, numeric_eval
 from .lattice import as_integer, as_vector
-from .scalars import GaussRat, PhaseScalar, _sum_of_products, as_fraction, as_scalar
+from .scalars import ZERO, GaussRat, PhaseScalar, _sum_of_products, as_fraction, as_scalar
+
+_ONE = Fraction(1)  # omega(W_0); Fractions are immutable, so one instance serves every call
 
 
 class StateCandidate:
@@ -53,8 +55,8 @@ class StateCandidate:
 
     def value(self, j: int) -> Fraction:
         if j == 0:
-            return Fraction(1)
-        return self._values.get(j, Fraction(0))
+            return _ONE
+        return self._values.get(j, ZERO)
 
     def declared_orbits(self) -> tuple[int, ...]:
         return tuple(sorted(self._values))
@@ -102,7 +104,7 @@ def eval_generator(state: StateCandidate, m) -> Fraction:
     if len(v) != 2:
         raise ValueError("generator evaluation is defined for genus 1")
     if v == (0, 0):
-        return Fraction(1)
+        return _ONE
     return state.value(_gcd(v[0], v[1]))
 
 

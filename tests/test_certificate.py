@@ -16,6 +16,7 @@ from nctorus.certificate import (
     DiophantineBudgetError,
     _angle_window,
     _family_values,
+    _witness_total,
     average_R,
     build_H_second,
     choose_parameters,
@@ -32,6 +33,7 @@ from nctorus.states import (
     determinant_exact,
     eval_generator,
     evaluate,
+    evaluate_exact,
     gram,
     is_psd,
     quadratic_form,
@@ -410,7 +412,7 @@ def test_verify_ignores_avg_value(ctx, monkeypatch):
         blob["avg_value"] = avg
         report = verify(state, Certificate.from_json(blob), ctx)
         assert report.accepted and report.failed is None
-    assert len(built) == 0  # verify evaluates omega(a* a) by multiplication alone
+    assert len(built) == 0  # verify sums omega(a* a) over the generator pairs alone
 
 
 def test_refute_builds_one_gram(ctx, monkeypatch):
@@ -455,6 +457,79 @@ def test_refute_value_is_verify_value(h):
             direct = evaluate(state, multiply(adjoint(element), element, ctx), ctx)
             assert cert.value == direct.real, (orbit, p, state)
             assert direct.imag == 0.0  # the real exact total rounds to a real float
+            total = _witness_total(state, cert.generators, cert.witness, ctx)
+            dense = build_H_second(state, cert.params, cert.l_star, ctx)
+            assert total == quadratic_form(dense, cert.witness), (orbit, p, state)
+            assert numeric_eval(total, ctx) == direct
+
+
+gaussians = st.builds(GaussRat, st.fractions(-3, 3, max_denominator=12),
+                      st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=12)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_witness_total_is_the_algebra_product(data):
+    # the pair sum on ints is omega(a* a) of the bare algebra product, exactly
+    d = data.draw(st.integers(1, 5), label="d")
+    x = data.draw(st.sampled_from((1, 2, 3)), label="x")
+    h = data.draw(st.sampled_from((Fraction(1), Fraction(5, 7))), label="h")
+    ctx = PhaseContext(h=h, sigma=data.draw(st.sampled_from(GENUS_ONE_FORMS), label="sigma"))
+    n_val = math.factorial(d) * data.draw(st.integers(1, 2**64), label="k")
+    params = CertParams(xi=(x, x), d=d, N=n_val, epsilon=Fraction(1, 10))
+    l = data.draw(st.integers(1, d), label="l")
+    extra = data.draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=3),
+                      label="extra")  # may repeat a generator: the last entry counts
+    gens = list(family_generators(params, l)) + extra
+    gens = data.draw(st.permutations(gens), label="gens")
+    witness = data.draw(st.lists(st.one_of(st.just(GaussRat(0)), gaussians),
+                                 min_size=len(gens), max_size=len(gens)), label="witness")
+    values = {x: data.draw(st.fractions(-2, 2, max_denominator=64), label="p")}
+    for k in data.draw(st.lists(st.integers(1, d + 1), max_size=d), label="ks"):
+        values[k * n_val * x] = data.draw(st.fractions(-1, 1, max_denominator=64), label="q")
+    for j in data.draw(st.lists(st.integers(1, 40), max_size=3), label="decoys"):
+        values.setdefault(j, Fraction(7, 8))
+    state = StateCandidate(values)
+    a = AlgebraElement(2, dict(zip(gens, witness)))
+    expected = evaluate_exact(state, multiply(adjoint(a), a, ctx))
+    total = _witness_total(state, gens, witness, ctx)
+    assert total == expected
+    assert sorted(total.terms()) == sorted(expected.terms())  # Q(i): one canonical form
+
+
+def test_verify_uses_no_product_or_gram(ctx, monkeypatch):
+    # verify sums the pair relations itself: no algebra product, state evaluation or Gram build
+    import nctorus
+    import nctorus.algebra as algebra
+    import nctorus.certificate as certificate
+    import nctorus.states as states
+
+    single = StateCandidate({1: 0.3})
+    n_val = refute(single, ctx).params.N
+    multi = StateCandidate({1: 0.3, n_val: 0.25, 2 * n_val: -0.5})
+    cases = [(state, refute(state, ctx)) for state in (single, multi)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify must not call this")
+
+    for module in (nctorus, algebra, states, certificate):
+        for name in ("multiply", "evaluate", "evaluate_exact", "gram", "quadratic_form"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for state, cert in cases:
+        assert verify(state, cert, ctx).accepted
+        tampered = cert.to_json()
+        tampered["witness"][1] = [1, 0.5]
+        assert verify(state, Certificate.from_json(tampered), ctx).failed == "negativity"
+
+
+def test_verify_needs_genus_one():
+    from nctorus.lattice import standard_form
+
+    state = StateCandidate({1: 0.5})
+    cert = refute(state, PhaseContext())
+    with pytest.raises(ValueError, match="genus 1"):
+        verify(state, cert, PhaseContext(sigma=standard_form(2)))
 
 
 def test_verify_algebra_agreement_clause(ctx):
