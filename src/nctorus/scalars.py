@@ -55,7 +55,13 @@ coprime denominators make wide ints.  algebra.multiply scales each of its
 two elements once and feeds all term pairs of all its coefficient
 products into one set of buckets per support point, so it builds no
 PhaseScalar per pair; _sum_of_products does the same for a sum of scalar
-products.  The matrix counterpart is states._psd_exact and
+products.  states.quadratic_form goes one step further: it scales v once
+and the nonzero entries of H once, leaves every row total of H v
+unreduced, adds conj(v_i) times each row total into one set of buckets,
+and reduces once, so v^dagger H v costs one integer pass and one
+reduction; states.gram, which feeds it, reads each orbit value once and
+builds every one-term entry through the trusted PhaseScalar._of.  The
+matrix counterpart is states._psd_exact and
 states.determinant_exact: they scale a GaussRat matrix once by the lcm of
 its denominators and eliminate on Gaussian integers (Bareiss), so no
 GaussRat is multiplied or divided inside the elimination.
@@ -66,7 +72,11 @@ a bucket reduced at once is not always what reducing parts of it first and
 then their sum gives.  A product's form depends only on the set of pair
 products, never on the order they arrive in.  When every root lies in Q(i)
 (every denominator divides 4) the canonical form is unique, so the form
-does not depend on how the value was built at all.
+does not depend on how the value was built at all.  Elsewhere it may:
+states.quadratic_form reduces only the total, so with roots of order 3,
+say, it can print another form than reducing each row total first would
+give, while the value is the same.  Every total refute() certifies lies in
+Q(i).
 """
 from __future__ import annotations
 

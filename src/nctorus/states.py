@@ -21,9 +21,21 @@ from math import gcd as _gcd, isqrt, lcm
 
 import numpy as np
 
+from . import scalars  # quadratic_form looks _product_into up here, where tests count it
 from .algebra import AlgebraElement, PhaseContext, numeric_eval
 from .lattice import as_integer, as_vector
-from .scalars import ZERO, GaussRat, PhaseScalar, _sum_of_products, as_fraction, as_scalar
+from .scalars import (
+    ROOT_ONE,
+    ZERO,
+    GaussRat,
+    PhaseScalar,
+    _canonical,
+    _coefficient,
+    _integral,
+    _sum_of_products,
+    as_fraction,
+    as_scalar,
+)
 
 _ONE = Fraction(1)  # omega(W_0); Fractions are immutable, so one instance serves every call
 
@@ -128,8 +140,9 @@ def evaluate_exact(state: StateCandidate, a: AlgebraElement) -> PhaseScalar:
 
 class HermitianMatrix:
     """Square n x n matrix, n >= 1, of exact PhaseScalar entries in a tuple of
-    row tuples.  Every entry is read once by scalars.as_scalar, so a number
-    is the Gaussian rational of its decimal value: 0.1 is 1/10.
+    row tuples.  The constructor reads every entry once by scalars.as_scalar,
+    so a number is the Gaussian rational of its decimal value: 0.1 is 1/10.
+    gram() builds its rows through the trusted _of, which re-reads nothing.
     rounded(ctx) gives the numeric rows.  The exact keyword is accepted only
     as True."""
 
@@ -145,6 +158,15 @@ class HermitianMatrix:
             raise ValueError("matrix must be square")
         self.dim = len(data)
         self._rows = data
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[PhaseScalar, ...], ...]) -> "HermitianMatrix":
+        """Trusted constructor: rows must already be a nonempty square tuple of
+        PhaseScalar row tuples, and are kept."""
+        out = object.__new__(cls)
+        out.dim = len(rows)
+        out._rows = rows
+        return out
 
     def entry(self, i: int, j: int) -> PhaseScalar:
         return self._rows[i][j]
@@ -176,8 +198,15 @@ class HermitianMatrix:
 def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
     """Exact Gram matrix H_ij = omega(W_i^* W_j) = zeta^(-sigma(m_i, m_j)) * p(m_j - m_i).
 
-    As in algebra.multiply, m_i^T Sigma is formed once per row, and p is read
-    from the orbit gcd(m_j - m_i); rounded(ctx) gives the numeric rows.
+    Each declared orbit value is read once, as a coefficient (an int when it
+    is integral, the scalars coefficient rule), and orbit 0 carries 1.  As in
+    algebra.multiply, m_i^T Sigma is formed once per row, and the coefficient
+    is looked up at the orbit gcd(m_j - m_i); a gcd above the largest
+    declared orbit is skipped before the lookup, so a wide int is never
+    hashed.  Each nonzero entry is the single term c * zeta^e, which is
+    already canonical: the entries and the rows go through the trusted
+    constructors PhaseScalar._of and HermitianMatrix._of, and nothing is read
+    twice.  rounded(ctx) gives the numeric rows.
     """
     if ctx.genus != 1:
         raise ValueError("Gram matrices are built for genus 1")
@@ -186,6 +215,11 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
         raise ValueError("generators must be lattice points of Z^2")
     if len(set(vecs)) != len(vecs):
         raise ValueError("duplicate generators give a degenerate Gram request")
+    if not vecs:
+        raise ValueError("matrix must have at least one row")
+    coeff = {j: _coefficient(p) for j, p in state.items() if p}
+    coeff[0] = 1
+    top = max(coeff)
     (s00, s01), (s10, s11) = ctx.sigma.matrix
     zero = PhaseScalar.zero()
     rows = []
@@ -193,25 +227,51 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
         r0, r1 = x * s00 + y * s10, x * s01 + y * s11  # m_i^T Sigma
         row = []
         for u, v in vecs:
-            p = state.value(_gcd(u - x, v - y))
-            row.append(PhaseScalar.zeta(-(r0 * u + r1 * v), p) if p else zero)
-        rows.append(row)
-    return HermitianMatrix(rows)
+            q = _gcd(u - x, v - y)
+            c = coeff.get(q) if q <= top else None
+            row.append(PhaseScalar._of({(-(r0 * u + r1 * v), ROOT_ONE): c}) if c else zero)
+        rows.append(tuple(row))
+    return HermitianMatrix._of(tuple(rows))
 
 
 def quadratic_form(H: HermitianMatrix, v) -> PhaseScalar:
     """The exact total v^dagger H v; numeric_eval(total, ctx).real rounds it.
 
-    The vector is read as the matrix is (scalars.as_scalar).  Each row total
-    sum_j H_ij v_j goes into one set of root buckets, reduced once, and the
-    products conj(v_i) times row total i go into another, so every entry is
-    multiplied once.
+    The vector is read as the matrix is (scalars.as_scalar) and scaled to
+    ints once by D_v, the lcm of its coefficient denominators.  Zero entries
+    and zero v_j are skipped before any scaling; each remaining entry is
+    scaled once by D_H, the lcm over all of them.  Row by row, each H_ij v_j
+    goes unreduced into the row's root buckets (scalars._product_into), and
+    conj(v_i) times the unreduced row total into one set of buckets for the
+    total, which _canonical reduces once and divides by D_v^2 D_H.  So every
+    entry is multiplied once, only the total is reduced, and only one row's
+    buckets are held at a time.  Cyclotomic reduction is linear over Q, so
+    the value is that of the double sum.  When every root lies in Q(i), as
+    in every refute() total, the canonical form is unique, so the stored
+    terms are too; with other roots only the printed form may differ from a
+    sum reduced in another order (the scalars module's printed-form rule).
     """
     if len(v) != H.dim:
         raise ValueError(f"dimension mismatch: matrix is {H.dim}x{H.dim}, vector has length {len(v)}")
     vec = list(map(as_scalar, v))
-    rows = [_sum_of_products((c, vj) for c, vj in zip(row, vec) if c and vj) for row in H.rows()]
-    return _sum_of_products((vi.conjugate(), r) for vi, r in zip(vec, rows) if vi and r)
+    dv, vs = _integral([x._terms for x in vec])
+    support = [(j, vj) for j, vj in enumerate(vs) if vj]
+    rows = [[(terms, vj) for j, vj in support if (terms := row[j]._terms)] for row in H.rows()]
+    dens = {c.denominator for row in rows for terms, _ in row for c in terms.values()
+            if type(c) is not int}
+    dh = lcm(*dens)
+    total: dict = {}
+    for vi, row in zip(vs, rows):
+        raw: dict = {}
+        for terms, vj in row:
+            if dens:  # every coefficient an int, as scalars._integral scales them
+                terms = {key: c.numerator * (dh // c.denominator) for key, c in terms.items()}
+            scalars._product_into(raw, terms, vj)
+        if vi and raw:
+            conj = {(-k, (n - a, n) if a else ROOT_ONE): c for (k, (a, n)), c in vi.items()}
+            row_total = {(k, r): c for k, bucket in raw.items() for r, c in bucket.items() if c}
+            scalars._product_into(total, conj, row_total)
+    return PhaseScalar._of(_canonical(total, dv * dv * dh))
 
 
 # ---------------------------------------------------------------------------

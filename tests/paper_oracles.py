@@ -15,7 +15,8 @@ term for term: reduce_roots, scalar sums and products that canonicalize
 every zeta degree again through the public PhaseScalar constructor,
 multiply_by_pairing with one zeta product per term pair,
 multiply_reduced_once, which sums every scalar term pair of a support point
-before one reduction, psd_exact_full_square, which updates the whole
+before one reduction, quadratic_form_per_row, which reduces every row total
+of H v before the total, psd_exact_full_square, which updates the whole
 residual matrix, and psd_exact_fractions and determinant_fractions, the
 Fraction eliminations that the integer kernels of states.is_psd and
 states.determinant_exact replace.
@@ -28,7 +29,8 @@ import numpy as np
 
 from nctorus.algebra import AlgebraElement
 from nctorus.lattice import as_matrix, mat_vec, pairing
-from nctorus.scalars import GaussRat, PhaseScalar, as_fraction, cyclotomic
+from nctorus.scalars import (GaussRat, PhaseScalar, _sum_of_products, as_fraction, as_scalar,
+                             cyclotomic)
 from nctorus.states import HermitianMatrix, PsdVerdict, _exact_witness
 
 
@@ -189,6 +191,14 @@ def multiply_reduced_once(a: AlgebraElement, b: AlgebraElement, ctx) -> AlgebraE
                     key = (k1 + k2 + shift, (r1 + r2) % 1)
                     point[key] = point.get(key, ZERO) + c1 * c2
     return AlgebraElement(ctx.dimension, {m: PhaseScalar(t) for m, t in raw.items()})
+
+
+def quadratic_form_per_row(H: HermitianMatrix, v) -> PhaseScalar:
+    """v^dagger H v with each row total sum_j H_ij v_j reduced on its own,
+    then conj(v_i) times each reduced row total summed and reduced again."""
+    vec = list(map(as_scalar, v))
+    rows = [_sum_of_products((c, vj) for c, vj in zip(row, vec) if c and vj) for row in H.rows()]
+    return _sum_of_products((vi.conjugate(), r) for vi, r in zip(vec, rows) if vi and r)
 
 
 def psd_exact_full_square(entries: list) -> PsdVerdict:

@@ -10,8 +10,8 @@ from nctorus.algebra import AlgebraElement, PhaseContext, multiply, scalar_eleme
 from nctorus.scalars import GaussRat, PhaseScalar, _reduce_roots, as_fraction, as_scalar, cyclotomic
 from nctorus.states import HermitianMatrix, quadratic_form
 from conftest import ROOT_DENOMINATORS
-from paper_oracles import (multiply_reduced_once, reduce_roots, scalar_add, scalar_conjugate,
-                           scalar_mul, scalar_neg)
+from paper_oracles import (multiply_reduced_once, quadratic_form_per_row, reduce_roots, scalar_add,
+                           scalar_conjugate, scalar_mul, scalar_neg)
 
 
 def test_cyclotomic_first_few():
@@ -302,18 +302,33 @@ def test_common_denominator_scalar_product_matches_fractions(x, y):
     assert repr(got) == repr(want)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(big_scalars(gaussian_roots), min_size=n, max_size=n), min_size=n, max_size=n),
-    st.lists(big_scalars(gaussian_roots), min_size=n, max_size=n))))
+other_roots = st.builds(Fraction, st.integers(0, 11), st.sampled_from([3, 5, 8, 12]))
+
+
+def quadratic_form_case(roots):
+    entries = st.one_of(big_scalars(roots), st.just(PhaseScalar.zero()))
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(roots is gaussian_roots),
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(entries, min_size=n, max_size=n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(quadratic_form_case(gaussian_roots), quadratic_form_case(other_roots)))
 def test_common_denominator_quadratic_form_matches_double_sum(case):
-    # roots in Q(i): the canonical form is unique, so the direct double sum
-    # must give the same terms whatever order it reduces in
-    rows, v = case
+    # roots in Q(i): the canonical form is unique, so the direct double sum and
+    # the per-row reference must give the same terms whatever order they reduce
+    # in; with roots of order 3, 5, 8 or 12 only the values must agree
+    in_gaussian, rows, v = case
     direct = PhaseScalar.zero()
     for i, row in enumerate(rows):
         for j, h in enumerate(row):
             direct = scalar_add(direct, scalar_mul(scalar_mul(scalar_conjugate(v[i]), h), v[j]))
-    got = quadratic_form(HermitianMatrix(rows), v)
-    assert stored(got) == stored(direct)
-    assert repr(got) == repr(direct)
+    h = HermitianMatrix(rows)
+    got, per_row = quadratic_form(h, v), quadratic_form_per_row(h, v)
+    if in_gaussian:
+        assert stored(got) == stored(direct) == stored(per_row)
+        assert repr(got) == repr(direct) == repr(per_row)
+    else:
+        stored(got)  # the coefficient rule holds whatever the roots
+        assert got == direct and got == per_row

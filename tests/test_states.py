@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as hs
 
 from nctorus.algebra import AlgebraElement, PhaseContext, adjoint, multiply, numeric_eval, weyl
 from nctorus.certificate import refute
+from nctorus.lattice import SkewForm, pairing
 from nctorus.scalars import GaussRat, PhaseScalar
 from nctorus.states import (
     HermitianMatrix,
@@ -147,6 +149,33 @@ def test_gram_examples(ctx):
         gram(tau, [(0, 0), (0, 0)], ctx)
 
 
+def test_gram_reads_each_orbit_value_once(monkeypatch):
+    # a phased form and every kind of orbit: 0, declared, explicitly zero, integral,
+    # undeclared below and above the largest declared orbit
+    ctx = PhaseContext(h=Fraction(5, 7), sigma=SkewForm(((0, 3), (-3, 0))))
+    state = StateCandidate({1: Fraction(1, 3), 2: 0, 3: 2, 5: -1, 6: 0.25})
+    gens = [(0, 0), (1, 0), (0, 1), (2, 1), (1, 3), (3, 3), (4, 0), (5, 5), (6, 0), (14, 7)]
+    orbit = {(i, j): gcd(n[0] - m[0], n[1] - m[1])
+             for i, m in enumerate(gens) for j, n in enumerate(gens)}
+    assert {0, 1, 2, 3, 4, 5, 6} <= set(orbit.values()) and max(orbit.values()) > 6
+    want = [[PhaseScalar.zeta(-pairing(ctx.sigma, m, n), state.value(orbit[i, j]))
+             for j, n in enumerate(gens)] for i, m in enumerate(gens)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gram re-read an orbit value or rebuilt an entry")
+
+    monkeypatch.setattr(StateCandidate, "value", refuse)
+    monkeypatch.setattr(PhaseScalar, "zeta", staticmethod(refuse))
+    h = gram(state, gens, ctx)
+    assert h.dim == len(gens)
+    for (i, j), q in orbit.items():
+        got = h.entry(i, j)
+        assert sorted(got._terms.items()) == sorted(want[i][j]._terms.items()), (i, j)
+        types = {0: [int], 1: [Fraction], 3: [int], 5: [int], 6: [Fraction]}.get(q, [])
+        assert [type(c) for c in got._terms.values()] == types, (i, j, got)
+    assert any(k for i, j in orbit for k, _ in h.entry(i, j)._terms)  # phased entries
+
+
 def test_gram_hermitian_exact(ctx):
     rng = random.Random(11)
     state = StateCandidate({1: 0.5, 2: 0.25, 3: -0.125})
@@ -216,6 +245,11 @@ def test_quadratic_form_examples():
     assert isinstance(q, PhaseScalar) and q.as_gaussian() == (-2, 0)
     assert all(type(x) is Fraction for x in q.as_gaussian())
     assert numeric_eval(quadratic_form(h, [1, 1j]), None) == 2
+    # a sum stores 1/2 + 1/2 as an integral Fraction; the product stores 9 as an int
+    one = PhaseScalar.rational(Fraction(1, 2)) + Fraction(1, 2)
+    assert [type(c) for c in one._terms.values()] == [Fraction]
+    q = quadratic_form(HermitianMatrix([[one]]), [3])
+    assert q == 9 and [type(c) for c in q._terms.values()] == [int]
     with pytest.raises(ValueError):
         quadratic_form(h, [1, 0, 0])
 
