@@ -10,10 +10,7 @@ the trace.
 from .algebra import (
     AlgebraElement,
     PhaseContext,
-    act,
     adjoint,
-    cocycle_check,
-    identity_element,
     multiply,
     numeric_eval,
     scalar_element,
@@ -38,10 +35,7 @@ from .lattice import (
     SIGMA2,
     NormalForm,
     SkewForm,
-    diag_rep,
     extended_gcd,
-    int_det,
-    is_symplectic,
     orbit_rep,
     pairing,
     standard_form,
@@ -61,7 +55,6 @@ from .states import (
     gram,
     is_psd,
     quadratic_form,
-    trace_state,
 )
 
 __version__ = "0.1.0"

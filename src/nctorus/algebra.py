@@ -17,7 +17,7 @@ from operator import add, mul
 from typing import Iterator, Mapping
 
 from . import circle
-from .lattice import SIGMA2, SkewForm, Vec, as_matrix, as_vector, is_symplectic, mat_vec, pairing
+from .lattice import SIGMA2, SkewForm, Vec, as_vector
 from .scalars import (PhaseScalar, _canonical, _integral, _operand, _product_into, as_fraction,
                       as_scalar)
 
@@ -141,10 +141,6 @@ def weyl(m) -> AlgebraElement:
     return AlgebraElement(len(v), {v: PhaseScalar.one()})
 
 
-def identity_element(dim: int = 2) -> AlgebraElement:
-    return weyl((0,) * dim)
-
-
 def scalar_element(coeff, dim: int = 2) -> AlgebraElement:
     return AlgebraElement(dim, {(0,) * dim: coeff})
 
@@ -181,23 +177,6 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     """The involution: coefficients conjugated, supports negated."""
     return AlgebraElement._of(a.dimension,
                               {tuple(-x for x in m): c.conjugate() for m, c in a.items()})
-
-
-def act(theta, a: AlgebraElement, ctx: PhaseContext) -> AlgebraElement:
-    """The automorphism relabelling W_m -> W_(Theta m)."""
-    t = as_matrix(theta)
-    if not is_symplectic(t, ctx.sigma):
-        raise ValueError("matrix is not symplectic for the context form")
-    return AlgebraElement(a.dimension, {mat_vec(t, m): c for m, c in a.items()})
-
-
-def cocycle_check(m, n, g, ctx: PhaseContext) -> bool:
-    """The additive 2-cocycle identity of the pairing exponents."""
-    sig = ctx.sigma
-    mv, nv, gv = as_vector(m), as_vector(n), as_vector(g)
-    mn = tuple(x + y for x, y in zip(mv, nv))
-    ng = tuple(x + y for x, y in zip(nv, gv))
-    return pairing(sig, mv, nv) + pairing(sig, mn, gv) == pairing(sig, mv, ng) + pairing(sig, nv, gv)
 
 
 def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:

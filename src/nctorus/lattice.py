@@ -45,46 +45,10 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def mat_vec(m: Mat, v: Vec) -> Vec:
     if len(m) != len(v):
         raise ValueError(f"dimension mismatch: {len(m)}x{len(m)} matrix, length-{len(v)} vector")
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
-
-
-def int_det(m: Mat) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    a = [list(row) for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +80,6 @@ class SkewForm:
     def genus(self) -> int:
         return len(self.matrix) // 2
 
-    def is_degenerate(self) -> bool:
-        return int_det(self.matrix) == 0
-
 
 SIGMA2 = SkewForm(((0, 1), (-1, 0)))
 
@@ -144,15 +105,6 @@ def pairing(form: SkewForm, m, n) -> int:
     return sum(mv[i] * sig[i][j] * nv[j] for i in range(d) for j in range(d))
 
 
-def is_symplectic(theta, form: SkewForm) -> bool:
-    """True iff Theta^T * Sigma * Theta = Sigma."""
-    t = as_matrix(theta)
-    if len(t) != form.dimension:
-        raise ValueError(f"dimension mismatch: {len(t)}x{len(t)} matrix against "
-                         f"{form.dimension}-dimensional form")
-    return mat_mul(mat_mul(transpose(t), form.matrix), t) == form.matrix
-
-
 # ---------------------------------------------------------------------------
 # normal form
 # ---------------------------------------------------------------------------
@@ -172,10 +124,10 @@ def symplectic_normal_form(form: SkewForm) -> NormalForm:
     value as pivot, Euclid-reduce its row pair, and force the pivot to
     divide the trailing block before splitting it off.  The accumulated
     column operations give |det U| = 1, and divisibility of each block by
-    the previous pivot yields the divisor chain.
+    the previous pivot yields the divisor chain.  Congruence by a unimodular
+    matrix keeps the rank, so a degenerate form (det = 0) is exactly one
+    that reaches a zero trailing block, and it raises ValueError there.
     """
-    if form.is_degenerate():
-        raise ValueError("degenerate form (det = 0) has no symplectic normal form")
     n = form.dimension
     a = [list(row) for row in form.matrix]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -218,7 +170,7 @@ def symplectic_normal_form(form: SkewForm) -> NormalForm:
                     if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
                         pivot = (i, j)
             if pivot is None:
-                raise ValueError("form degenerated during reduction")  # unreachable for det != 0
+                raise ValueError("degenerate form (det = 0) has no symplectic normal form")
             i0, j0 = pivot
             if i0 != s:
                 swap(s, i0)
@@ -291,17 +243,6 @@ def orbit_rep(n) -> tuple[Vec, Mat]:
     _, x, y = extended_gcd(e1, e2)
     theta = ((e2, -e1), (x, y))
     return (0, g), theta
-
-
-def diag_rep(n) -> tuple[Vec, Mat]:
-    """Orbit point of the form (j, j) with the witness of orbit_rep composed
-    with the shear [[1, 1], [0, 1]]."""
-    rep, theta = orbit_rep(n)
-    if rep == (0, 0):
-        return (0, 0), identity(2)
-    shear = ((1, 1), (0, 1))
-    j = rep[1]
-    return (j, j), mat_mul(shear, theta)
 
 
 def theta_j(m: int, n: int, j: int) -> Mat:

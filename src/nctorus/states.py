@@ -1,5 +1,6 @@
-"""States on the algebra: the trace, orbit-parameterized invariant-state
-candidates, Gram matrices of a |-> omega(a* a), and positivity tests.
+"""States on the algebra: orbit-parameterized invariant-state candidates
+(the trace is StateCandidate({}), with no declared orbit), Gram matrices
+of a |-> omega(a* a), and positivity tests.
 
 An invariant-state candidate is determined by real values p_j on the orbit
 representatives (0, j); the identity carries p_0 = 1 and unlisted orbits
@@ -105,11 +106,6 @@ def _json_rational(p: Fraction):
     return f if as_fraction(f) == p else str(p)
 
 
-def trace_state() -> StateCandidate:
-    """The trace: 1 on the identity, 0 on every other generator."""
-    return StateCandidate({})
-
-
 def eval_generator(state: StateCandidate, m) -> Fraction:
     """omega(W_m) = p_gcd(m); constant on SL(2, Z) orbits by construction."""
     v = as_vector(m)
@@ -182,11 +178,6 @@ class HermitianMatrix:
     def to_numpy(self, ctx: PhaseContext | None = None) -> np.ndarray:
         return np.array(self.rounded(ctx), dtype=complex)
 
-    def is_hermitian(self) -> bool:
-        """H = H^dagger, exactly."""
-        r, n = self._rows, self.dim
-        return all(r[i][j] == r[j][i].conjugate() for i in range(n) for j in range(i, n))
-
     def gaussian_entries(self) -> list[list[GaussRat]] | None:
         """Entries as Gaussian rationals, or None if any entry is not one."""
         parts = [[c.as_gaussian() for c in row] for row in self._rows]
@@ -238,14 +229,14 @@ def quadratic_form(H: HermitianMatrix, v) -> PhaseScalar:
     """The exact total v^dagger H v; numeric_eval(total, ctx).real rounds it.
 
     The vector is read as the matrix is (scalars.as_scalar) and scaled to
-    ints once by D_v, the lcm of its coefficient denominators.  Zero entries
-    and zero v_j are skipped before any scaling; each remaining entry is
-    scaled once by D_H, the lcm over all of them.  Row by row, each H_ij v_j
-    goes unreduced into the row's root buckets (scalars._product_into), and
-    conj(v_i) times the unreduced row total into one set of buckets for the
-    total, which _canonical reduces once and divides by D_v^2 D_H.  So every
-    entry is multiplied once, only the total is reduced, and only one row's
-    buckets are held at a time.  Cyclotomic reduction is linear over Q, so
+    ints once by D_v, the lcm of its coefficient denominators.  Zero entries,
+    and the rows and columns of zero v entries, are skipped before any
+    scaling; each remaining entry is scaled once by D_H, the lcm over all of
+    them.  Row by row, each H_ij v_j goes unreduced into the row's root
+    buckets (scalars._product_into), and conj(v_i) times the unreduced row
+    total into one set of buckets for the total, which _canonical reduces
+    once and divides by D_v^2 D_H.  So every entry is multiplied once, only
+    the total is reduced, and only one row's buckets are held at a time.  Cyclotomic reduction is linear over Q, so
     the value is that of the double sum.  When every root lies in Q(i), as
     in every refute() total, the canonical form is unique, so the stored
     terms are too; with other roots only the printed form may differ from a
@@ -256,18 +247,19 @@ def quadratic_form(H: HermitianMatrix, v) -> PhaseScalar:
     vec = list(map(as_scalar, v))
     dv, vs = _integral([x._terms for x in vec])
     support = [(j, vj) for j, vj in enumerate(vs) if vj]
-    rows = [[(terms, vj) for j, vj in support if (terms := row[j]._terms)] for row in H.rows()]
-    dens = {c.denominator for row in rows for terms, _ in row for c in terms.values()
+    rows = [(vi, [(terms, vj) for j, vj in support if (terms := row[j]._terms)])
+            for vi, row in zip(vs, H.rows()) if vi]
+    dens = {c.denominator for _, row in rows for terms, _ in row for c in terms.values()
             if type(c) is not int}
     dh = lcm(*dens)
     total: dict = {}
-    for vi, row in zip(vs, rows):
+    for vi, row in rows:
         raw: dict = {}
         for terms, vj in row:
             if dens:  # every coefficient an int, as scalars._integral scales them
                 terms = {key: c.numerator * (dh // c.denominator) for key, c in terms.items()}
             scalars._product_into(raw, terms, vj)
-        if vi and raw:
+        if raw:
             conj = {(-k, (n - a, n) if a else ROOT_ONE): c for (k, (a, n)), c in vi.items()}
             row_total = {(k, r): c for k, bucket in raw.items() for r, c in bucket.items() if c}
             scalars._product_into(total, conj, row_total)

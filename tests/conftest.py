@@ -6,8 +6,9 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from nctorus import AlgebraElement, PhaseContext
-from nctorus.lattice import identity, mat_mul
+from nctorus.lattice import identity
 from nctorus.scalars import PhaseScalar
+from paper_oracles import mat_mul
 
 # CI runs with HYPOTHESIS_PROFILE=ci: examples derandomized, and any failure
 # printed with the blob that replays it locally (@reproduce_failure)

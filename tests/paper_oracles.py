@@ -2,12 +2,18 @@
 
 build_H_prime and det_P are the idealized restriction matrix H'_l and the
 closed-form determinant of P_d; scan_hit is the brute-force linear scan
-that the minimal-hit solver circle.first_hit must agree with; relabel is
-the bare support relabelling that the automorphism criterion tests
-against.  These are exact; numeric comparisons go through
-HermitianMatrix.to_numpy().  min_eigenvalue is the one floating-point
-reference that the exact positivity decision of states.is_psd is checked
-against; the library itself uses no eigendecomposition.
+that the minimal-hit solver circle.first_hit must agree with.  relabel is
+the support relabelling W_m -> W_(Theta m), which the automorphism
+criterion checks against algebra.multiply; is_symplectic (Theta^T Sigma
+Theta = Sigma), built on mat_mul and transpose, says for which Theta it
+must be multiplicative, and cocycle is the 2-cocycle identity of
+lattice.pairing.  int_det is the integer determinant that decides which
+forms lattice.symplectic_normal_form must reject as degenerate, and
+is_hermitian checks H = H^dagger exactly.  These are exact; numeric
+comparisons go through HermitianMatrix.to_numpy().  min_eigenvalue is the
+one floating-point reference that the exact positivity decision of
+states.is_psd is checked against; the library itself uses no
+eigendecomposition.
 
 The second half keeps the exact kernel in its plain form, which the fast
 paths of scalars, algebra.multiply and states._psd_exact must reproduce
@@ -28,7 +34,7 @@ from math import lcm
 import numpy as np
 
 from nctorus.algebra import AlgebraElement
-from nctorus.lattice import as_matrix, mat_vec, pairing
+from nctorus.lattice import SkewForm, as_matrix, mat_vec, pairing
 from nctorus.scalars import (GaussRat, PhaseScalar, _sum_of_products, as_fraction, as_scalar,
                              cyclotomic)
 from nctorus.states import HermitianMatrix, PsdVerdict, _exact_witness
@@ -86,13 +92,69 @@ def scan_hit(a: int, m: int, t: int, w: int, limit: int) -> int | None:
 
 
 def relabel(theta, a: AlgebraElement) -> AlgebraElement:
-    """The raw support relabelling W_m -> W_(Theta m), no contract attached.
+    """The support relabelling W_m -> W_(Theta m), no contract attached.
 
-    This is multiplicative exactly when theta preserves the form; act()
-    certifies that and is what code outside these tests uses.
+    This is multiplicative exactly when theta preserves the form
+    (is_symplectic); the library has no action, because the pipeline only
+    needs the orbit representatives of lattice.orbit_rep.
     """
     t = as_matrix(theta)
     return AlgebraElement(a.dimension, {mat_vec(t, m): c for m, c in a.items()})
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def transpose(m):
+    return tuple(zip(*m))
+
+
+def is_symplectic(theta, form: SkewForm) -> bool:
+    """True iff Theta^T * Sigma * Theta = Sigma."""
+    t = as_matrix(theta)
+    return mat_mul(mat_mul(transpose(t), form.matrix), t) == form.matrix
+
+
+def cocycle(form: SkewForm, m, n, g) -> bool:
+    """The additive 2-cocycle identity of the pairing exponents:
+    sigma(m, n) + sigma(m + n, g) = sigma(m, n + g) + sigma(n, g)."""
+    mn = tuple(x + y for x, y in zip(m, n))
+    ng = tuple(x + y for x, y in zip(n, g))
+    return (pairing(form, m, n) + pairing(form, mn, g)
+            == pairing(form, m, ng) + pairing(form, n, g))
+
+
+def int_det(m) -> int:
+    """Exact integer determinant (Bareiss fraction-free elimination)."""
+    a = [list(row) for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def is_hermitian(h: HermitianMatrix) -> bool:
+    """H = H^dagger, exactly."""
+    r, n = h.rows(), h.dim
+    return all(r[i][j] == r[j][i].conjugate() for i in range(n) for j in range(i, n))
 
 
 # ---------------------------------------------------------------------------
