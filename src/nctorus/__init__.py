@@ -38,7 +38,6 @@ from .lattice import (
     extended_gcd,
     orbit_rep,
     pairing,
-    standard_form,
     symplectic_normal_form,
     theta_j,
 )

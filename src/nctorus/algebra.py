@@ -18,8 +18,7 @@ from typing import Iterator, Mapping
 
 from . import circle
 from .lattice import SIGMA2, SkewForm, Vec, as_vector
-from .scalars import (PhaseScalar, _canonical, _integral, _operand, _product_into, as_fraction,
-                      as_scalar)
+from .scalars import PhaseScalar, _operand, _product_kernel, as_fraction, as_scalar
 
 
 @dataclass(frozen=True)
@@ -149,27 +148,29 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: PhaseContext) -> Algebra
     """Bilinear extension of W_n W_m = zeta^sigma(n, m) W_(n+m).
 
     Every term pair of every coefficient pair goes, unreduced, into the
-    root buckets of its support point n + m, shifted by zeta^(n^T Sigma m);
-    each (support point, zeta degree) bucket is then reduced once.  No
-    PhaseScalar is built per pair, and the result's canonical form depends
-    only on the set of pair products (scalars module docstring).
+    buckets of its support point n + m, shifted by zeta^(n^T Sigma m); each
+    (support point, zeta degree) bucket is then finished once.  When every
+    root of both elements is 1 or i, a bucket is one Gaussian-int pair
+    [re, im] and needs no reduction; otherwise it holds roots that
+    _canonical reduces.  No PhaseScalar is built per pair, and the result's
+    canonical form depends only on the set of pair products (scalars module
+    docstring).
     """
     d = ctx.dimension
     if a.dimension != d or b.dimension != d:
         raise ValueError(f"dimension mismatch: elements of dimension {a.dimension}, "
                          f"{b.dimension} in a {d}-dimensional context")
     sig = ctx.sigma.matrix
-    da, left = _integral([c._terms for c in a._terms.values()])
-    db, right_terms = _integral([c._terms for c in b._terms.values()])
+    den, left, right_terms, into, finish = _product_kernel(
+        [c._terms for c in a._terms.values()], [c._terms for c in b._terms.values()])
     right = list(zip(b._terms, right_terms))
     raw: dict[Vec, dict] = defaultdict(dict)  # a point's buckets are made when it first occurs
     for n, cn in zip(a._terms, left):
         row = [sum(n[i] * sig[i][j] for i in range(d)) for j in range(d)]  # n^T Sigma
         for m, cm in right:
             key = tuple(map(add, n, m))
-            _product_into(raw[key], cn, cm, sum(map(mul, row, m)))
-    den = da * db
-    return AlgebraElement._of(d, {key: PhaseScalar._of(_canonical(buckets, den))
+            into(raw[key], cn, cm, sum(map(mul, row, m)))
+    return AlgebraElement._of(d, {key: PhaseScalar._of(finish(buckets, den))
                                   for key, buckets in raw.items()})
 
 

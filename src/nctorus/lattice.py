@@ -84,16 +84,6 @@ class SkewForm:
 SIGMA2 = SkewForm(((0, 1), (-1, 0)))
 
 
-def standard_form(g: int) -> SkewForm:
-    """The direct sum of g copies of the canonical genus-1 form."""
-    n = 2 * g
-    rows = [[0] * n for _ in range(n)]
-    for b in range(g):
-        rows[2 * b][2 * b + 1] = 1
-        rows[2 * b + 1][2 * b] = -1
-    return SkewForm(tuple(tuple(r) for r in rows))
-
-
 def pairing(form: SkewForm, m, n) -> int:
     """sigma(m, n) = m^T * Sigma * n; antisymmetric and bilinear."""
     mv, nv = as_vector(m), as_vector(n)

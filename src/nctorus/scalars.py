@@ -40,28 +40,42 @@ one operand of a sum has is copied unreduced, a bucket whose only root is 0
 is already canonical, and multiplying by zeta^k only relabels degrees.
 
 Products.  A product runs on integer numerators over common denominators,
-the representation of FLINT's fmpq_poly.  _integral scales each operand
-once by D, the lcm of its coefficient denominators (D = 1 and no copy when
-every coefficient is already an int); _product_into adds the int pair
-products of two term dicts, unreduced, into root buckets keyed by zeta
-degree; and _canonical reduces each bucket once, after every pair is in,
-and divides each reduced coefficient once by D_left * D_right: an exact
-quotient is an int, any other one a Fraction.  Cyclotomic reduction is
-linear over Q, so reducing D * bucket and dividing by D gives the very
-terms that reducing the Fraction bucket gives.  A gcd is paid once per
-result term, not once per pair.  The cost moves into the width of the
-ints: every numerator carries the bits of D, so operands with many
-coprime denominators make wide ints.  algebra.multiply scales each of its
-two elements once and feeds all term pairs of all its coefficient
-products into one set of buckets per support point, so it builds no
-PhaseScalar per pair; _sum_of_products does the same for a sum of scalar
-products.  states.quadratic_form goes one step further: it scales v once
-and the nonzero entries of H once, leaves every row total of H v
-unreduced, adds conj(v_i) times each row total into one set of buckets,
-and reduces once, so v^dagger H v costs one integer pass and one
-reduction; states.gram, which feeds it, reads each orbit value once and
-builds every one-term entry through the trusted PhaseScalar._of.  The
-matrix counterpart is states._psd_exact and
+the representation of FLINT's fmpq_poly.  Each operand is scaled once by
+D, the lcm of its coefficient denominators, and each result coefficient is
+divided once by D_left * D_right: an exact quotient is an int, any other
+one a Fraction.  A gcd is paid once per result term, not once per pair.
+The cost moves into the width of the ints: every numerator carries the
+bits of D, so operands with many coprime denominators make wide ints.
+
+When every root of both operands is 1 or i, which holds for every
+Gaussian rational times zeta^k (grammar literals, CLI eval input and
+their products), the product runs on Gaussian ints: _gaussian
+scales the operands and groups each scalar's terms by zeta degree into
+one (re, im) int pair, _gaussian_into adds every (x + iy)(u + iv) into one
+[re, im] bucket per degree, and _gaussian_terms divides each bucket once
+into the terms re/D at the root 1 and im/D at i.  Q(i) has a unique
+canonical form, so no bucket needs a reduction and no root key is added.
+Any other root takes the general path: _integral scales each operand (D =
+1 and no copy when every coefficient is already an int), _product_into
+adds the int pair products, unreduced, into root buckets keyed by zeta
+degree, and _canonical reduces each bucket once, after every pair is in,
+then divides.  Cyclotomic reduction is linear over Q, so reducing D *
+bucket and dividing by D gives the very terms that reducing the Fraction
+bucket gives.  The two paths give the same terms on Q(i) operands; the
+operands alone decide which one runs.  conjugate maps a Q(i) scalar
+term by term as well (c*i*zeta^k goes to -c*i*zeta^(-k)).
+
+algebra.multiply scales each of its two elements once and feeds all term
+pairs of all its coefficient products into one set of buckets per
+support point, so it builds no PhaseScalar per pair; _sum_of_products
+does the same for a sum of scalar products, and PhaseScalar.__mul__ is
+its one-pair case.  states.quadratic_form goes one step further, on
+root buckets whatever its roots: it scales v once and the nonzero entries
+of H once, leaves every row total of H v unreduced, adds conj(v_i) times
+each row total into one set of buckets, and reduces once, so v^dagger H v
+costs one integer pass and one reduction; states.gram, which feeds it,
+reads each orbit value once and builds every one-term entry through the
+trusted PhaseScalar._of.  The matrix counterpart is states._psd_exact and
 states.determinant_exact: they scale a GaussRat matrix once by the lcm of
 its denominators and eliminate on Gaussian integers (Bareiss), so no
 GaussRat is multiplied or divided inside the elimination.
@@ -226,16 +240,21 @@ def _reduce_roots(parts: dict[Root, Coeff]) -> dict[Root, Coeff]:
     return out
 
 
+def _over(c: int, den: int) -> Coeff:
+    """c / den, an int when den divides c (the coefficient rule)."""
+    if den == 1:
+        return c
+    q, rem = divmod(c, den)
+    return Fraction(c, den) if rem else q
+
+
 def _canonical(raw: dict[int, dict[Root, Coeff]], den: int = 1) -> dict[tuple[int, Root], Coeff]:
     """Flat canonical terms from root buckets keyed by zeta degree, each
     reduced coefficient divided by den (an int when den divides it)."""
     out: dict[tuple[int, Root], Coeff] = {}
     for k, bucket in raw.items():
         for r, c in _reduce_roots(bucket).items():
-            if den != 1:
-                q, rem = divmod(c, den)
-                c = Fraction(c, den) if rem else q
-            out[k, r] = c
+            out[k, r] = _over(c, den)
     return out
 
 
@@ -288,20 +307,96 @@ def _product_into(raw: dict[int, dict[Root, Coeff]], left: Mapping, right: Mappi
     return raw
 
 
-def _sum_of_products(pairs: Iterable[tuple["PhaseScalar", "PhaseScalar"]]) -> "PhaseScalar":
-    """sum x*y over the pairs, all in one set of root buckets, each reduced once.
+Gaussian = list[tuple[int, int, int]]  # (k, re, im): (re + i*im) * zeta^k, one per degree
+_GAUSSIAN_ROOTS = frozenset((ROOT_ONE, ROOT_I))
 
-    The left and the right operands are scaled to ints by their own common
-    denominators, so every pair product is int * int; each reduced
-    coefficient is divided once by the product of the two denominators.
+
+def _gaussian(term_dicts: list[Mapping]) -> tuple[int, list[Gaussian]] | None:
+    """(D, dicts times D as Gaussian ints) when every root is 1 or i, else None.
+
+    D is the lcm of every coefficient denominator.  Each scaled dict becomes
+    one (k, re, im) int triple per zeta degree k: its coefficient there is
+    re + i*im.
     """
+    den = 1
+    for terms in term_dicts:
+        for (_, r), c in terms.items():
+            if r not in _GAUSSIAN_ROOTS:
+                return None
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+    out = []
+    for terms in term_dicts:
+        degrees: dict[int, list[int]] = {}
+        for (k, (a, _)), c in terms.items():
+            c = c * den if type(c) is int else c.numerator * (den // c.denominator)
+            pair = degrees.get(k)
+            if pair is None:
+                degrees[k] = pair = [0, 0]
+            pair[a] = c  # a is 0 for the root 1 and 1 for i
+        out.append([(k, re, im) for k, (re, im) in degrees.items()])
+    return den, out
+
+
+def _gaussian_into(acc: dict[int, list[int]], left: Gaussian, right: Gaussian,
+                   shift: int = 0) -> None:
+    """Add zeta^shift times the product of two Gaussian-int scalars into the
+    [re, im] buckets of acc, one per zeta degree.  Nothing is divided here:
+    the caller runs _gaussian_terms once all products are in."""
+    for k1, x, y in left:
+        k1 += shift
+        for k2, u, v in right:
+            re, im = x * u - y * v, x * v + y * u
+            pair = acc.get(k1 + k2)
+            if pair is None:
+                acc[k1 + k2] = [re, im]
+            else:
+                pair[0] += re
+                pair[1] += im
+
+
+def _gaussian_terms(acc: dict[int, list[int]], den: int) -> dict[tuple[int, Root], Coeff]:
+    """The canonical terms of sum_k (re + i*im) / den * zeta^k: Q(i) has a
+    unique canonical form, so no bucket needs a reduction."""
+    out: dict[tuple[int, Root], Coeff] = {}
+    for k, (re, im) in acc.items():
+        if re:
+            out[k, ROOT_ONE] = _over(re, den)
+        if im:
+            out[k, ROOT_I] = _over(im, den)
+    return out
+
+
+def _product_kernel(left: list[Mapping], right: list[Mapping]):
+    """(den, left, right, into, finish) for products of left dicts by right dicts.
+
+    Each side is scaled once by its common denominator, and den is the
+    product of the two.  When every root of both sides is 1 or i, the sides
+    come as _gaussian's triples, into is _gaussian_into and finish is
+    _gaussian_terms; otherwise they come as _integral's dicts, into is
+    _product_into and finish is _canonical.  into(buckets, x, y, shift) adds
+    zeta^shift * x * y into one point's buckets, and finish(buckets, den)
+    gives that point's canonical terms.
+    """
+    gl = _gaussian(left)
+    gr = gl and _gaussian(right)
+    if gr:
+        return gl[0] * gr[0], gl[1], gr[1], _gaussian_into, _gaussian_terms
+    (dl, left), (dr, right) = _integral(left), _integral(right)
+    return dl * dr, left, right, _product_into, _canonical
+
+
+def _sum_of_products(pairs: Iterable[tuple["PhaseScalar", "PhaseScalar"]]) -> "PhaseScalar":
+    """sum x*y over the pairs, all in one set of buckets, each finished once
+    (_product_kernel): the left and the right operands are scaled to ints by
+    their own common denominators, so every pair product is int * int."""
     pairs = list(pairs)
-    dl, left = _integral([x._terms for x, _ in pairs])
-    dr, right = _integral([y._terms for _, y in pairs])
-    raw: dict[int, dict[Root, Coeff]] = {}
+    den, left, right, into, finish = _product_kernel([x._terms for x, _ in pairs],
+                                                     [y._terms for _, y in pairs])
+    raw: dict = {}
     for x, y in zip(left, right):
-        _product_into(raw, x, y)
-    return PhaseScalar._of(_canonical(raw, dl * dr))
+        into(raw, x, y)
+    return PhaseScalar._of(finish(raw, den))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +563,12 @@ class PhaseScalar:
         return PhaseScalar._of({key: _coefficient(c / q) for key, c in self._terms.items()})
 
     def conjugate(self) -> "PhaseScalar":
-        """Complex conjugation: zeta^k -> zeta^(-k), e(r) -> e(-r)."""
+        """Complex conjugation: zeta^k -> zeta^(-k), e(r) -> e(-r).  On Q(i)
+        the image is canonical already: c*zeta^k -> c*zeta^(-k), and
+        c*i*zeta^k -> -c*i*zeta^(-k)."""
+        if _GAUSSIAN_ROOTS.issuperset(r for _, r in self._terms):
+            return PhaseScalar._of({(-k, r): -c if r[0] else c
+                                    for (k, r), c in self._terms.items()})
         raw: dict[int, dict[Root, Coeff]] = {}
         for (k, (a, n)), c in self._terms.items():
             raw.setdefault(-k, {})[(n - a, n) if a else ROOT_ONE] = c

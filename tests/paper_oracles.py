@@ -7,7 +7,8 @@ the support relabelling W_m -> W_(Theta m), which the automorphism
 criterion checks against algebra.multiply; is_symplectic (Theta^T Sigma
 Theta = Sigma), built on mat_mul and transpose, says for which Theta it
 must be multiplicative, and cocycle is the 2-cocycle identity of
-lattice.pairing.  int_det is the integer determinant that decides which
+lattice.pairing.  standard_form is the genus-g form, g copies of the
+genus-1 form, that the higher-genus tests build contexts from.  int_det is the integer determinant that decides which
 forms lattice.symplectic_normal_form must reject as degenerate, and
 is_hermitian checks H = H^dagger exactly.  These are exact; numeric
 comparisons go through HermitianMatrix.to_numpy().  min_eigenvalue is the
@@ -110,6 +111,16 @@ def mat_mul(a, b):
 
 def transpose(m):
     return tuple(zip(*m))
+
+
+def standard_form(g: int) -> SkewForm:
+    """The direct sum of g copies of the canonical genus-1 form."""
+    n = 2 * g
+    rows = [[0] * n for _ in range(n)]
+    for b in range(g):
+        rows[2 * b][2 * b + 1] = 1
+        rows[2 * b + 1][2 * b] = -1
+    return SkewForm(tuple(tuple(r) for r in rows))
 
 
 def is_symplectic(theta, form: SkewForm) -> bool:

@@ -14,12 +14,12 @@ from nctorus.algebra import (
     weyl,
 )
 from nctorus.certificate import CertParams, family_generators
-from nctorus.lattice import SIGMA2, SkewForm, identity, standard_form
+from nctorus.lattice import SIGMA2, SkewForm, identity
 from nctorus.parser import format_element
 from nctorus.scalars import PhaseScalar
 from conftest import element_terms, random_element, random_sl2, shuffled_element
 from paper_oracles import (cocycle, int_det, is_symplectic, mat_mul, multiply_by_pairing,
-                           multiply_reduced_once, relabel)
+                           multiply_reduced_once, relabel, standard_form)
 
 SHEAR_U = ((1, 1), (0, 1))
 SHEAR_L = ((1, 0), (1, 1))

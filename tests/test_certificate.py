@@ -320,7 +320,7 @@ def test_refute_picks_smallest_nonzero_orbit(ctx):
 
 
 def test_refute_genus_restriction():
-    from nctorus.lattice import standard_form
+    from paper_oracles import standard_form
 
     ctx4 = PhaseContext(sigma=standard_form(2))
     with pytest.raises(ValueError):
@@ -523,7 +523,7 @@ def test_verify_uses_no_product_or_gram(ctx, monkeypatch):
 
 
 def test_verify_needs_genus_one():
-    from nctorus.lattice import standard_form
+    from paper_oracles import standard_form
 
     state = StateCandidate({1: 0.5})
     cert = refute(state, PhaseContext())

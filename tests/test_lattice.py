@@ -15,12 +15,11 @@ from nctorus.lattice import (
     mat_vec,
     orbit_rep,
     pairing,
-    standard_form,
     symplectic_normal_form,
     theta_j,
 )
 from conftest import random_sl2, random_unimodular
-from paper_oracles import int_det, is_symplectic, mat_mul, transpose
+from paper_oracles import int_det, is_symplectic, mat_mul, standard_form, transpose
 
 
 def test_pairing_examples():

@@ -273,8 +273,16 @@ def big_scalars(roots):
 
 any_roots = st.builds(Fraction, st.integers(0, 11), st.sampled_from(ROOT_DENOMINATORS))
 gaussian_roots = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
-big_elements = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-                               big_scalars(any_roots), min_size=1, max_size=3)
+
+
+def big_elements(roots):
+    return st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           big_scalars(roots), min_size=1, max_size=3)
+
+
+# a draw from any_roots is rarely all in Q(i), so the Gaussian-int product
+# path (every root 1 or i) gets draws of its own
+both_paths = [any_roots, gaussian_roots]
 
 
 def stored(s: PhaseScalar) -> list:
@@ -285,8 +293,10 @@ def stored(s: PhaseScalar) -> list:
 
 
 @settings(max_examples=100, deadline=None)
-@given(big_elements, big_elements)
-def test_common_denominator_multiply_matches_fractions(a_terms, b_terms):
+@given(st.sampled_from(both_paths).flatmap(lambda roots: st.tuples(big_elements(roots),
+                                                                   big_elements(roots))))
+def test_common_denominator_multiply_matches_fractions(operands):
+    a_terms, b_terms = operands
     ctx = PhaseContext()
     a, b = AlgebraElement(2, a_terms), AlgebraElement(2, b_terms)
     got, want = multiply(a, b, ctx), multiply_reduced_once(a, b, ctx)
@@ -295,11 +305,48 @@ def test_common_denominator_multiply_matches_fractions(a_terms, b_terms):
 
 
 @settings(max_examples=150, deadline=None)
-@given(big_scalars(any_roots), big_scalars(any_roots))
-def test_common_denominator_scalar_product_matches_fractions(x, y):
+@given(st.sampled_from(both_paths).flatmap(lambda roots: st.tuples(big_scalars(roots),
+                                                                   big_scalars(roots))))
+def test_common_denominator_scalar_product_matches_fractions(operands):
+    x, y = operands
     got, want = x * y, scalar_mul(x, y)
     assert stored(got) == stored(want)
     assert repr(got) == repr(want)
+    for s in (x, y):  # an operand may store an integral Fraction, so compare forms
+        same_form(s.conjugate(), scalar_conjugate(s))
+
+
+def test_gaussian_products_skip_root_arithmetic(monkeypatch):
+    # roots 1 and i: products and conjugates run on Gaussian ints, with no
+    # root bucket and no cyclotomic reduction; one root e(1/3) sends
+    # products the general way
+    from nctorus import scalars
+
+    calls = {"_product_into": 0, "_reduce_roots": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    ctx = PhaseContext()
+    x = PhaseScalar.gaussian(Fraction(1, 2), -3).times_zeta(2) + PhaseScalar.zeta(-1, Fraction(2, 3))
+    y = PhaseScalar.gaussian(4, Fraction(5, 6)).times_zeta(-1)
+    a = AlgebraElement(2, {(1, 0): x, (0, 1): y})
+    b = AlgebraElement(2, {(1, 1): y, (0, 0): x})
+    want = scalar_mul(x, y), multiply_reduced_once(a, b, ctx), scalar_conjugate(x)
+    monkeypatch.setattr(scalars, "_product_into", counting("_product_into", scalars._product_into))
+    monkeypatch.setattr(scalars, "_reduce_roots", counting("_reduce_roots", scalars._reduce_roots))
+    got = x * y, multiply(a, b, ctx), x.conjugate()
+    assert calls == {"_product_into": 0, "_reduce_roots": 0}
+    assert list(map(repr, got)) == list(map(repr, want))
+    third = PhaseScalar.root_of_unity(Fraction(1, 3))
+    b_third = b * third
+    for product in (lambda: x * third, lambda: multiply(a, b_third, ctx)):
+        calls.update(_product_into=0, _reduce_roots=0)
+        product()
+        assert calls["_product_into"] and calls["_reduce_roots"]
 
 
 other_roots = st.builds(Fraction, st.integers(0, 11), st.sampled_from([3, 5, 8, 12]))
