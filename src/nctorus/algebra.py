@@ -18,7 +18,8 @@ from typing import Iterator, Mapping
 
 from . import circle
 from .lattice import SIGMA2, SkewForm, Vec, as_vector
-from .scalars import PhaseScalar, _operand, _product_kernel, as_fraction, as_scalar
+from .scalars import (ROOT_I, ROOT_ONE, PhaseScalar, _operand, _product_kernel, as_fraction,
+                      as_scalar)
 
 
 @dataclass(frozen=True)
@@ -189,17 +190,22 @@ def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
     so zeta-exponents far beyond float range still give a deterministic
     phase.  Its error grows like |k| * 2^-256 turns: it is no longer small
     past |k| ~ 2^240, and the phase is lost past 2^256 (ROADMAP item 1).
-    Each component is the math.fsum of the rounded terms: it does not depend
-    on the term order, and conjugate terms cancel exactly, so a real total
-    has imaginary part 0.0.  ctx may be None when no term has a zeta power.
+    The stored terms are read in the order they were stored, and a root
+    other than 1 becomes a Fraction only for its phase.  Each component is
+    the math.fsum of the rounded terms, which is correctly rounded, so the
+    result does not depend on the term order: the same terms stored in any
+    order give the same complex, bit for bit.  Conjugate terms cancel
+    exactly, so a real total has imaginary part 0.0.  ctx may be None when
+    no term has a zeta power.
     """
     h = ctx.h if ctx is not None else Fraction(0)  # h only scales zeta powers
     parts = []
-    for k, r, c in s.terms():
-        if not k and r in (0, Fraction(1, 4)):
-            parts.append(complex(0, float(c)) if r else float(c))
+    for (k, r), c in s._terms.items():
+        if not k and (r == ROOT_ONE or r == ROOT_I):
+            parts.append(complex(0, float(c)) if r[0] else float(c))
             continue
         if k and ctx is None:
             raise ValueError("a PhaseContext is needed to evaluate zeta powers")
-        parts.append(float(c) * cmath.exp(1j * circle.phase_angle(h, k, r)))
+        angle = circle.phase_angle(h, k, Fraction(*r)) if r[0] else circle.phase_angle(h, k)
+        parts.append(float(c) * cmath.exp(1j * angle))
     return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))

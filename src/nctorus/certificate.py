@@ -15,9 +15,10 @@ the single element a = sum v_i W_(g_i) on that family with
 omega(a* a) < 0, and refute() certifies its exact total rounded once.
 verify() re-derives the parameters and the l* generators, and sums
 omega(a* a) from the pair relations W_(g_i)^* W_(g_j) =
-zeta^(-sigma(g_i, g_j)) W_(g_j - g_i) on Gaussian ints (_witness_total);
-it shares no product kernel with refute(), builds no Gram matrix or
-algebra element, and rounds the same exact total to the same float.
+zeta^(-sigma(g_i, g_j)) W_(g_j - g_i) on Gaussian ints (_witness_total),
+each unordered pair once, since omega is Hermitian; it shares no product
+kernel with refute(), builds no Gram matrix or algebra element, and rounds
+the same exact total to the same float.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import gcd, lcm
 from . import circle
 from .algebra import PhaseContext, numeric_eval
 from .lattice import Vec, as_integer, as_vector, mat_vec, pairing, theta_j
-from .scalars import ROOT_I, ROOT_ONE, GaussRat, PhaseScalar, _canonical, as_fraction
+from .scalars import GaussRat, PhaseScalar, _gaussian_terms, as_fraction
 from .states import (
     HermitianMatrix,
     StateCandidate,
@@ -399,15 +400,23 @@ def _witness_total(state: StateCandidate, generators, witness,
     """omega(a* a) for a = sum v_i W_(g_i), exact, from the defining relations.
 
     W_(g_i)^* W_(g_j) = zeta^(-sigma(g_i, g_j)) W_(g_j - g_i) and
-    omega(W_m) = p_gcd(m), so every ordered pair (i, j) adds
+    omega(W_m) = p_gcd(m), so the ordered pair (i, j) adds
     conj(v_i) v_j p_gcd(g_j - g_i) to the coefficient of zeta^(-sigma(g_i, g_j)).
-    The witness is scaled once to Gaussian ints by D, the lcm of its part
-    denominators, and the orbit values once by P, the lcm of theirs (orbit 0
-    carries P), so each pair adds int products into one (re, im) bucket per
-    exponent; each bucket is divided once by D^2 P.  A generator given twice
-    keeps its last witness entry, as in a dict.  Every root lies in Q(i),
-    whose canonical form is unique: this is the exact scalar
-    evaluate_exact(state, multiply(adjoint(a), a, ctx)) gives.
+    omega is Hermitian: the orbit values are real, the gcd is symmetric and
+    sigma antisymmetric, so the (j, i) term is the complex conjugate of the
+    (i, j) term, at the negated exponent.  Each unordered pair i < j is
+    therefore summed once, into a half table keyed by k = -sigma(g_i, g_j),
+    and each half bucket is added once at k and once, conjugated, at -k.
+    The diagonal pairs (i, i) have g_i - g_i = 0 and sigma(g_i, g_i) = 0:
+    they add sum |v_i|^2 at exponent 0, with no gcd.  The witness is scaled
+    once to Gaussian ints by D, the lcm of its part denominators, and the
+    orbit values once by P, the lcm of theirs (the diagonal's omega(W_0) = 1
+    becomes P), so each pair adds int products into one (re, im) bucket per
+    exponent, and scalars._gaussian_terms divides each bucket once by
+    D^2 P.  A generator given twice keeps its last witness entry, as in a
+    dict.  Every root lies in Q(i), whose canonical form is unique: this
+    is the exact scalar evaluate_exact(state, multiply(adjoint(a), a, ctx))
+    gives.
     """
     if ctx.genus != 1:
         raise ValueError(f"verify works at genus 1; the context form has genus {ctx.genus}")
@@ -417,27 +426,31 @@ def _witness_total(state: StateCandidate, generators, witness,
             w.im.numerator * (den // w.im.denominator)) for (u, v), w in terms]
     scale = lcm(*(p.denominator for _, p in state.items()))
     orbit = {j: p.numerator * (scale // p.denominator) for j, p in state.items() if p}
-    orbit[0] = scale
-    top = max(orbit)  # a larger gcd names an undeclared orbit: skip hashing a wide int
+    top = max(orbit, default=0)  # a larger gcd names an undeclared orbit: skip hashing a wide int
     (s00, s01), (s10, s11) = ctx.sigma.matrix
-    buckets: dict[int, list[int]] = {}
-    for x, y, a, b in vec:
+    half: dict[int, list[int]] = {}
+    for i, (x, y, a, b) in enumerate(vec):
         r0, r1 = x * s00 + y * s10, x * s01 + y * s11  # g_i^T Sigma
-        for u, v, c, e in vec:
+        for u, v, c, e in vec[i + 1:]:
             q = gcd(u - x, v - y)
             p = orbit.get(q) if q <= top else None
             if p is None:
                 continue
             k = -(r0 * u + r1 * v)
             re, im = (a * c + b * e) * p, (a * e - b * c) * p  # conj(a + bi) (c + ei) p
-            acc = buckets.get(k)
+            acc = half.get(k)
             if acc is None:
-                buckets[k] = [re, im]
+                half[k] = [re, im]
             else:
                 acc[0] += re
                 acc[1] += im
-    raw = {k: {ROOT_ONE: re, ROOT_I: im} for k, (re, im) in buckets.items()}
-    return PhaseScalar._of(_canonical(raw, den * den * scale))
+    buckets = {0: [sum(a * a + b * b for _, _, a, b in vec) * scale, 0]}  # the diagonal
+    for k, (re, im) in half.items():
+        for key, part in ((k, im), (-k, -im)):  # the pair and its conjugate mirror
+            acc = buckets.setdefault(key, [0, 0])
+            acc[0] += re
+            acc[1] += part
+    return PhaseScalar._of(_gaussian_terms(buckets, den * den * scale))
 
 
 def verify(state: StateCandidate, cert: Certificate, ctx: PhaseContext,
@@ -446,14 +459,15 @@ def verify(state: StateCandidate, cert: Certificate, ctx: PhaseContext,
 
     Only the l* family carries the proof.  After the parameters and the
     generator family are re-derived, verify() sums omega(a* a) for
-    a = sum v_i W_(gen_i) over the ordered generator pairs on ints
-    (_witness_total), with no algebra product and no Gram machinery, and
-    rounds the exact total once: "negativity" demands that its real part
-    and the certified value are negative and agree within
-    tol * max(1, |real part|).  The imaginary part needs no clause: the
-    orbit values are real, sigma is antisymmetric and the gcd symmetric, so
-    for any complex witness the (i, j) and (j, i) pair terms are complex
-    conjugates, and the exact total is real.
+    a = sum v_i W_(gen_i) on ints (_witness_total), with no algebra product
+    and no Gram machinery, and rounds the exact total once: "negativity"
+    demands that its real part and the certified value are negative and
+    agree within tol * max(1, |real part|).  The sum visits each unordered
+    pair i < j once and adds its conjugate mirror for (j, i): the orbit
+    values are real, sigma is antisymmetric and the gcd symmetric, so for
+    any complex witness the (i, j) and (j, i) pair terms are complex
+    conjugates at negated exponents.  The same step makes the exact total
+    real, so its imaginary part needs no clause.
     avg_value is informational (refute's search margin) and is not checked.
     A tol that is nan, infinite or negative raises ValueError.
     """

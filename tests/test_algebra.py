@@ -258,3 +258,22 @@ def test_numeric_eval_huge_exponent_is_sane(ctx):
     assert abs(abs(v) - 1.0) < 1e-12
     w = numeric_eval(PhaseScalar.zeta(k) * PhaseScalar.zeta(-k), ctx)
     assert abs(w - 1.0) < 1e-12
+
+
+def test_numeric_eval_does_not_depend_on_the_term_order(ctx):
+    # numeric_eval reads the stored terms in storage order; math.fsum rounds each part
+    # correctly, so the same canonical terms stored in two orders give the same complex,
+    # bit for bit, even where a left-to-right float sum would cancel differently
+    s = (PhaseScalar.gaussian(1, Fraction(-1, 3))
+         + PhaseScalar.zeta(7, 10**17) + PhaseScalar.zeta(-7, -10**17)
+         + PhaseScalar.zeta(3**80, Fraction(2, 9)) * PhaseScalar.gaussian(0, 1)
+         + PhaseScalar.root_of_unity(Fraction(1, 3), Fraction(5, 2)) * PhaseScalar.zeta(-2)
+         + PhaseScalar.root_of_unity(Fraction(1, 6), 10**16))
+    items = list(s._terms.items())
+    assert len(items) == 7
+    want = numeric_eval(s, ctx)
+    rng = random.Random(41)
+    for _ in range(20):
+        rng.shuffle(items)
+        got = numeric_eval(PhaseScalar._of(dict(items)), ctx)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())

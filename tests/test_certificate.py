@@ -39,7 +39,7 @@ from nctorus.states import (
     quadratic_form,
 )
 from nctorus.circle import MODULUS
-from nctorus.lattice import SIGMA2, SkewForm
+from nctorus.lattice import SIGMA2, SkewForm, pairing
 from nctorus.scalars import GaussRat, PhaseScalar
 from paper_oracles import build_H_prime, det_P, is_hermitian, scan_hit
 
@@ -466,26 +466,57 @@ gaussians = st.builds(GaussRat, st.fractions(-3, 3, max_denominator=12),
                       st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=12)))
 
 
-@settings(max_examples=80, deadline=None)
+def _pair_orbits(gens) -> list[int]:
+    """The orbits gcd(g_j - g_i) of the distinct pairs of distinct generators."""
+    return sorted({math.gcd(u - x, v - y) for i, (x, y) in enumerate(gens)
+                   for u, v in gens[i + 1:]})
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_witness_total_is_the_algebra_product(data):
-    # the pair sum on ints is omega(a* a) of the bare algebra product, exactly
-    d = data.draw(st.integers(1, 5), label="d")
-    x = data.draw(st.sampled_from((1, 2, 3)), label="x")
+    # the pair sum on ints is omega(a* a) of the bare algebra product, exactly, for
+    # three generator shapes:
+    # - "family": an l family with extra generators that may repeat one (the last
+    #   witness entry counts), with orbit values on the orbits the family pairs name;
+    # - "collinear": multiples of one vector, so every sigma(g_i, g_j) = 0 and each pair
+    #   and its conjugate mirror share bucket 0 with the diagonal;
+    # - "undeclared": some pair gcds name no declared orbit, so those pairs are skipped
+    shape = data.draw(st.sampled_from(("family", "collinear", "undeclared")), label="shape")
     h = data.draw(st.sampled_from((Fraction(1), Fraction(5, 7))), label="h")
     ctx = PhaseContext(h=h, sigma=data.draw(st.sampled_from(GENUS_ONE_FORMS), label="sigma"))
-    n_val = math.factorial(d) * data.draw(st.integers(1, 2**64), label="k")
-    params = CertParams(xi=(x, x), d=d, N=n_val, epsilon=Fraction(1, 10))
-    l = data.draw(st.integers(1, d), label="l")
-    extra = data.draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=3),
-                      label="extra")  # may repeat a generator: the last entry counts
-    gens = list(family_generators(params, l)) + extra
-    gens = data.draw(st.permutations(gens), label="gens")
+    values = {}
+    if shape == "family":
+        d = data.draw(st.integers(1, 5), label="d")
+        x = data.draw(st.sampled_from((1, 2, 3)), label="x")
+        n_val = math.factorial(d) * data.draw(st.integers(1, 2**64), label="k")
+        params = CertParams(xi=(x, x), d=d, N=n_val, epsilon=Fraction(1, 10))
+        l = data.draw(st.integers(1, d), label="l")
+        extra = data.draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                                   max_size=3), label="extra")
+        gens = data.draw(st.permutations(list(family_generators(params, l)) + extra),
+                         label="gens")
+        values[x] = data.draw(st.fractions(-2, 2, max_denominator=64), label="p")
+        for k in data.draw(st.lists(st.integers(1, d + 1), max_size=d), label="ks"):
+            values[k * n_val * x] = data.draw(st.fractions(-1, 1, max_denominator=64), label="q")
+    elif shape == "collinear":
+        w = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any), label="w")
+        ts = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=6, unique=True),
+                       label="ts")
+        gens = [(t * w[0], t * w[1]) for t in ts]
+        assert all(pairing(ctx.sigma, g, m) == 0 for g in gens for m in gens)
+        for j in _pair_orbits(gens):
+            values[j] = data.draw(st.fractions(-2, 2, max_denominator=64), label="q")
+    else:
+        gens = data.draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                                  min_size=2, max_size=6, unique=True), label="gens")
+        orbits = _pair_orbits(gens)
+        declared = data.draw(st.lists(st.sampled_from(orbits), max_size=len(orbits) - 1,
+                                      unique=True), label="declared")  # one is left out
+        for j in declared:
+            values[j] = data.draw(st.fractions(-2, 2, max_denominator=64), label="q")
     witness = data.draw(st.lists(st.one_of(st.just(GaussRat(0)), gaussians),
                                  min_size=len(gens), max_size=len(gens)), label="witness")
-    values = {x: data.draw(st.fractions(-2, 2, max_denominator=64), label="p")}
-    for k in data.draw(st.lists(st.integers(1, d + 1), max_size=d), label="ks"):
-        values[k * n_val * x] = data.draw(st.fractions(-1, 1, max_denominator=64), label="q")
     for j in data.draw(st.lists(st.integers(1, 40), max_size=3), label="decoys"):
         values.setdefault(j, Fraction(7, 8))
     state = StateCandidate(values)
@@ -494,6 +525,30 @@ def test_witness_total_is_the_algebra_product(data):
     total = _witness_total(state, gens, witness, ctx)
     assert total == expected
     assert sorted(total.terms()) == sorted(expected.terms())  # Q(i): one canonical form
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13])
+def test_witness_total_visits_each_unordered_pair_once(n, monkeypatch):
+    # omega is Hermitian, so the (j, i) pair term is the conjugate mirror of (i, j):
+    # n distinct generators with nonzero entries cost n(n-1)/2 gcds, not n^2, and the
+    # diagonal none
+    import nctorus.certificate as certificate
+
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    ctx = PhaseContext()
+    gens = [(j, j * j + 1) for j in range(n)]
+    witness = [GaussRat(1 + j, j % 3) for j in range(n)]
+    state = StateCandidate({j: Fraction(1, 1 + j) for j in range(1, 2 * n * n)})
+    monkeypatch.setattr(certificate, "gcd", counting_gcd)
+    total = _witness_total(state, gens, witness, ctx)
+    assert len(calls) == n * (n - 1) // 2
+    a = AlgebraElement(2, dict(zip(gens, witness)))
+    assert total == evaluate_exact(state, multiply(adjoint(a), a, ctx))
 
 
 def test_verify_uses_no_product_or_gram(ctx, monkeypatch):
