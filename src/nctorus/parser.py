@@ -1,6 +1,6 @@
 """Surface syntax for algebra elements.
 
-Grammar (whitespace-insensitive, left-associative):
+Grammar (left-associative; whitespace between tokens is ignored):
 
     expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
@@ -10,24 +10,33 @@ Grammar (whitespace-insensitive, left-associative):
     rational := '-'? DIGITS ('/' DIGITS)?
     int      := '-'? DIGITS
 
-Scalar literals are Gaussian rationals times a power of zeta, so CLI
-arithmetic stays exact.  parse_element builds the element as it reads:
-each grammar rule returns an AlgebraElement, and the rules combine them by
-+, -, algebra.multiply and algebra.adjoint, left to right.  The canonical
-printer emits one "coefficient * W[...]" atom per (lattice point, zeta
-power), sorted lexicographically, which makes parse-print-parse idempotent.
+DIGITS are ASCII 0-9.  One compiled regex scans the text into token
+strings: a digit run, a symbol, or any other non-space character, which is
+an error.  A ParseError names the character offset of its token, which is
+found by scanning again, so only an error pays for offsets.  Scalar literals
+are Gaussian rationals times a power of zeta, so CLI arithmetic stays exact.
+
+parse_element builds the element as it reads, by +, -, products and
+algebra.adjoint, left to right.  A scalar atom c * W_0 times a single term
+c' * W_m, on either side, is placed directly as c*c' * W_m (just c * W_m
+when c' is 1): W_0 is the unit and sigma(0, m) = 0.  Every other product is
+algebra.multiply.  The canonical printer emits one "coefficient * W[...]"
+atom per (lattice point, zeta power), sorted lexicographically, which makes
+parse-print-parse idempotent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
-from .algebra import AlgebraElement, PhaseContext, adjoint, multiply, scalar_element, weyl
+from .algebra import AlgebraElement, PhaseContext, adjoint, multiply
 from .scalars import PhaseScalar
 
 
 class ParseError(ValueError):
+    """A syntax error; offset is the character offset (a str index) it names."""
+
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
@@ -35,169 +44,160 @@ class ParseError(ValueError):
 
 # -- tokenizer --------------------------------------------------------------
 
-_SYMBOLS = set("+-*/()[],^Wzi")
+# an ASCII digit run, a symbol, or any other non-space character (an error)
+_TOKEN = re.compile(r"[0-9]+|[-+*/()\[\],^Wzi]|\S")
+_SYMBOLS = frozenset("+-*/()[],^Wzi")
+_ONE = PhaseScalar.one()._terms  # the terms of 1, a coefficient the product rule skips
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int', a symbol or letter, or 'end'
-    text: str
-    pos: int
+def _offset(text: str, index: int) -> int:
+    """The character offset of token `index` of text, len(text) for the end."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return starts[index] if index < len(starts) else len(text)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", text[i:j], i))
-            i = j
-        elif c in _SYMBOLS:
-            out.append(_Token(c, c, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    out.append(_Token("end", "", n))
-    return out
+def _tokenize(text: str) -> list[str]:
+    """The token texts, then '' for the end; a digit run is an int, any other a symbol."""
+    tokens = _TOKEN.findall(text)
+    for i, tok in enumerate(tokens):
+        if tok not in _SYMBOLS and not "0" <= tok[0] <= "9":
+            raise ParseError(f"unexpected character {tok!r}", _offset(text, i))
+    tokens.append("")
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str, ctx: PhaseContext):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ctx = ctx
         self.dim = ctx.dimension
+        self.origin = (0,) * self.dim
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> str:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, kind: str) -> _Token:
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """A ParseError at token `index`, by default the next one."""
+        return ParseError(message, _offset(self.text, self.pos if index is None else index))
+
+    def expect(self, kind: str) -> str:  # kind is a symbol, or 'int' for a digit run
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
+        if not (tok.isdigit() if kind == "int" else tok == kind):
+            raise self.error(f"expected {kind!r}, found {tok or 'end of input'!r}")
         return self.next()
 
     def parse(self) -> AlgebraElement:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        if self.peek():
+            raise self.error(f"unexpected trailing input {self.peek()!r}")
         return node
 
     def expr(self) -> AlgebraElement:
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            if self.next().kind == "+":
-                node = node + self.term()
-            else:
-                node = node - self.term()
+        while self.peek() in ("+", "-"):
+            node = node + self.term() if self.next() == "+" else node - self.term()
         return node
 
     def term(self) -> AlgebraElement:
         node = self.factor()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.next()
-            node = multiply(node, self.factor(), self.ctx)
+            node = self.product(node, self.factor())
         return node
+
+    def product(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+        """a * b: a scalar atom times a single term is placed directly (module
+        docstring); any other pair goes through multiply."""
+        if len(a._terms) == 1 == len(b._terms):
+            if self.origin in b._terms:
+                a, b = b, a
+            if self.origin in a._terms:
+                (c,), ((m, c2),) = a._terms.values(), b._terms.items()
+                return AlgebraElement._of(self.dim, {m: c if c2._terms == _ONE else c * c2})
+        return multiply(a, b, self.ctx)
 
     def factor(self) -> AlgebraElement:
         node = self.primary()
-        while self.peek().kind == "^":
-            mark = self.pos
-            self.next()
-            if self.peek().kind == "*":
-                self.next()
-                node = adjoint(node)
-            else:
-                self.pos = mark
-                break
+        while self.peek() == "^" and self.tokens[self.pos + 1] == "*":
+            self.pos += 2
+            node = adjoint(node)
         return node
 
     def primary(self) -> AlgebraElement:
         tok = self.peek()
-        if tok.kind == "W":
+        if tok == "W":
             return self.weyl_gen()
-        if tok.kind == "(":
+        if tok == "(":
             self.next()
             node = self.expr()
             self.expect(")")
             return node
-        if tok.kind in ("int", "-"):
+        if tok == "-" or tok.isdigit():
             return self.scalar()
-        raise ParseError(f"expected a scalar, 'W[...]' or '(', found {tok.text or 'end of input'!r}",
-                         tok.pos)
+        raise self.error(f"expected a scalar, 'W[...]' or '(', found {tok or 'end of input'!r}")
 
     def weyl_gen(self) -> AlgebraElement:
-        start = self.expect("W")
+        start = self.pos
+        self.expect("W")
         self.expect("[")
         coords = [self.signed_int()]
-        while self.peek().kind == ",":
+        while self.peek() == ",":
             self.next()
             coords.append(self.signed_int())
         self.expect("]")
         if len(coords) != self.dim:
-            raise ParseError(
-                f"generator arity {len(coords)} does not match the context dimension {self.dim}",
-                start.pos)
-        return weyl(coords)
+            raise self.error(f"generator arity {len(coords)} does not match the context "
+                             f"dimension {self.dim}", start)
+        return AlgebraElement._of(self.dim, {tuple(coords): PhaseScalar.one()})
 
     def signed_int(self) -> int:
-        neg = False
-        if self.peek().kind == "-":
-            self.next()
-            neg = True
-        tok = self.expect("int")
-        val = int(tok.text)
+        neg = self.peek() == "-"
+        self.pos += neg
+        val = int(self.expect("int"))
         return -val if neg else val
 
     def rational(self) -> Fraction:
-        num = self.signed_int()
-        den = 1
-        if self.peek().kind == "/":
+        num, den = self.signed_int(), 1
+        if self.peek() == "/":
             self.next()
-            den = int(self.expect("int").text)
+            den = int(self.expect("int"))
             if den == 0:
-                raise ParseError("zero denominator", self.tokens[self.pos - 1].pos)
+                raise self.error("zero denominator", self.pos - 1)
         return Fraction(num, den)
 
+    def imaginary(self) -> bool:
+        """Whether ('+' | '-') rational 'i' follows: only the 'i' binds a '+' into a scalar."""
+        toks, j = self.tokens, self.pos + 1
+        j += toks[j] == "-"
+        if not toks[j].isdigit():
+            return False
+        j += 3 if toks[j + 1] == "/" and toks[j + 2].isdigit() else 1
+        return toks[j] == "i"
+
     def scalar(self) -> AlgebraElement:
-        re = self.rational()
-        im = Fraction(0)
-        if self.peek().kind in ("+", "-"):
-            mark = self.pos
-            sign = -1 if self.next().kind == "-" else 1
-            try:
-                part = self.rational()
-                self.expect("i")
-                im = sign * part
-            except ParseError:
-                self.pos = mark
-        elif self.peek().kind == "i":
+        real, im = self.rational(), Fraction(0)
+        if self.peek() in ("+", "-") and self.imaginary():
+            im = self.rational() if self.next() == "+" else -self.rational()
+            self.next()  # the 'i'
+        elif self.peek() == "i":
             self.next()
-            im, re = re, Fraction(0)
-        zeta = 0
-        if self.peek().kind == "z":
+            im, real = real, Fraction(0)
+        coeff = PhaseScalar.gaussian(real, im)
+        if self.peek() == "z":
             self.next()
             self.expect("^")
-            zeta = self.signed_int()
-        return scalar_element(PhaseScalar.gaussian(re, im).times_zeta(zeta), self.dim)
+            coeff = coeff.times_zeta(self.signed_int())
+        return AlgebraElement._of(self.dim, {self.origin: coeff})
 
 
 def parse_element(text: str, ctx: PhaseContext) -> AlgebraElement:
-    """The element an expression stands for; raises ParseError with a byte offset."""
+    """The element an expression stands for; raises ParseError with a character offset."""
     return _Parser(text, ctx).parse()
 
 

@@ -27,6 +27,11 @@ of H v before the total, psd_exact_full_square, which updates the whole
 residual matrix, and psd_exact_fractions and determinant_fractions, the
 Fraction eliminations that the integer kernels of states.is_psd and
 states.determinant_exact replace.
+
+parse_by_products reads the element grammar the plain way: one character
+at a time, a token record per token with its offset, and one
+algebra.multiply per '*'.  nctorus.parser must return the same element,
+and raise the same ParseError, for every text.
 """
 
 from fractions import Fraction
@@ -34,8 +39,9 @@ from math import lcm
 
 import numpy as np
 
-from nctorus.algebra import AlgebraElement
+from nctorus.algebra import AlgebraElement, adjoint, multiply, scalar_element, weyl
 from nctorus.lattice import SkewForm, as_matrix, mat_vec, pairing
+from nctorus.parser import ParseError
 from nctorus.scalars import (GaussRat, PhaseScalar, _sum_of_products, as_fraction, as_scalar,
                              cyclotomic)
 from nctorus.states import HermitianMatrix, PsdVerdict, _exact_witness
@@ -363,3 +369,167 @@ def determinant_fractions(entries: list) -> GaussRat:
                 for j in range(k + 1, n):
                     a[i][j] = a[i][j] - f * a[k][j]
     return det
+
+
+# ---------------------------------------------------------------------------
+# the element grammar, read one character at a time
+# ---------------------------------------------------------------------------
+
+_SYMBOLS = set("+-*/()[],^Wzi")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token: kind is 'int', the symbol, or 'end'."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "0123456789":
+            j = i
+            while j < n and text[j] in "0123456789":
+                j += 1
+            out.append(("int", text[i:j], i))
+            i = j
+        elif c in _SYMBOLS:
+            out.append((c, c, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    out.append(("end", "", n))
+    return out
+
+
+class _Parser:
+    def __init__(self, text: str, ctx):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.ctx = ctx
+        self.dim = ctx.dimension
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
+        return self.next()
+
+    def parse(self) -> AlgebraElement:
+        node = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        return node
+
+    def expr(self) -> AlgebraElement:
+        node = self.term()
+        while self.peek()[0] in ("+", "-"):
+            if self.next()[0] == "+":
+                node = node + self.term()
+            else:
+                node = node - self.term()
+        return node
+
+    def term(self) -> AlgebraElement:
+        node = self.factor()
+        while self.peek()[0] == "*":
+            self.next()
+            node = multiply(node, self.factor(), self.ctx)
+        return node
+
+    def factor(self) -> AlgebraElement:
+        node = self.primary()
+        while self.peek()[0] == "^":
+            mark = self.pos
+            self.next()
+            if self.peek()[0] == "*":
+                self.next()
+                node = adjoint(node)
+            else:
+                self.pos = mark
+                break
+        return node
+
+    def primary(self) -> AlgebraElement:
+        tok = self.peek()
+        if tok[0] == "W":
+            return self.weyl_gen()
+        if tok[0] == "(":
+            self.next()
+            node = self.expr()
+            self.expect(")")
+            return node
+        if tok[0] in ("int", "-"):
+            return self.scalar()
+        raise ParseError(f"expected a scalar, 'W[...]' or '(', found {tok[1] or 'end of input'!r}",
+                         tok[2])
+
+    def weyl_gen(self) -> AlgebraElement:
+        start = self.expect("W")
+        self.expect("[")
+        coords = [self.signed_int()]
+        while self.peek()[0] == ",":
+            self.next()
+            coords.append(self.signed_int())
+        self.expect("]")
+        if len(coords) != self.dim:
+            raise ParseError(
+                f"generator arity {len(coords)} does not match the context dimension {self.dim}",
+                start[2])
+        return weyl(coords)
+
+    def signed_int(self) -> int:
+        neg = False
+        if self.peek()[0] == "-":
+            self.next()
+            neg = True
+        val = int(self.expect("int")[1])
+        return -val if neg else val
+
+    def rational(self) -> Fraction:
+        num = self.signed_int()
+        den = 1
+        if self.peek()[0] == "/":
+            self.next()
+            den = int(self.expect("int")[1])
+            if den == 0:
+                raise ParseError("zero denominator", self.tokens[self.pos - 1][2])
+        return Fraction(num, den)
+
+    def scalar(self) -> AlgebraElement:
+        re = self.rational()
+        im = Fraction(0)
+        if self.peek()[0] in ("+", "-"):
+            mark = self.pos
+            sign = -1 if self.next()[0] == "-" else 1
+            try:
+                part = self.rational()
+                self.expect("i")
+                im = sign * part
+            except ParseError:
+                self.pos = mark
+        elif self.peek()[0] == "i":
+            self.next()
+            im, re = re, Fraction(0)
+        zeta = 0
+        if self.peek()[0] == "z":
+            self.next()
+            self.expect("^")
+            zeta = self.signed_int()
+        return scalar_element(PhaseScalar.gaussian(re, im).times_zeta(zeta), self.dim)
+
+
+def parse_by_products(text: str, ctx) -> AlgebraElement:
+    """The element grammar of nctorus.parser, tokenized one character at a
+    time and with one algebra.multiply per '*', literal atoms included."""
+    return _Parser(text, ctx).parse()

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nctorus import PhaseContext, parser
 from nctorus.algebra import multiply, weyl
 from nctorus.parser import ParseError, format_element, parse_element, to_element
 from nctorus.scalars import PhaseScalar
 from conftest import random_element
+from paper_oracles import parse_by_products
 
 
 def test_product_example(ctx):
@@ -113,3 +116,95 @@ def test_product_round_trips_through_printer(ctx):
         a, b = random_element(rng, max_terms=3), random_element(rng, max_terms=3)
         prod = multiply(a, b, ctx)
         assert parse_element(format_element(prod), ctx) == prod
+
+
+def test_non_ascii_digits_are_unexpected_characters(ctx):
+    # DIGITS are ASCII: a superscript or an Arabic-Indic digit is named with its offset
+    for text, char, offset in [("W[\u00b2,1]", "\u00b2", 2), ("2\u00b2 * W[1,0]", "\u00b2", 1),
+                               ("W[\u0663,1]", "\u0663", 2)]:
+        with pytest.raises(ParseError) as info:
+            parse_element(text, ctx)
+        assert (str(info.value), info.value.offset) == (
+            f"unexpected character {char!r} (at offset {offset})", offset)
+
+
+def test_literal_atoms_are_placed_without_products(ctx, monkeypatch):
+    calls = []
+
+    def counting(a, b, c):
+        calls.append((a, b))
+        return multiply(a, b, c)
+
+    monkeypatch.setattr(parser, "multiply", counting)
+    for text in ["1/2+1i z^3 * W[1,2] + (2 * W[0,1])^* - W[1,1]", "W[0,1] * 2i * 1/2z^1"]:
+        assert parse_element(text, ctx) == parse_by_products(text, ctx)
+    assert calls == []
+    got = parse_element("W[1,0] * W[0,1]", ctx)
+    assert len(calls) == 1
+    assert got == parse_by_products("W[1,0] * W[0,1]", ctx)
+
+
+# well-formed texts of the element grammar, built as token lists; the edits of
+# test_parser_errors_match_product_oracle turn them into malformed ones
+_int = st.builds(lambda neg, n: ["-", str(n)] if neg else [str(n)], st.booleans(),
+                 st.integers(0, 12))
+_rational = st.builds(lambda n, den: n + (["/", str(den)] if den is not None else []),
+                      _int, st.none() | st.integers(1, 4))
+_scalar = st.builds(
+    lambda re, im, z: re + im + z, _rational,
+    st.just([]) | st.just(["i"]) | st.builds(lambda s, r: [s] + r + ["i"], st.sampled_from("+-"),
+                                             _rational),
+    st.just([]) | _int.map(lambda k: ["z", "^"] + k))
+_weyl = st.builds(lambda a, b: ["W", "["] + a + [","] + b + ["]"], _int, _int)
+
+
+def _joined(parts, ops):
+    return parts[0] + [t for op, part in zip(ops, parts[1:]) for t in [op] + part]
+
+
+def _extend(expr):
+    primary = _scalar | _weyl | expr.map(lambda t: ["("] + t + [")"])
+    factor = st.builds(lambda p, k: p + ["^", "*"] * k, primary, st.integers(0, 2))
+    term = st.lists(factor, min_size=1, max_size=3).map(lambda fs: _joined(fs, "*" * len(fs)))
+    return st.builds(_joined, st.lists(term, min_size=1, max_size=3),
+                     st.lists(st.sampled_from("+-"), min_size=2, max_size=2))
+
+
+_tokens = st.recursive(_scalar | _weyl, _extend, max_leaves=8)
+
+
+@st.composite
+def grammar_texts(draw):
+    tokens = draw(_tokens)
+    spaces = draw(st.lists(st.sampled_from(["", "", " ", "  ", "\t", "\n"]),
+                           min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return "".join(s + t for s, t in zip(spaces, tokens + [""]))
+
+
+def _outcome(parse, text, ctx):
+    try:
+        a = parse(text, ctx)
+    except ParseError as exc:
+        return "error", str(exc), exc.offset
+    return "element", {m: c._terms for m, c in a._terms.items()}, format_element(a), repr(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammar_texts())
+def test_parser_matches_product_oracle(text):
+    ctx = PhaseContext()
+    assert _outcome(parse_element, text, ctx) == _outcome(parse_by_products, text, ctx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammar_texts(), st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 10**6),
+       st.sampled_from(sorted("+-*/()[],^Wzi0123456789 $")))
+def test_parser_errors_match_product_oracle(text, edit, where, char):
+    i = where % (len(text) + 1)
+    if edit == "insert":
+        text = text[:i] + char + text[i:]
+    else:
+        i = min(i, len(text) - 1)
+        text = text[:i] + (char if edit == "replace" else "") + text[i + 1:]
+    ctx = PhaseContext()
+    assert _outcome(parse_element, text, ctx) == _outcome(parse_by_products, text, ctx)
