@@ -65,10 +65,11 @@ class AlgebraElement:
     @classmethod
     def _of(cls, dim: int, terms: dict[Vec, PhaseScalar]) -> "AlgebraElement":
         """Trusted constructor: keys are distinct integer tuples of length dim
-        and values PhaseScalars; zero coefficients are dropped."""
+        and values nonzero PhaseScalars; terms is kept as it is.  A caller
+        whose coefficients can cancel drops the zeros itself."""
         out = object.__new__(cls)
         out._dim = dim
-        out._terms = {m: c for m, c in terms.items() if c}
+        out._terms = terms
         return out
 
     @property
@@ -98,7 +99,11 @@ class AlgebraElement:
             raise ValueError("dimension mismatch")
         merged = dict(self._terms)
         for m, c in other._terms.items():
-            merged[m] = merged[m] + c if m in merged else c
+            c = merged[m] + c if m in merged else c
+            if c:
+                merged[m] = c
+            else:  # m cancelled, so it was in merged: other stores no zero
+                del merged[m]
         return AlgebraElement._of(self._dim, merged)
 
     def __neg__(self) -> "AlgebraElement":
@@ -113,7 +118,9 @@ class AlgebraElement:
         s = _operand(scalar, as_scalar)
         if s is None:
             return NotImplemented
-        return AlgebraElement._of(self._dim, {m: c * s for m, c in self._terms.items()})
+        # no c * s is 0 for s != 0: Laurent polynomials over a field have no zero divisors
+        terms = {m: c * s for m, c in self._terms.items()} if s else {}
+        return AlgebraElement._of(self._dim, terms)
 
     __rmul__ = __mul__
 
@@ -171,14 +178,14 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: PhaseContext) -> Algebra
         for m, cm in right:
             key = tuple(map(add, n, m))
             into(raw[key], cn, cm, sum(map(mul, row, m)))
-    return AlgebraElement._of(d, {key: PhaseScalar._of(finish(buckets, den))
-                                  for key, buckets in raw.items()})
+    return AlgebraElement._of(d, {key: PhaseScalar._of(terms) for key, buckets in raw.items()
+                                  if (terms := finish(buckets, den))})  # a point may cancel
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
     """The involution: coefficients conjugated, supports negated."""
     return AlgebraElement._of(a.dimension,
-                              {tuple(-x for x in m): c.conjugate() for m, c in a.items()})
+                              {tuple(-x for x in m): c.conjugate() for m, c in a._terms.items()})
 
 
 def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:

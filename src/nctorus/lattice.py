@@ -8,6 +8,7 @@ sigma(m, n) = m1*n2 - m2*n1, i.e. the canonical form has matrix
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import gcd as _gcd
 
@@ -18,17 +19,18 @@ Mat = tuple[tuple[int, ...], ...]
 def as_vector(v) -> Vec:
     """The package's one rule for integers: each entry x becomes int(x), and
     must equal it, so 2, 2.0 and Fraction(4, 2) pass while 1.5 and "1"
-    raise ValueError."""
-    vec = tuple(int(x) for x in v)
-    if any(x != y for x, y in zip(vec, v)):
-        raise ValueError(f"lattice vector entries must be integers: {v!r}")
-    return vec
+    raise ValueError, and so do true and numpy.True_: x must be a
+    numbers.Number other than a bool."""
+    return tuple(map(as_integer, v))
 
 
 def as_integer(x) -> int:
-    """A single integer field, by as_vector's rule."""
+    """A single integer field, by as_vector's rule; a plain int is returned at once."""
+    if type(x) is int:
+        return x
     n = int(x)
-    if n != x:
+    # int(True) == True, yet a truth value is no integer; numpy.bool_ is no numbers.Number
+    if n != x or isinstance(x, bool) or not isinstance(x, numbers.Number):
         raise ValueError(f"expected an integer, got {x}")
     return n
 

@@ -193,7 +193,7 @@ class _Parser:
             self.next()
             self.expect("^")
             coeff = coeff.times_zeta(self.signed_int())
-        return AlgebraElement._of(self.dim, {self.origin: coeff})
+        return AlgebraElement._of(self.dim, {self.origin: coeff} if coeff else {})
 
 
 def parse_element(text: str, ctx: PhaseContext) -> AlgebraElement:

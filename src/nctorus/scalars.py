@@ -26,7 +26,11 @@ stays an int, and a sum that meets a Fraction is a Fraction, possibly an
 integral one (1/2 + 1/2).  An int and a Fraction of equal value compare,
 hash and print alike, so the type never decides a value or a printed form.
 as_gaussian hands out Fraction parts, because GaussRat divides and int /
-int would be a float.
+int would be a float.  _over, the division of the product kernels, takes
+one gcd g: g = den gives the int quotient, any other g the reduced Fraction,
+whose _numerator and _denominator slots (CPython 3.10-3.13) it sets
+directly, as 3.12's Fraction._from_coprime_ints does.  Fraction has no
+__dict__, so renamed slots would raise AttributeError, not give a wrong value.
 
 Canonical form.  A PhaseScalar stores {(k, (a, n)): c} with no zero c, and
 the roots of each zeta degree k form the bucket _reduce_roots returns:
@@ -42,8 +46,9 @@ is already canonical, and multiplying by zeta^k only relabels degrees.
 Products.  A product runs on integer numerators over common denominators,
 the representation of FLINT's fmpq_poly.  Each operand is scaled once by
 D, the lcm of its coefficient denominators, and each result coefficient is
-divided once by D_left * D_right: an exact quotient is an int, any other
-one a Fraction.  A gcd is paid once per result term, not once per pair.
+divided once by D_left * D_right (_over): an exact quotient is an int, any
+other one a reduced Fraction.  One gcd is paid per result term, not one
+per pair, and each result coefficient is built once.
 The cost moves into the width of the ints: every numerator carries the
 bits of D, so operands with many coprime denominators make wide ints.
 
@@ -160,7 +165,9 @@ def _operand(value, read):
 
 def _coefficient(value) -> Coeff:
     """as_fraction's rational, as an int when it is integral (the module
-    docstring's coefficient rule)."""
+    docstring's coefficient rule); an int is returned as it is."""
+    if type(value) is int:
+        return value
     q = as_fraction(value)
     return q.numerator if q.denominator == 1 else q
 
@@ -241,11 +248,16 @@ def _reduce_roots(parts: dict[Root, Coeff]) -> dict[Root, Coeff]:
 
 
 def _over(c: int, den: int) -> Coeff:
-    """c / den, an int when den divides c (the coefficient rule)."""
+    """c / den for den >= 1, an int when den divides c (the coefficient
+    rule), else the reduced Fraction, built with one gcd (module docstring)."""
     if den == 1:
         return c
-    q, rem = divmod(c, den)
-    return Fraction(c, den) if rem else q
+    g = gcd(c, den)
+    if g == den:
+        return c // den
+    out = object.__new__(Fraction)  # c // g and den // g are coprime, den // g > 1
+    out._numerator, out._denominator = c // g, den // g
+    return out
 
 
 def _canonical(raw: dict[int, dict[Root, Coeff]], den: int = 1) -> dict[tuple[int, Root], Coeff]:

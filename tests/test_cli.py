@@ -120,6 +120,25 @@ def test_refute_verify_round_trip(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith("error: "), field
 
 
+def test_booleans_are_not_integer_fields(capsys):
+    # JSON true reads as 1 under int(), yet every integer field rejects it (exit 2)
+    cert = {"xi": [True, True], "d": True, "N": 25, "epsilon": 0.75, "p": 2.0, "l_star": True,
+            "witness": [[-2.0, 0.0], [1.0, 0.0]], "value": -3.0, "avg_value": -3.0,
+            "generators": [[False, False], [26, True]]}
+    state = '{"orbit_values":{"1":2}}'
+    code, out, err = run(capsys, "verify", "--state", state, "--cert", json.dumps(cert))
+    assert code == 2 and out == "" and "malformed certificate" in err
+    for field in ("xi", "d", "l_star", "generators"):
+        ones = {"xi": [1, 1], "d": 1, "l_star": 1, "generators": [[0, 0], [26, 1]]}
+        code, out, err = run(capsys, "verify", "--state", state,
+                             "--cert", json.dumps({**cert, **ones, field: cert[field]}))
+        assert code == 2 and out == "" and "malformed certificate" in err, field
+    code, out, err = run(capsys, "nf", '{"matrix": [[0, true], [-1, 0]]}')
+    assert code == 2 and out == "" and err.startswith("error: ")
+    code, out, err = run(capsys, "gram", "--state", state, "--gens", "[[0,0],[true,1]]")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_verify_agreement_is_relative(capsys, tmp_path):
     # at |omega(a* a)| = 1.5e12 one float ulp is 2.4e-4, far above tol = 1e-9
     state = '{"orbit_values":{"1":1234567.89}}'

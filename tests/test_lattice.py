@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from nctorus.lattice import (
@@ -10,6 +11,7 @@ from nctorus.lattice import (
     SkewForm,
     as_integer,
     as_matrix,
+    as_vector,
     extended_gcd,
     identity,
     mat_vec,
@@ -51,6 +53,22 @@ def test_integer_inputs_are_checked():
                 lambda: SkewForm(((0, 1.5), (-1.5, 0)))):
         with pytest.raises(ValueError):  # never truncated
             bad()
+
+
+def test_booleans_are_not_integers():
+    # int(True) == True, yet JSON true is no coordinate, dimension or index
+    assert [as_integer(x) for x in (2, 2.0, Fraction(4, 2), np.int64(2))] == [2] * 4
+    assert as_vector([2, 2.0, Fraction(4, 2), np.int32(-2)]) == (2, 2, 2, -2)
+    for bad in (True, False, np.True_, np.False_):
+        with pytest.raises(ValueError):
+            as_integer(bad)
+        with pytest.raises(ValueError):
+            as_vector([1, bad])
+        with pytest.raises(ValueError):
+            SkewForm(((0, bad), (-1, 0)))
+    for bad in ("1", 1.5):
+        with pytest.raises(ValueError):
+            as_vector([bad, 0])
 
 
 def test_extended_gcd_examples():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nctorus import PhaseContext, parser
-from nctorus.algebra import multiply, weyl
+from nctorus.algebra import adjoint, multiply, scalar_element, weyl
 from nctorus.parser import ParseError, format_element, parse_element, to_element
 from nctorus.scalars import PhaseScalar
 from conftest import random_element
-from paper_oracles import parse_by_products
+from paper_oracles import multiply_reduced_once, parse_by_products
 
 
 def test_product_example(ctx):
@@ -208,3 +208,41 @@ def test_parser_errors_match_product_oracle(text, edit, where, char):
         text = text[:i] + (char if edit == "replace" else "") + text[i + 1:]
     ctx = PhaseContext()
     assert _outcome(parse_element, text, ctx) == _outcome(parse_by_products, text, ctx)
+
+
+def _stored(a):
+    """The stored terms, after checking that no coefficient, and no scalar
+    term inside one, is zero."""
+    assert all(c and all(c._terms.values()) for c in a._terms.values()), a._terms
+    return {m: c._terms for m, c in a._terms.items()}
+
+
+def test_cancelled_product_point_is_not_stored(ctx):
+    # W[1,0] W[0,1] = z W[1,1] and W[0,1] W[1,0] = z^-1 W[1,1]: the (1,1) terms cancel
+    text = "(W[1,0] + W[0,1]) * (W[0,1] - 1z^2 * W[1,0])"
+    got = parse_element(text, ctx)
+    assert got.support() == ((0, 2), (2, 0))
+    assert _stored(got) == _stored(parse_by_products(text, ctx))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grammar_texts(), grammar_texts(), st.sampled_from(["0", "0z^3", "0+0i", "-0/2i z^-1"]))
+def test_results_store_no_zero(left, right, zero):
+    # AlgebraElement._of keeps what it is given, so every caller that can
+    # cancel drops its zeros itself; the oracles build through the public
+    # constructor, which drops them
+    ctx = PhaseContext()
+    a, b = parse_element(left, ctx), parse_element(right, ctx)
+    s = b.coefficient((0, 0)) or PhaseScalar.gaussian(1, -2)
+    cases = [(a + b, f"({left}) + ({right})"), (a - b, f"({left}) - ({right})"),
+             (a - a, f"({left}) - ({left})"), (adjoint(a), f"({left})^*"),
+             (a * 0, f"({left}) * 0"), (a * PhaseScalar.zero(), f"0 * ({left})")]
+    for got, text in cases:
+        assert _stored(got) == _stored(parse_by_products(text, ctx)), text
+    assert _stored(a * s) == _stored(multiply_reduced_once(a, scalar_element(s), ctx))
+    for x, y in ((a, b), (a, adjoint(a))):
+        assert _stored(multiply(x, y, ctx)) == _stored(multiply_reduced_once(x, y, ctx))
+    for text in (zero, f"{zero} * ({left})", f"({left}) * {zero} + W[1,1]",
+                 f"{zero} * W[1,0] - ({right})", f"({left}) + {zero}"):
+        got = parse_element(text, ctx)
+        assert _stored(got) == _stored(parse_by_products(text, ctx)), text

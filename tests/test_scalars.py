@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nctorus.algebra import AlgebraElement, PhaseContext, multiply, scalar_element, weyl
-from nctorus.scalars import GaussRat, PhaseScalar, _reduce_roots, as_fraction, as_scalar, cyclotomic
+from nctorus.scalars import (GaussRat, PhaseScalar, _over, _reduce_roots, as_fraction, as_scalar,
+                             cyclotomic)
 from nctorus.states import HermitianMatrix, quadratic_form
 from conftest import ROOT_DENOMINATORS
 from paper_oracles import (multiply_reduced_once, quadratic_form_per_row, reduce_roots, scalar_add,
@@ -119,6 +120,25 @@ def test_integral_coefficients_are_stored_as_ints():
               quadratic_form(h, [2, 2])):  # 2 + 1 + 1 + 3
         assert s._terms and all(type(c) is int for c in s._terms.values()), s
     assert quadratic_form(h, [2, 2]) == 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**80) | st.sampled_from([1, 2, 4, 10**16, 2**64]),
+       st.integers(-2**80, 2**80).filter(bool),
+       st.sampled_from(["any", "multiple", "shared factor"]), st.fractions(-5, 5))
+def test_reduced_quotient_is_an_ordinary_fraction(den, c, shape, other):
+    # _over builds its reduced Fraction from Fraction's own slots: it must be
+    # indistinguishable from Fraction(c, den) on every Python version CI runs
+    if shape == "multiple":
+        c *= den
+    elif shape == "shared factor":  # a gcd that is neither 1 nor den, for most den
+        c *= math.gcd(den, 2**40 * 3**20)
+    got, want = _over(c, den), Fraction(c, den)
+    assert type(got) is (int if c % den == 0 else Fraction)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert (got == want, hash(got), str(got)) == (True, hash(want), str(want))
+    for op in (operator.add, operator.mul, operator.eq, operator.lt):
+        assert op(got, other) == op(want, other) and op(other, got) == op(other, want)
 
 
 def test_mixed_order_equality():
