@@ -196,7 +196,7 @@ def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
     are reduced mod 2*pi in 256-bit fixed point first (circle.phase_angle),
     so zeta-exponents far beyond float range still give a deterministic
     phase.  Its error grows like |k| * 2^-256 turns: it is no longer small
-    past |k| ~ 2^240, and the phase is lost past 2^256 (ROADMAP item 1).
+    past |k| ~ 2^240, and the phase is lost past 2^256 (ROADMAP item 5).
     The stored terms are read in the order they were stored, and a root
     other than 1 becomes a Fraction only for its phase.  Each component is
     the math.fsum of the rounded terms, which is correctly rounded, so the

@@ -152,41 +152,40 @@ class ConsistentWithTrace:
 # the Diophantine step
 # ---------------------------------------------------------------------------
 
-def _angle_window(ctx: PhaseContext, xi2: int, d: int, eps: Fraction) -> tuple[int, int, int]:
-    """Fixed-point (step, shift, width) for the hitting problem."""
-    fact = math.factorial(d)
-    step_turns = as_fraction(ctx.h) * fact * xi2 * xi2 / circle.TWO_PI
-    a = circle.to_fixed(step_turns) | 1  # odd step: the orbit covers every residue
-    delta_turns = eps / (4 * d * d) / circle.TWO_PI
-    dd = (delta_turns.numerator * circle.MODULUS) // delta_turns.denominator
-    if d == 1:
-        # literal |x mod 2pi - 2pi| < delta: a one-sided window below a full turn
-        t = (circle.MODULUS - dd) % circle.MODULUS
-        w = max(dd - 1, 0)
-    else:
-        target = circle.to_fixed(Fraction(1, d))
-        t = (target - dd) % circle.MODULUS
-        w = min(2 * dd, circle.MODULUS - 1)
-    return a, t, w
+def _window(h, xi2: int, d: int, eps) -> tuple[int, int, int, int]:
+    """Integers (a, m, t, w): N meets the approximation clause exactly when
+    ((N*a - t) mod m) <= w.
+
+    The clause puts frac(N h xi2^2/2pi) in the open interval
+    (lo, hi) = 1/d -+ eps/(4 d^2)/2pi of a turn.  m is the common
+    denominator of the step h xi2^2/2pi and of lo and hi, so N*a mod m is
+    m times that fraction, and t..t+w are the integers strictly inside
+    (lo*m, hi*m); w < 0 when there are none.
+    """
+    step = as_fraction(h) * xi2 * xi2 / circle.TWO_PI
+    delta = as_fraction(eps) / (4 * d * d) / circle.TWO_PI
+    lo, hi = Fraction(1, d) - delta, Fraction(1, d) + delta
+    m = lcm(step.denominator, lo.denominator, hi.denominator)
+    # the clamps: d = 1's one-sided window below a full turn, an eps wider than 1/d
+    t = max(math.floor(lo * m) + 1, 0)
+    w = min(math.ceil(hi * m) - 1, m - 1) - t
+    return step.numerator * (m // step.denominator), m, t, w
 
 
 def satisfies_diophantine(h, n: int, xi2: int, d: int, eps) -> bool:
-    """Exact rational check of |(h N xi2^2) mod 2pi - 2pi/d| < eps/(4 d^2)."""
-    turns = as_fraction(h) * n * xi2 * xi2 / circle.TWO_PI
-    frac = turns - math.floor(turns)
-    dev = abs(frac - Fraction(1, d))
-    return dev < as_fraction(eps) / (4 * d * d) / circle.TWO_PI
+    """Exact check of |(h N xi2^2) mod 2pi - 2pi/d| < eps/(4 d^2), N = n."""
+    a, m, t, w = _window(h, xi2, d, eps)
+    return (n * a - t) % m <= w
 
 
 def diophantine_N(ctx: PhaseContext, xi2: int, d: int, eps, *,
                   budget: int = DEFAULT_BUDGET) -> int:
     """Smallest N = d!*k with |(h N xi2^2) mod 2pi - 2pi/d| < eps/(4 d^2).
 
-    The exact Euclidean minimal-hit solver (circle.first_hit) finds k on
-    the 256-bit circle; a minimal k above `budget` raises
-    DiophantineBudgetError.  The answer is then checked against the exact
-    rational inequality, stepping to the next hit if the fixed-point
-    window disagrees.
+    The exact Euclidean minimal-hit solver (circle.first_hit) finds the
+    least k on _window's integers, the same ones satisfies_diophantine
+    reads; a minimal k above `budget`, or a window no multiple of d!
+    reaches, raises DiophantineBudgetError.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -194,24 +193,15 @@ def diophantine_N(ctx: PhaseContext, xi2: int, d: int, eps, *,
     if d < 1 or xi2 < 1:
         raise ValueError("need d >= 1 and xi2 >= 1")
     fact = math.factorial(d)
-    a, t, w = _angle_window(ctx, xi2, d, eps)
-    k = circle.first_hit(a, circle.MODULUS, t, w)
+    a, m, t, w = _window(ctx.h, xi2, d, eps)
+    k = circle.first_hit(fact * a % m, m, t, w)
     if k is None:
-        raise DiophantineBudgetError(
-            f"no multiple of {d}! hits the target window at 256-bit resolution")
+        raise DiophantineBudgetError(f"no multiple of {d}! hits the target window")
     if k > budget:
         raise DiophantineBudgetError(
             f"minimal k = {k} exceeds the search budget {budget}; "
             f"best candidate N = {fact * k}")
-    # guard the fixed-point answer with the exact rational inequality
-    for _ in range(4):
-        if satisfies_diophantine(ctx.h, fact * k, xi2, d, eps):
-            return fact * k
-        nxt = circle.first_hit(a, circle.MODULUS, (t - k * a) % circle.MODULUS, w)
-        if nxt is None:
-            break
-        k += nxt
-    raise DiophantineBudgetError("fixed-point window and exact inequality disagree persistently")
+    return fact * k
 
 
 # ---------------------------------------------------------------------------

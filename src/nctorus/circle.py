@@ -1,6 +1,7 @@
 """Fixed-point arithmetic on the unit circle.
 
-Angles are represented as 256-bit fixed-point fractions of a full turn.
+Phases are represented as 256-bit fixed-point fractions of a full turn;
+the Diophantine step does not use them (certificate._window is exact).
 The certificate pipeline produces zeta-exponents far beyond 2^53, where a
 double carries no phase information at all; reducing k * hbar mod 1 in
 integer arithmetic keeps every numeric phase deterministic.  It is not
@@ -8,8 +9,8 @@ accurate to 2^-256 of a turn, though: hbar_fixed keeps 256 bits of
 hbar = h/(2*pi), so the phase of zeta^k carries an error of about
 |k| * 2^-256 turns.  Past |k| ~ 2^240 that error is no longer small
 (2^-16 turns), and past 2^256 the phase is lost; the multi-orbit
-certificate at d = 60 reaches k ~ 2^309.  ROADMAP item 1 replaces this
-with a phase precision chosen per exponent.
+certificate at d = 60 reaches k ~ 2^309 (defect A).  ROADMAP item 5
+replaces this with a phase precision chosen per exponent.
 
 The module also hosts the minimal-hit solver for irrational rotations:
 the smallest k >= 1 with k * alpha landing in a prescribed arc.  This is
@@ -27,7 +28,8 @@ from functools import lru_cache
 BITS = 256
 MODULUS = 1 << BITS
 
-# 200 decimal digits of pi; ample for 256-bit turn fractions.
+# 200 decimal digits of pi: ample for 256-bit phases, too few for
+# certificate._window from d ~ 115 on (defect B, ROADMAP item 1).
 PI = Fraction(
     "3.14159265358979323846264338327950288419716939937510582097494459230781"
     "64062862089986280348253421170679821480865132823066470938446095505822317"

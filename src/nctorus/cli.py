@@ -64,9 +64,16 @@ def _complex_pair(value) -> list[float]:
     return [float(value.real), float(value.imag)]
 
 
-def _matrix_from_json(obj, exact: bool) -> HermitianMatrix:
+def _matrix_rows(arg: str, what: str):
+    """The "matrix" field of a JSON object; any other shape is a ValueError."""
+    obj = _load_json(arg)
     if not isinstance(obj, dict) or "matrix" not in obj:
-        raise ValueError('matrix JSON must be {"matrix": [[...]]}')
+        raise ValueError(f'{what} JSON must be {{"matrix": [[...]]}}')
+    return obj["matrix"]
+
+
+def _matrix_from_json(arg: str, exact: bool) -> HermitianMatrix:
+    rows = _matrix_rows(arg, "matrix")
 
     def entry(x):
         re, im = x if isinstance(x, (list, tuple)) else (x, 0)
@@ -75,7 +82,7 @@ def _matrix_from_json(obj, exact: bool) -> HermitianMatrix:
         return PhaseScalar.gaussian(re, im)
 
     try:
-        data = [[entry(x) for x in row] for row in obj["matrix"]]
+        data = [[entry(x) for x in row] for row in rows]
     except TypeError as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
     return HermitianMatrix(data)
@@ -124,7 +131,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_nf(args, ctx) -> int:
-    form = SkewForm(_vectors_from_json(_load_json(args.form)["matrix"], "form matrix"))
+    form = SkewForm(_vectors_from_json(_matrix_rows(args.form, "form"), "form matrix"))
     nf = symplectic_normal_form(form)
     if args.as_json:
         print(json.dumps({"divisors": list(nf.divisors),
@@ -176,7 +183,7 @@ def _cmd_gram(args, ctx) -> int:
 
 
 def _cmd_psd(args, ctx) -> int:
-    matrix = _matrix_from_json(_load_json(args.matrix), exact=args.exact)
+    matrix = _matrix_from_json(args.matrix, exact=args.exact)
     verdict = is_psd(matrix, tol=0 if args.exact else args.tol)
     if args.as_json:
         payload = {"psd": verdict.is_psd}

@@ -2,9 +2,11 @@
 
 build_H_prime and det_P are the idealized restriction matrix H'_l and the
 closed-form determinant of P_d; scan_hit is the brute-force linear scan
-that the minimal-hit solver circle.first_hit must agree with.  relabel is
-the support relabelling W_m -> W_(Theta m), which the automorphism
-criterion checks against algebra.multiply; is_symplectic (Theta^T Sigma
+that the minimal-hit solver circle.first_hit must agree with, and
+diophantine_fraction is the approximation clause as one Fraction
+inequality, which certificate.satisfies_diophantine must decide alike.
+relabel is the support relabelling W_m -> W_(Theta m), which the
+automorphism criterion checks against algebra.multiply; is_symplectic (Theta^T Sigma
 Theta = Sigma), built on mat_mul and transpose, says for which Theta it
 must be multiplicative, and cocycle is the 2-cocycle identity of
 lattice.pairing.  standard_form is the genus-g form, g copies of the
@@ -35,10 +37,11 @@ and raise the same ParseError, for every text.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 import numpy as np
 
+from nctorus import circle
 from nctorus.algebra import AlgebraElement, adjoint, multiply, scalar_element, weyl
 from nctorus.lattice import SkewForm, as_matrix, mat_vec, pairing
 from nctorus.parser import ParseError
@@ -96,6 +99,14 @@ def scan_hit(a: int, m: int, t: int, w: int, limit: int) -> int | None:
         if (pos - t) % m <= w:
             return k
     return None
+
+
+def diophantine_fraction(h, n: int, xi2: int, d: int, eps) -> bool:
+    """|(h N xi2^2) mod 2pi - 2pi/d| < eps/(4 d^2) for N = n, in Fraction turns."""
+    turns = as_fraction(h) * n * xi2 * xi2 / circle.TWO_PI
+    frac = turns - floor(turns)
+    dev = abs(frac - Fraction(1, d))
+    return dev < as_fraction(eps) / (4 * d * d) / circle.TWO_PI
 
 
 def relabel(theta, a: AlgebraElement) -> AlgebraElement:

@@ -14,8 +14,8 @@ from nctorus.certificate import (
     Certificate,
     ConsistentWithTrace,
     DiophantineBudgetError,
-    _angle_window,
     _family_values,
+    _window,
     _witness_total,
     average_R,
     build_H_second,
@@ -38,10 +38,9 @@ from nctorus.states import (
     is_psd,
     quadratic_form,
 )
-from nctorus.circle import MODULUS
 from nctorus.lattice import SIGMA2, SkewForm, pairing
 from nctorus.scalars import GaussRat, PhaseScalar
-from paper_oracles import build_H_prime, det_P, is_hermitian, scan_hit
+from paper_oracles import build_H_prime, det_P, diophantine_fraction, is_hermitian, scan_hit
 
 
 # -- diophantine ------------------------------------------------------------
@@ -61,9 +60,54 @@ def test_diophantine_minimal_and_divisible(ctx, d, eps):
 def test_diophantine_scan_agrees_with_exact(ctx):
     for d, xi2, eps in [(2, 1, Fraction(1, 2)), (3, 2, Fraction(1, 2)), (4, 1, Fraction(1, 1))]:
         exact = diophantine_N(ctx, xi2, d, eps)
-        a, t, w = _angle_window(ctx, xi2, d, eps)
-        scanned = math.factorial(d) * scan_hit(a, MODULUS, t, w, 10**6)
+        a, m, t, w = _window(ctx.h, xi2, d, eps)
+        fact = math.factorial(d)
+        scanned = fact * scan_hit(fact * a, m, t, w, 10**6)
         assert exact == scanned
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.fractions(-10, 10).filter(bool), d=st.integers(1, 60), xi2=st.integers(1, 9),
+       mantissa=st.integers(1, 999), exponent=st.integers(-12, 6), data=st.data())
+def test_window_decides_the_fraction_inequality(h, d, xi2, mantissa, exponent, data):
+    # eps runs from 1e-15 to 1e6: past 8*pi*d the window is wider than 1/d
+    eps = Fraction(mantissa, 1000) * Fraction(10) ** exponent
+    ns = [data.draw(st.integers(0, 2**400)) for _ in range(3)]
+    try:
+        n_val = diophantine_N(PhaseContext(h=h), xi2, d, eps, budget=10**1000)
+        assert diophantine_fraction(h, n_val, xi2, d, eps)
+        ns += [n_val - 1, n_val, n_val + 1, n_val + math.factorial(d)]
+    except DiophantineBudgetError:
+        pass  # no multiple of d! reaches the window
+    for n in ns:
+        assert satisfies_diophantine(h, n, xi2, d, eps) == diophantine_fraction(h, n, xi2, d, eps)
+
+
+def test_window_clamps(ctx):
+    # d = 1: one-sided, below a full turn; eps = 1000 > 8 pi d: the whole turn
+    for d, eps, lo_clamped, hi_clamped in [(1, Fraction(1, 10), False, True),
+                                           (3, 1000, True, True),
+                                           (3, Fraction(1, 10), False, False)]:
+        a, m, t, w = _window(ctx.h, 1, d, eps)
+        assert (t == 0, t + w == m - 1) == (lo_clamped, hi_clamped)
+        assert all(((n * a - t) % m <= w) == diophantine_fraction(ctx.h, n, 1, d, eps)
+                   for n in range(2000))
+
+
+def test_diophantine_finer_than_fixed_point(ctx):
+    # a window far below 2^-256 turns: the exact window still decides it
+    eps = Fraction(1, 10**100)
+    n_val = diophantine_N(ctx, 1, 2, eps, budget=10**400)
+    assert n_val % 2 == 0 and n_val.bit_length() > 256
+    assert satisfies_diophantine(ctx.h, n_val, 1, 2, eps)
+    assert diophantine_fraction(ctx.h, n_val, 1, 2, eps)
+
+
+def test_diophantine_unreachable_window(ctx):
+    # no multiple of 3! lands in a window of width 1e-250 around 2pi/3
+    for budget in (10**9, 10**1000):
+        with pytest.raises(DiophantineBudgetError, match="no multiple"):
+            diophantine_N(ctx, 1, 3, Fraction(1e-250), budget=budget)
 
 
 def test_diophantine_budget_error(ctx):
@@ -681,8 +725,8 @@ def _reference_module():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="phases and the Diophantine clause are computed with "
-                   "256-bit h/2pi and a 200-digit pi (ROADMAP item 1)")
+                   reason="phases use a 256-bit h/2pi (defect A, ROADMAP item 5) and "
+                   "the Diophantine clause a 200-digit pi (defect B, ROADMAP item 1)")
 @pytest.mark.parametrize("p, multiples", [
     # defect A: zeta exponents past 2^256 lose their phase
     (Fraction(13, 100), {k: Fraction(9, 10) for k in range(1, 5)}),  # d = 60

@@ -27,7 +27,7 @@ def brute_first_hit(a, m, t, w, cap):
 def test_first_hit_matches_brute_force(m, data):
     a = data.draw(st.integers(0, m - 1))
     t = data.draw(st.integers(0, m - 1))
-    w = data.draw(st.integers(0, m - 1))
+    w = data.draw(st.integers(-2, m - 1))  # w < 0 is an empty window: no hit
     assert first_hit(a, m, t, w) == brute_first_hit(a, m, t, w, 6 * m)
 
 

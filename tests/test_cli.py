@@ -190,6 +190,9 @@ def test_usage_errors(capsys):
     # JSON of the wrong shape is a usage error too, not a traceback
     code, _, err = run(capsys, "nf", '{"matrix": 5}')
     assert code == 2 and err.startswith("error: ")
+    for form in ('[[0,1],[-1,0]]', '[]'):
+        code, out, err = run(capsys, "nf", form)
+        assert code == 2 and out == "" and err.startswith('error: form JSON must be {"matrix"'), form
     code, _, err = run(capsys, "gram", "--state", '{"orbit_values":{}}', "--gens", "[5]")
     assert code == 2 and err.startswith("error: ")
     code, _, err = run(capsys, "--h", "0", "orbit", "1", "2")
