@@ -126,7 +126,7 @@ class Certificate:
                 value=float(obj["value"]),
                 avg_value=float(obj["avg_value"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
 
     @classmethod

@@ -29,7 +29,7 @@ from .certificate import (
 )
 from .lattice import SkewForm, as_vector, orbit_rep, symplectic_normal_form
 from .parser import ParseError, parse_element
-from .scalars import PhaseScalar
+from .scalars import PhaseScalar, as_fraction
 from .states import HermitianMatrix, StateCandidate, as_tolerance, evaluate_exact, gram, is_psd
 
 EXIT_OK = 0
@@ -77,6 +77,7 @@ def _matrix_from_json(arg: str, exact: bool) -> HermitianMatrix:
 
     def entry(x):
         re, im = x if isinstance(x, (list, tuple)) else (x, 0)
+        re, im = as_fraction(re), as_fraction(im)  # "1/2" is a number, true is not
         if not exact:  # each number is a float first, so 1e400 overflows
             re, im = float(re), float(im)
         return PhaseScalar.gaussian(re, im)

@@ -25,11 +25,10 @@ value as an int.  Sums, negation and conjugation do not convert: int + int
 stays an int, and a sum that meets a Fraction is a Fraction, possibly an
 integral one (1/2 + 1/2).  An int and a Fraction of equal value compare,
 hash and print alike, so the type never decides a value or a printed form.
-as_gaussian hands out Fraction parts, because GaussRat divides and int /
-int would be a float.  _over, the division of the product kernels, takes
-one gcd g: g = den gives the int quotient, any other g the reduced Fraction,
-whose _numerator and _denominator slots (CPython 3.10-3.13) it sets
-directly, as 3.12's Fraction._from_coprime_ints does.  Fraction has no
+_over, the division of the product kernels, takes one gcd g: g = den gives
+the int quotient, any other g the reduced Fraction, whose _numerator and
+_denominator slots (CPython 3.10-3.13) it sets directly, as 3.12's
+Fraction._from_coprime_ints does.  Fraction has no
 __dict__, so renamed slots would raise AttributeError, not give a wrong value.
 
 Canonical form.  A PhaseScalar stores {(k, (a, n)): c} with no zero c, and
@@ -81,9 +80,10 @@ each row total into one set of buckets, and reduces once, so v^dagger H v
 costs one integer pass and one reduction; states.gram, which feeds it,
 reads each orbit value once and builds every one-term entry through the
 trusted PhaseScalar._of.  The matrix counterpart is states._psd_exact and
-states.determinant_exact: they scale a GaussRat matrix once by the lcm of
-its denominators and eliminate on Gaussian integers (Bareiss), so no
-GaussRat is multiplied or divided inside the elimination.
+states.determinant_exact: they get their ints from _gaussian, which scales
+every entry of a matrix once by the lcm of its denominators, and eliminate
+on those Gaussian integers (Bareiss), so no GaussRat is built for an entry
+or multiplied or divided inside the elimination.
 
 Printed form.  Equal values can have different canonical forms (1 + e(1/3)
 is e(1/6)), so which operations built a scalar decides its printed form:
@@ -491,24 +491,6 @@ class PhaseScalar:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def as_gaussian(self) -> tuple[Fraction, Fraction] | None:
-        """The value as (re, im) Gaussian rational with Fraction parts, or None.
-
-        The parts are Fractions even where the coefficient is an int: they feed
-        GaussRat, whose division must stay exact (int / int is a float).
-        """
-        re = im = ZERO
-        for (k, r), c in self._terms.items():
-            if k != 0:
-                return None
-            if r == ROOT_ONE:
-                re = Fraction(c)
-            elif r == ROOT_I:
-                im = Fraction(c)
-            else:
-                return None
-        return re, im
 
     # -- ring operations (the other operand is read by as_scalar) -----------
 

@@ -32,6 +32,7 @@ from .scalars import (
     PhaseScalar,
     _canonical,
     _coefficient,
+    _gaussian,
     _integral,
     _sum_of_products,
     as_fraction,
@@ -178,13 +179,6 @@ class HermitianMatrix:
     def to_numpy(self, ctx: PhaseContext | None = None) -> np.ndarray:
         return np.array(self.rounded(ctx), dtype=complex)
 
-    def gaussian_entries(self) -> list[list[GaussRat]] | None:
-        """Entries as Gaussian rationals, or None if any entry is not one."""
-        parts = [[c.as_gaussian() for c in row] for row in self._rows]
-        if any(None in row for row in parts):
-            return None
-        return [[GaussRat._of(*g) for g in row] for row in parts]
-
 
 def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
     """Exact Gram matrix H_ij = omega(W_i^* W_j) = zeta^(-sigma(m_i, m_j)) * p(m_j - m_i).
@@ -296,49 +290,53 @@ def is_psd(H: HermitianMatrix, tol=0) -> PsdVerdict:
     """Whether H + tol*I is positive semidefinite, decided by fraction-free
     elimination on Gaussian integers (_psd_exact), with witness extraction.
 
+    The entries go straight to the Gaussian ints of D * H (_integer_rows, D
+    also clearing tol's denominator): only a witness is built as GaussRat.
     Entries with zeta powers raise ValueError: round them first, as in
     HermitianMatrix(H.rounded(ctx)).  H must be Hermitian within tol,
-    |H_ij - conj(H_ji)| <= tol, and is read from its lower triangle with the
-    real part on the diagonal; the default tol = 0 asks for H = H^dagger
-    exactly and decides H itself.  A non-PSD witness w reports its value on
-    the unshifted matrix, value - tol*|w|^2 <= -1 - tol*|w|^2 < -tol.  A tol
-    that is nan, infinite or negative raises ValueError.
+    |H_ij - conj(H_ji)| <= tol, checked on those ints, and is read from its
+    lower triangle with the real part on the diagonal; the default tol = 0
+    asks for H = H^dagger exactly and decides H itself.  A non-PSD witness w
+    reports its value on the unshifted matrix, value - tol*|w|^2 <= -1 -
+    tol*|w|^2 < -tol.  A tol that is nan, infinite or negative raises
+    ValueError.
     """
     shift = as_tolerance(tol)
-    entries = H.gaussian_entries()
-    if entries is None:
-        raise ValueError("is_psd needs Gaussian-rational entries: round zeta powers first")
-    if not _hermitian_within(entries, shift):
+    den, re, im = _integer_rows(H, shift)
+    t = shift.numerator * (den // shift.denominator)  # tol * D
+    n = H.dim
+    pairs = ((re[i][j] - re[j][i], im[i][j] + im[j][i]) for i in range(n) for j in range(i, n))
+    if not all(x * x + y * y <= t * t if t else not (x or y) for x, y in pairs):
         raise ValueError("matrix is not Hermitian")
-    lower = [row[:i] + [GaussRat(row[i].re + shift)] for i, row in enumerate(entries)]
-    verdict = _psd_exact(lower)
+    for i in range(n):
+        re[i][i], im[i][i] = re[i][i] + t, 0
+    verdict = _psd_exact(den, re, im)
     if verdict.is_psd:
         return verdict
     value = verdict.value - shift * sum(w.abs2() for w in verdict.witness)
     return PsdVerdict(False, verdict.witness, value)
 
 
-def _hermitian_within(entries: list[list[GaussRat]], tol: Fraction) -> bool:
-    # |H_ij - conj(H_ji)| <= tol for i <= j; at tol = 0 compare parts, negating only nonzero ones
-    n = len(entries)
-    pairs = ((entries[i][j], entries[j][i]) for i in range(n) for j in range(i, n))
-    if not tol:
-        return all(a.re == b.re and (a.im == -b.im if a.im else not b.im) for a, b in pairs)
-    bound = tol * tol
-    return all((a.re - b.re) ** 2 + (a.im + b.im) ** 2 <= bound for a, b in pairs)
-
-
-def _integer_rows(entries: list[list[GaussRat]]) -> tuple[int, list[list[int]], list[list[int]]]:
-    # D, the lcm of every denominator, and the int real and imaginary parts of D * entries
-    den = lcm(*{x.denominator for row in entries for g in row for x in (g.re, g.im)})
-    re = [[g.re.numerator * (den // g.re.denominator) for g in row] for row in entries]
-    im = [[g.im.numerator * (den // g.im.denominator) for g in row] for row in entries]
+def _integer_rows(H: HermitianMatrix, tol: Fraction = ZERO) -> tuple[int, list, list]:
+    """(D, re, im): D is the lcm of every entry denominator and of tol's, and
+    re and im are the int real and imaginary parts of D * H, read through
+    scalars._gaussian.  An entry with a zeta power or another root than 1
+    and i raises ValueError."""
+    scaled = _gaussian([c._terms for row in H.rows() for c in row] + [{(0, ROOT_ONE): tol}])
+    if scaled is None or any(k for entry in scaled[1] for k, _, _ in entry):
+        raise ValueError("entries must be Gaussian rationals: round zeta powers first")
+    den, entries = scaled
+    n = H.dim
+    cells = [entry[0] if entry else (0, 0, 0) for entry in entries[:-1]]  # degree 0 only
+    re = [[x for _, x, _ in cells[i:i + n]] for i in range(0, n * n, n)]
+    im = [[y for _, _, y in cells[i:i + n]] for i in range(0, n * n, n)]
     return den, re, im
 
 
-def _psd_exact(entries: list[list[GaussRat]]) -> PsdVerdict:
-    """Bareiss elimination of the lower triangle of Hermitian entries,
-    scaled once to Gaussian integers A = D * H, D the lcm of the denominators.
+def _psd_exact(den: int, re: list[list[int]], im: list[list[int]]) -> PsdVerdict:
+    """Bareiss elimination of the lower triangle of A = D * H, given as the
+    int real and imaginary parts re and im of its Hermitian entries, whose
+    diagonal is real (_integer_rows and is_psd build them).
 
     Step k sets a_ij = (a_kk a_ij - a_ik conj(a_jk)) / prev, prev the last
     pivot used (1 at first).  By Sylvester's identity a_ij is then a minor
@@ -347,10 +345,10 @@ def _psd_exact(entries: list[list[GaussRat]]) -> PsdVerdict:
     a_kk has the sign of s_kk.  A zero pivot with a zero column is skipped
     and keeps prev.  A negative pivot, or a zero one with coupling, gets a
     witness, built once in Fractions from the integer columns that later
-    steps leave alone (L_ik = a_ik / a_kk), by _exact_witness.
+    steps leave alone (L_ik = a_ik / a_kk), by _exact_witness.  re and im
+    are updated in place.
     """
-    n = len(entries)
-    den, re, im = _integer_rows(entries)
+    n = len(re)
     prev = 1
     for k in range(n):
         d = re[k][k]
@@ -397,16 +395,14 @@ def _exact_witness(lcols, y, value: Fraction, n: int, upto: int) -> PsdVerdict:
 
 
 def determinant_exact(H: HermitianMatrix) -> GaussRat:
-    """Exact determinant by Bareiss elimination of A = D * H, as in
-    _psd_exact, pivoting on the first nonzero entry at or below row k (a
-    swap flips the sign); entries must be Gaussian rationals.  The exact
-    division by a complex pivot q is x * conj(q) / |q|^2, and the result
-    is sign * a_nn / D^n."""
-    entries = H.gaussian_entries()
-    if entries is None:
-        raise ValueError("exact determinant requires Gaussian-rational entries")
-    n = len(entries)
-    den, re, im = _integer_rows(entries)
+    """Exact determinant by Bareiss elimination of A = D * H, read by
+    _integer_rows as in is_psd, pivoting on the first nonzero entry at or
+    below row k (a swap flips the sign); entries with zeta powers raise
+    ValueError.  The exact division by a complex pivot q is
+    x * conj(q) / |q|^2, and the result, the one GaussRat built, is
+    sign * a_nn / D^n."""
+    den, re, im = _integer_rows(H)
+    n = H.dim
     sign, qr, qi = 1, 1, 0  # the last pivot q, 1 at first
     for k in range(n):
         piv = next((i for i in range(k, n) if re[i][k] or im[i][k]), None)

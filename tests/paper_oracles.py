@@ -28,7 +28,9 @@ before one reduction, quadratic_form_per_row, which reduces every row total
 of H v before the total, psd_exact_full_square, which updates the whole
 residual matrix, and psd_exact_fractions and determinant_fractions, the
 Fraction eliminations that the integer kernels of states.is_psd and
-states.determinant_exact replace.
+states.determinant_exact replace.  as_gaussian and gaussian_entries read a
+scalar and a matrix as GaussRat values, the copy those kernels no longer
+make.
 
 parse_by_products reads the element grammar the plain way: one character
 at a time, a token record per token with its offset, and one
@@ -45,8 +47,8 @@ from nctorus import circle
 from nctorus.algebra import AlgebraElement, adjoint, multiply, scalar_element, weyl
 from nctorus.lattice import SkewForm, as_matrix, mat_vec, pairing
 from nctorus.parser import ParseError
-from nctorus.scalars import (GaussRat, PhaseScalar, _sum_of_products, as_fraction, as_scalar,
-                             cyclotomic)
+from nctorus.scalars import (ROOT_I, ROOT_ONE, GaussRat, PhaseScalar, _sum_of_products,
+                             as_fraction, as_scalar, cyclotomic)
 from nctorus.states import HermitianMatrix, PsdVerdict, _exact_witness
 
 
@@ -190,6 +192,33 @@ def is_hermitian(h: HermitianMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 ZERO, HALF, QUARTER, THREE_QUARTERS = Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)
+
+
+def as_gaussian(x: PhaseScalar) -> tuple[Fraction, Fraction] | None:
+    """The value as (re, im) Gaussian rational with Fraction parts, or None.
+
+    The parts are Fractions even where the coefficient is an int: they feed
+    GaussRat, whose division must stay exact (int / int is a float).
+    """
+    re = im = ZERO
+    for (k, r), c in x._terms.items():
+        if k != 0:
+            return None
+        if r == ROOT_ONE:
+            re = Fraction(c)
+        elif r == ROOT_I:
+            im = Fraction(c)
+        else:
+            return None
+    return re, im
+
+
+def gaussian_entries(h: HermitianMatrix) -> list[list[GaussRat]] | None:
+    """The entries as Gaussian rationals, or None if any entry is not one."""
+    parts = [[as_gaussian(c) for c in row] for row in h.rows()]
+    if any(None in row for row in parts):
+        return None
+    return [[GaussRat._of(*g) for g in row] for row in parts]
 
 
 def reduce_roots(parts: dict) -> dict:

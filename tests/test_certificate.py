@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import random
 from fractions import Fraction
@@ -395,6 +396,14 @@ def test_certificate_json_round_trip(ctx):
     # the dict and the text read floats by the same rule
     cert = refute(StateCandidate({1: 0.3}), ctx)
     assert Certificate.from_json(cert.to_json()).params == Certificate.loads(cert.dumps()).params
+
+
+def test_certificate_value_too_large_for_a_float_is_malformed(ctx):
+    blob = refute(StateCandidate({1: 0.9}), ctx).to_json()
+    for field in ("value", "avg_value"):
+        text = json.dumps({**blob, field: "HUGE"}).replace('"HUGE"', "1e400")
+        with pytest.raises(ValueError, match="malformed certificate JSON"):
+            Certificate.loads(text)
 
 
 def test_verify_rejects_tampering(ctx):

@@ -137,6 +137,10 @@ def test_booleans_are_not_integer_fields(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
     code, out, err = run(capsys, "gram", "--state", state, "--gens", "[[0,0],[true,1]]")
     assert code == 2 and out == "" and err.startswith("error: ")
+    for mode in ([], ["--exact"]):  # a psd entry or part that is a JSON boolean
+        for matrix in ('{"matrix": [[true]]}', '{"matrix": [[[1, false]]]}'):
+            code, out, err = run(capsys, *mode, "psd", matrix)
+            assert code == 2 and out == "" and err.startswith("error: "), (mode, matrix)
 
 
 def test_verify_agreement_is_relative(capsys, tmp_path):
@@ -197,6 +201,13 @@ def test_usage_errors(capsys):
     assert code == 2 and err.startswith("error: ")
     code, _, err = run(capsys, "--h", "0", "orbit", "1", "2")
     assert code == 2 and err.startswith("error: ")
+    # psd entries are read exactly in both modes: "1/2" is a number, 1e400 is too
+    # large for a float without --exact
+    for mode in ([], ["--exact"]):
+        code, out, _ = run(capsys, *mode, "psd", '{"matrix": [["1/2"]]}')
+        assert (code, out) == (0, "PSD\n"), mode
+    code, out, err = run(capsys, "psd", '{"matrix": [[1e400]]}')
+    assert code == 2 and out == "" and err.startswith("error: ")
     # a zero denominator is a malformed number, wherever it is read
     code, out, err = run(capsys, "--h", "1/0", "orbit", "1", "1")
     assert code == 2 and out == "" and err.startswith("error: ")

@@ -11,8 +11,8 @@ from nctorus.scalars import (GaussRat, PhaseScalar, _over, _reduce_roots, as_fra
                              cyclotomic)
 from nctorus.states import HermitianMatrix, quadratic_form
 from conftest import ROOT_DENOMINATORS
-from paper_oracles import (multiply_reduced_once, quadratic_form_per_row, reduce_roots, scalar_add,
-                           scalar_conjugate, scalar_mul, scalar_neg)
+from paper_oracles import (as_gaussian, multiply_reduced_once, quadratic_form_per_row, reduce_roots,
+                           scalar_add, scalar_conjugate, scalar_mul, scalar_neg)
 
 
 def test_cyclotomic_first_few():
@@ -92,11 +92,11 @@ def test_gaussian_embedding():
     i = PhaseScalar.root_of_unity(Fraction(1, 4))
     assert i * i == PhaseScalar.rational(-1)
     s = PhaseScalar.gaussian(Fraction(1, 2), Fraction(3, 4))
-    assert s.as_gaussian() == (Fraction(1, 2), Fraction(3, 4))
-    assert s.conjugate().as_gaussian() == (Fraction(1, 2), Fraction(-3, 4))
+    assert as_gaussian(s) == (Fraction(1, 2), Fraction(3, 4))
+    assert as_gaussian(s.conjugate()) == (Fraction(1, 2), Fraction(-3, 4))
     # Fraction parts even for int coefficients: they feed GaussRat, where int / int is a float
     for s in (PhaseScalar.gaussian(2, -1), PhaseScalar.rational(3), PhaseScalar.zero()):
-        assert all(type(x) is Fraction for x in s.as_gaussian())
+        assert all(type(x) is Fraction for x in as_gaussian(s))
 
 
 def test_integral_coefficients_are_stored_as_ints():
@@ -224,7 +224,7 @@ def test_reduce_roots_matches_plain_reduction(parts):
 def test_root_keys():
     # any rational root is read modulo 1 and kept as its reduced pair
     assert PhaseScalar({(0, Fraction(3, 2)): 1}) == PhaseScalar.root_of_unity(Fraction(1, 2))
-    assert PhaseScalar({(0, Fraction(-3, 4)): 1}).as_gaussian() == (0, 1)
+    assert as_gaussian(PhaseScalar({(0, Fraction(-3, 4)): 1})) == (0, 1)
     # terms() yields Fraction roots sorted by value, not by (a, n) pair order.  No
     # canonical bucket holds 1/3 next to 1/12 (at order 12 only j/12 with j < 4
     # stay), so the order-12 bucket {0, 1/12, 1/6, 1/4} shows it: its pairs sort

@@ -25,7 +25,9 @@ from nctorus.states import (
 )
 from conftest import element_terms, random_element, random_scalar, random_sl2, shuffled_element
 from paper_oracles import (
+    as_gaussian,
     determinant_fractions,
+    gaussian_entries,
     is_hermitian,
     min_eigenvalue,
     psd_exact_fractions,
@@ -241,8 +243,8 @@ def test_quadratic_form_examples():
     assert quadratic_form(h, [1, -1]) == -2.0
     # the result is the exact total, with Fraction parts from int coefficients
     q = quadratic_form(HermitianMatrix([[1, 2], [2, 1]]), [1, -1])
-    assert isinstance(q, PhaseScalar) and q.as_gaussian() == (-2, 0)
-    assert all(type(x) is Fraction for x in q.as_gaussian())
+    assert isinstance(q, PhaseScalar) and as_gaussian(q) == (-2, 0)
+    assert all(type(x) is Fraction for x in as_gaussian(q))
     assert numeric_eval(quadratic_form(h, [1, 1j]), None) == 2
     # a sum stores 1/2 + 1/2 as an integral Fraction; the product stores 9 as an int
     one = PhaseScalar.rational(Fraction(1, 2)) + Fraction(1, 2)
@@ -358,7 +360,7 @@ def hermitian(draw):
 @given(hermitian())
 def test_psd_exact_matches_full_square_elimination(h):
     verdict = is_psd(h)
-    want = psd_exact_full_square(h.gaussian_entries())
+    want = psd_exact_full_square(gaussian_entries(h))
     assert (verdict.is_psd, verdict.witness, verdict.value) == (want.is_psd, want.witness, want.value)
     if not verdict.is_psd:
         assert quadratic_form(h, verdict.witness) == verdict.value < 0
@@ -411,7 +413,7 @@ def test_integer_elimination_matches_fraction_elimination(rows, tol):
     # w^H (H + tol*I) w - tol*|w|^2, exactly
     shifted = HermitianMatrix([[PhaseScalar.gaussian(g.re + shift * (i == j), g.im)
                                 for j, g in enumerate(row)] for i, row in enumerate(rows)])
-    re_part, im_part = quadratic_form(shifted, w).as_gaussian()
+    re_part, im_part = as_gaussian(quadratic_form(shifted, w))
     assert (re_part - shift * norm, im_part) == (verdict.value, 0)
 
 
@@ -429,6 +431,49 @@ def test_integer_elimination_needs_no_gaussrat_products(monkeypatch):
     assert determinant_exact(pd) == 0
 
 
+def test_exact_matrices_build_no_gaussrat_entries(monkeypatch):
+    h = HermitianMatrix([[Fraction(5, 2), PhaseScalar.gaussian(Fraction(1, 3), -1)],
+                         [PhaseScalar.gaussian(Fraction(1, 3), 1), Fraction(7, 6)]])
+    built = []
+    init, of = GaussRat.__init__, GaussRat._of.__func__
+
+    def counted_init(self, *args):
+        built.append("__init__")
+        init(self, *args)
+
+    def counted_of(cls, *args):
+        built.append("_of")
+        return of(cls, *args)
+
+    monkeypatch.setattr(GaussRat, "__init__", counted_init)
+    monkeypatch.setattr(GaussRat, "_of", classmethod(counted_of))
+    assert is_psd(h).is_psd and built == []  # the entries go straight to Gaussian ints
+    det = determinant_exact(h)
+    assert len(built) == 1 and (det.re, det.im) == (Fraction(65, 36), 0)  # 35/12 - 10/9
+
+
+def test_hermitian_within_tol_at_its_boundary():
+    tol = Fraction(1, 3)
+    a = PhaseScalar.gaussian(Fraction(1, 7), Fraction(2, 7))
+
+    def matrix(gap_re, gap_im, diag_im=0):
+        # H_10 = conj(H_01) + conj(gap): |H_01 - conj(H_10)| = |gap|
+        below = a.conjugate() + PhaseScalar.gaussian(gap_re, -gap_im)
+        return HermitianMatrix([[PhaseScalar.gaussian(Fraction(3, 7), diag_im), a],
+                                [below, PhaseScalar.rational(Fraction(5, 7))]])
+
+    for gap in ((tol, 0), (Fraction(1, 5), Fraction(4, 15))):  # |gap| = tol exactly
+        assert is_psd(matrix(*gap), tol).is_psd
+    with pytest.raises(ValueError, match="not Hermitian"):
+        is_psd(matrix(tol + Fraction(1, 10**9), 0), tol)
+    # a diagonal imaginary part y is the gap 2y
+    assert is_psd(matrix(0, 0, Fraction(1, 6)), tol).is_psd
+    with pytest.raises(ValueError, match="not Hermitian"):
+        is_psd(matrix(0, 0, Fraction(1, 6)), Fraction(1, 7))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        is_psd(matrix(0, 0, Fraction(1, 6)))
+
+
 def test_psd_two_by_two_iff(ctx):
     for p in [-1.2, -1.0, -0.5, 0.0, 0.5, 0.99, 1.0, 1.001, 1.5]:
         st = StateCandidate({1: abs(p)}) if p >= 0 else StateCandidate({1: p})
@@ -441,7 +486,7 @@ def test_quadratic_form_exact_total_rounds_to_numeric_value(ctx):
     gens = [(0, 0), (1, 0), (0, 1)]
     h = gram(state, gens, ctx)
     total = quadratic_form(h, (1, 1, 1))
-    assert total.as_gaussian() is None  # zeta powers stay exact in the total
+    assert as_gaussian(total) is None  # zeta powers stay exact in the total
     with pytest.raises(ValueError):  # rounding them needs a PhaseContext
         numeric_eval(total, None)
     assert numeric_eval(total, ctx) == 5.54030230586814
@@ -469,6 +514,10 @@ def test_determinant_exact():
     assert determinant_exact(HermitianMatrix(np.eye(2, dtype=int))) == 1  # and numpy ints
     with pytest.raises(ValueError):
         determinant_exact(HermitianMatrix([[1, PhaseScalar.zeta(1)], [PhaseScalar.zeta(-1), 1]]))
+    w = PhaseScalar.root_of_unity(Fraction(1, 3))  # a root other than 1 and i
+    for decide in (is_psd, determinant_exact):
+        with pytest.raises(ValueError, match="round zeta powers first"):
+            decide(HermitianMatrix([[1, w], [w.conjugate(), 1]]))
 
 
 finite = hs.floats(-2, 2, allow_nan=False, allow_infinity=False)
@@ -536,5 +585,5 @@ def test_pipeline_needs_no_numpy(ctx, monkeypatch):
                                 [PhaseScalar.gaussian(0, -1), 1]])
     assert is_psd(gaussian).is_psd
     phased = gram(single, [(0, 0), (1, 0), (0, 1)], ctx)
-    assert phased.gaussian_entries() is None
+    assert gaussian_entries(phased) is None
     assert is_psd(HermitianMatrix(phased.rounded(ctx)), tol=1e-9).is_psd
