@@ -193,10 +193,12 @@ def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
     the package rounds an exact value.
 
     A term c or c*i rounds to exactly float(c) or float(c)*i.  Other phases
-    are reduced mod 2*pi in 256-bit fixed point first (circle.phase_angle),
-    so zeta-exponents far beyond float range still give a deterministic
-    phase.  Its error grows like |k| * 2^-256 turns: it is no longer small
-    past |k| ~ 2^240, and the phase is lost past 2^256 (ROADMAP item 5).
+    are reduced mod 2*pi in 256-bit fixed point first, as k * hbar_fixed(h)
+    with hbar_fixed read once per call, and circle.signed_angle turns the
+    residue into the float circle.phase_angle gives, so zeta-exponents far
+    beyond float range still give a deterministic phase.  Its error grows
+    like |k| * 2^-256 turns: it is no longer small past |k| ~ 2^240, and
+    the phase is lost past 2^256 (ROADMAP item 5).
     The stored terms are read in the order they were stored, and a root
     other than 1 becomes a Fraction only for its phase.  Each component is
     the math.fsum of the rounded terms, which is correctly rounded, so the
@@ -205,7 +207,7 @@ def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
     exactly, so a real total has imaginary part 0.0.  ctx may be None when
     no term has a zeta power.
     """
-    h = ctx.h if ctx is not None else Fraction(0)  # h only scales zeta powers
+    hbar = None  # circle.hbar_fixed(h), read once, at the first phase
     parts = []
     for (k, r), c in s._terms.items():
         if not k and (r == ROOT_ONE or r == ROOT_I):
@@ -213,6 +215,8 @@ def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
             continue
         if k and ctx is None:
             raise ValueError("a PhaseContext is needed to evaluate zeta powers")
-        angle = circle.phase_angle(h, k, Fraction(*r)) if r[0] else circle.phase_angle(h, k)
-        parts.append(float(c) * cmath.exp(1j * angle))
+        if hbar is None:
+            hbar = circle.hbar_fixed(ctx.h) if ctx is not None else 0  # h only scales zeta powers
+        fixed = k * hbar + circle.to_fixed(Fraction(*r)) if r[0] else k * hbar
+        parts.append(float(c) * cmath.exp(1j * circle.signed_angle(fixed)))
     return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))

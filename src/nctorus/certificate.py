@@ -8,11 +8,11 @@ l = 1..d.  The average of their Gram matrices is an eps-perturbation of
 P_d = [p; 1; 0; ...; 0], whose explicit witness (-p*d, 1, ..., 1) has
 quadratic value d*(1 - d*p^2) < 0, so some family l* is not positive
 either.  Each family's Gram matrix is Toeplitz, so refute() scores the d
-families with the closed-form witness value (d - 1 phases each), takes l*
-and the average's value from those scores, and builds the exact Gram
-matrix of l* alone.  The average only guides refute() to l*; the proof is
-the single element a = sum v_i W_(g_i) on that family with
-omega(a* a) < 0, and refute() certifies its exact total rounded once.
+families with the closed-form witness value (one phase reduction per
+family), takes l* and the average's value from those scores, and builds
+the exact Gram matrix of l* alone.  The average only guides refute() to
+l*; the proof is the single element a = sum v_i W_(g_i) on that family
+with omega(a* a) < 0, and refute() certifies its exact total rounded once.
 verify() re-derives the parameters and the l* generators, and sums
 omega(a* a) from the pair relations W_(g_i)^* W_(g_j) =
 zeta^(-sigma(g_i, g_j)) W_(g_j - g_i) on Gaussian ints (_witness_total),
@@ -236,30 +236,28 @@ def _family_values(state: StateCandidate, params: CertParams,
     e_k is the exponent gram() uses for the entry (i, i+k), -sigma(g_i, g_(i+k));
     since g_(i+k) - g_i = k (g_2 - g_1) and sigma is bilinear, e_k = k e_1
     with e_1 = -sigma(g_1, g_2), read from ctx.sigma rather than assumed.
-    Each distinct exponent k e_1 is reduced once per call: e_1 is a multiple
-    of l for this form, so families share exponents (658 distinct among the
-    1,980 pairs (k, l) at d = 45 when every q_(Nkx) is nonzero), but the
-    cache is keyed by the exponent and assumes nothing.  These float
-    scores, at d-1 phases per family, only choose l* and avg_value;
+    Each family reduces e_1 once, f_1 = e_1 hbar_fixed(h) mod one turn, and
+    k f_1 mod one turn is the residue circle.phase_angle(h, e_k) reduces, so
+    every cosine reads the float phase_angle gives (circle.signed_angle).
+    With no value on any orbit N k x every family scores d - d^2 p^2, and no
+    family is built.  These float scores only choose l* and avg_value;
     refute() certifies the exact total on the l* Gram matrix.
     """
     d, n_val, x = params.d, params.N, params.xi[0]
     p = eval_generator(state, params.xi)
     base = float(d - d * d * p * p)
-    q = [(k, float(qk)) for k in range(1, d) if (qk := state.value(n_val * k * x))]
-    cosines: dict[int, float] = {}  # exponent -> cos(exponent * h)
+    # 2 (d-k) q_(Nkx), rounded as in 2 * (d - k) * q * cos, which multiplies left to right
+    weights = [(k, 2 * (d - k) * float(qk)) for k in range(1, d)
+               if (qk := state.value(n_val * k * x))]
+    if not weights:
+        return [base] * d
+    hbar = circle.hbar_fixed(ctx.h)
     values = []
     for l in range(1, d + 1):
         g1, g2 = (mat_vec(theta_j(n_val, l, j), params.xi) for j in (1, 2))
-        e1 = -pairing(ctx.sigma, g1, g2)
-        terms = []
-        for k, qk in q:
-            e = k * e1
-            cos = cosines.get(e)
-            if cos is None:
-                cos = cosines[e] = math.cos(circle.phase_angle(ctx.h, e))
-            terms.append(2 * (d - k) * qk * cos)
-        values.append(math.fsum([base, *terms]))
+        f1 = -pairing(ctx.sigma, g1, g2) * hbar % circle.MODULUS
+        values.append(math.fsum([base, *[w * math.cos(circle.signed_angle(k * f1))
+                                         for k, w in weights]]))
     return values
 
 
@@ -331,6 +329,11 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
     orbit = nonzero[0]
     p = state.value(orbit)
     d, eps = choose_parameters(p)
+    try:
+        float(d - d * d * p * p)  # the widest float stored: |p| and |p d| are smaller
+    except OverflowError:
+        raise ValueError(f"orbit {orbit}: |p| is too large for a certificate, which stores "
+                         "p, the witness and the value d - d^2 p^2 as floats") from None
     if d > 1000:
         raise DiophantineBudgetError(
             f"refuting p = {p} needs d = {d}; the search for N among multiples "

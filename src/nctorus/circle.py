@@ -27,6 +27,7 @@ from functools import lru_cache
 
 BITS = 256
 MODULUS = 1 << BITS
+RADIAN = 2.0 * math.pi / MODULUS  # radians per fixed-point unit: a power-of-two scaling, exact
 
 # 200 decimal digits of pi: ample for 256-bit phases, too few for
 # certificate._window from d ~ 115 on (defect B, ROADMAP item 1).
@@ -49,11 +50,6 @@ def hbar_fixed(h: Fraction) -> int:
     return to_fixed(h / TWO_PI)
 
 
-def fixed_to_angle(fixed: int) -> float:
-    """Radians in [0, 2*pi) for a fixed-point turn fraction."""
-    return (fixed % MODULUS) / MODULUS * 2.0 * math.pi
-
-
 def phase_angle(h: Fraction, zeta_exp: int, root: Fraction = Fraction(0)) -> float:
     """Angle of zeta^k * e(r) in radians, the signed residue in [-pi, pi).
 
@@ -65,8 +61,19 @@ def phase_angle(h: Fraction, zeta_exp: int, root: Fraction = Fraction(0)) -> flo
     the negated angle of zeta^k, and their rounded values are exact
     conjugates.
     """
-    fixed = (zeta_exp * hbar_fixed(h) + to_fixed(root)) % MODULUS
-    return fixed_to_angle(fixed) if 2 * fixed < MODULUS else -fixed_to_angle(MODULUS - fixed)
+    return signed_angle(zeta_exp * hbar_fixed(h) + to_fixed(root))
+
+
+def signed_angle(fixed: int) -> float:
+    """Radians in [-pi, pi) of fixed mod one turn, a fixed-point turn fraction.
+
+    The one expression for a phase float: float(fixed) is correctly rounded
+    and RADIAN exact, so it rounds (fixed / 2^256) * 2 * pi once, and a caller
+    that reduces k * hbar_fixed(h) itself (numeric_eval, certificate
+    scoring) gets the float phase_angle(h, k) gives, bit for bit.
+    """
+    fixed %= MODULUS
+    return float(fixed) * RADIAN if 2 * fixed < MODULUS else -(float(MODULUS - fixed) * RADIAN)
 
 
 # ---------------------------------------------------------------------------

@@ -73,13 +73,13 @@ algebra.multiply scales each of its two elements once and feeds all term
 pairs of all its coefficient products into one set of buckets per
 support point, so it builds no PhaseScalar per pair; _sum_of_products
 does the same for a sum of scalar products, and PhaseScalar.__mul__ is
-its one-pair case.  states.quadratic_form goes one step further, on
-root buckets whatever its roots: it scales v once and the nonzero entries
-of H once, leaves every row total of H v unreduced, adds conj(v_i) times
-each row total into one set of buckets, and reduces once, so v^dagger H v
-costs one integer pass and one reduction; states.gram, which feeds it,
-reads each orbit value once and builds every one-term entry through the
-trusted PhaseScalar._of.  The matrix counterpart is states._psd_exact and
+its one-pair case.  states.quadratic_form goes one step further: it scales
+v once and the nonzero entries of H once, leaves every row total of H v
+unreduced, adds conj(v_i) times each row total into one set of buckets
+(Gaussian [re, im] pairs on Q(i), root buckets otherwise) and divides once;
+states.gram, which feeds it, reads each orbit value once and builds every
+one-term entry, one gcd per unordered pair, through the trusted
+PhaseScalar._of.  The matrix counterpart is states._psd_exact and
 states.determinant_exact: they get their ints from _gaussian, which scales
 every entry of a matrix once by the lcm of its denominators, and eliminate
 on those Gaussian integers (Bareiss), so no GaussRat is built for an entry

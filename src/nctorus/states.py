@@ -22,10 +22,11 @@ from math import gcd as _gcd, isqrt, lcm
 
 import numpy as np
 
-from . import scalars  # quadratic_form looks _product_into up here, where tests count it
+from . import scalars  # quadratic_form looks its product kernels up here, where tests count them
 from .algebra import AlgebraElement, PhaseContext, numeric_eval
 from .lattice import as_integer, as_vector
 from .scalars import (
+    _GAUSSIAN_ROOTS,
     ROOT_ONE,
     ZERO,
     GaussRat,
@@ -33,6 +34,7 @@ from .scalars import (
     _canonical,
     _coefficient,
     _gaussian,
+    _gaussian_terms,
     _integral,
     _sum_of_products,
     as_fraction,
@@ -184,14 +186,17 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
     """Exact Gram matrix H_ij = omega(W_i^* W_j) = zeta^(-sigma(m_i, m_j)) * p(m_j - m_i).
 
     Each declared orbit value is read once, as a coefficient (an int when it
-    is integral, the scalars coefficient rule), and orbit 0 carries 1.  As in
-    algebra.multiply, m_i^T Sigma is formed once per row, and the coefficient
-    is looked up at the orbit gcd(m_j - m_i); a gcd above the largest
-    declared orbit is skipped before the lookup, so a wide int is never
-    hashed.  Each nonzero entry is the single term c * zeta^e, which is
-    already canonical: the entries and the rows go through the trusted
-    constructors PhaseScalar._of and HermitianMatrix._of, and nothing is read
-    twice.  rounded(ctx) gives the numeric rows.
+    is integral, the scalars coefficient rule).  As in algebra.multiply,
+    m_i^T Sigma is formed once per row.  Each unordered pair i < j is
+    visited once: the gcd is symmetric and sigma is skew (SkewForm checks
+    it), so one gcd(m_j - m_i) and one exponent e = sigma(m_i, m_j) give
+    c * zeta^(-e) at (i, j) and c * zeta^e at (j, i); the diagonal is
+    omega(W_0) = 1 at exponent 0.  A gcd above the largest declared orbit is
+    skipped before the coefficient lookup, so a wide int is never hashed.
+    Each nonzero entry is the single term c * zeta^e, which is already
+    canonical: the entries and the rows go through the trusted constructors
+    PhaseScalar._of and HermitianMatrix._of, and nothing is read twice.
+    rounded(ctx) gives the numeric rows.
     """
     if ctx.genus != 1:
         raise ValueError("Gram matrices are built for genus 1")
@@ -203,58 +208,79 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
     if not vecs:
         raise ValueError("matrix must have at least one row")
     coeff = {j: _coefficient(p) for j, p in state.items() if p}
-    coeff[0] = 1
-    top = max(coeff)
+    top = max(coeff, default=0)
     (s00, s01), (s10, s11) = ctx.sigma.matrix
-    zero = PhaseScalar.zero()
-    rows = []
-    for x, y in vecs:
+    zero, one = PhaseScalar.zero(), PhaseScalar._of({(0, ROOT_ONE): 1})
+    rows = [[zero] * len(vecs) for _ in vecs]
+    for i, (x, y) in enumerate(vecs):
         r0, r1 = x * s00 + y * s10, x * s01 + y * s11  # m_i^T Sigma
-        row = []
-        for u, v in vecs:
+        rows[i][i] = one
+        for j, (u, v) in enumerate(vecs[i + 1:], i + 1):
             q = _gcd(u - x, v - y)
             c = coeff.get(q) if q <= top else None
-            row.append(PhaseScalar._of({(-(r0 * u + r1 * v), ROOT_ONE): c}) if c else zero)
-        rows.append(tuple(row))
-    return HermitianMatrix._of(tuple(rows))
+            if c:
+                e = r0 * u + r1 * v  # sigma(m_i, m_j)
+                rows[i][j], rows[j][i] = (PhaseScalar._of({(-e, ROOT_ONE): c}),
+                                          PhaseScalar._of({(e, ROOT_ONE): c}))
+    return HermitianMatrix._of(tuple(map(tuple, rows)))
 
 
 def quadratic_form(H: HermitianMatrix, v) -> PhaseScalar:
     """The exact total v^dagger H v; numeric_eval(total, ctx).real rounds it.
 
-    The vector is read as the matrix is (scalars.as_scalar) and scaled to
-    ints once by D_v, the lcm of its coefficient denominators.  Zero entries,
-    and the rows and columns of zero v entries, are skipped before any
-    scaling; each remaining entry is scaled once by D_H, the lcm over all of
-    them.  Row by row, each H_ij v_j goes unreduced into the row's root
-    buckets (scalars._product_into), and conj(v_i) times the unreduced row
-    total into one set of buckets for the total, which _canonical reduces
-    once and divides by D_v^2 D_H.  So every entry is multiplied once, only
-    the total is reduced, and only one row's buckets are held at a time.  Cyclotomic reduction is linear over Q, so
-    the value is that of the double sum.  When every root lies in Q(i), as
-    in every refute() total, the canonical form is unique, so the stored
-    terms are too; with other roots only the printed form may differ from a
-    sum reduced in another order (the scalars module's printed-form rule).
+    The vector is read as the matrix is (scalars.as_scalar).  Zero entries,
+    and the rows and columns of zero v entries, are skipped; v is scaled to
+    ints once by D_v and the remaining entries once by D_H, the lcms of
+    their denominators.  Row by row, each H_ij v_j goes unreduced into the
+    row's buckets, and conj(v_i) times the row total into the total's, which
+    is divided once by D_v^2 D_H: every entry is multiplied once, and only
+    one row's buckets are held at a time.  When every root of v and of those
+    entries is 1 or i, as in every refute() total, a bucket is one [re, im]
+    pair of Gaussian ints per zeta degree (v from scalars._gaussian, each
+    H_ij v_j added inline, the row step scalars._gaussian_into, the division
+    _gaussian_terms: algebra.multiply's rule on Q(i)), and Q(i)'s canonical
+    form is unique, so the stored terms are too.  Other roots take root
+    buckets (scalars._product_into) and _canonical reduces the total once;
+    cyclotomic reduction is linear over Q, so the value is that of the
+    double sum, and only the printed form may differ from a sum reduced in
+    another order (the scalars module's printed-form rule).
     """
     if len(v) != H.dim:
         raise ValueError(f"dimension mismatch: matrix is {H.dim}x{H.dim}, vector has length {len(v)}")
-    vec = list(map(as_scalar, v))
-    dv, vs = _integral([x._terms for x in vec])
-    support = [(j, vj) for j, vj in enumerate(vs) if vj]
-    rows = [(vi, [(terms, vj) for j, vj in support if (terms := row[j]._terms)])
-            for vi, row in zip(vs, H.rows()) if vi]
-    dens = {c.denominator for _, row in rows for terms, _ in row for c in terms.values()
-            if type(c) is not int}
-    dh = lcm(*dens)
+    vec = [as_scalar(x)._terms for x in v]
+    support = [j for j, terms in enumerate(vec) if terms]
+    rows = [(i, [(terms, j) for j in support if (terms := row[j]._terms)])
+            for i, row in enumerate(H.rows()) if vec[i]]
+    entries = [terms for _, row in rows for terms, _ in row]
     total: dict = {}
-    for vi, row in rows:
-        raw: dict = {}
-        for terms, vj in row:
-            if dens:  # every coefficient an int, as scalars._integral scales them
-                terms = {key: c.numerator * (dh // c.denominator) for key, c in terms.items()}
-            scalars._product_into(raw, terms, vj)
+    if (gv := _gaussian(vec)) and {r for terms in entries for _, r in terms} <= _GAUSSIAN_ROOTS:
+        (dv, vs), dh = gv, lcm(*{c.denominator for terms in entries for c in terms.values()
+                                 if type(c) is not int})
+        for i, row in rows:
+            raw: dict = {}
+            for terms, j in row:
+                for (k1, (a, _)), c in terms.items():  # c * i^a * zeta^k1, times D_H
+                    c = c * dh if type(c) is int else c.numerator * (dh // c.denominator)
+                    for k2, x, y in vs[j]:
+                        re, im = (-c * y, c * x) if a else (c * x, c * y)
+                        acc = raw.get(k1 + k2)
+                        if acc is None:
+                            raw[k1 + k2] = [re, im]
+                        else:
+                            acc[0] += re
+                            acc[1] += im
+            if raw:
+                scalars._gaussian_into(total, [(-k, x, -y) for k, x, y in vs[i]],
+                                       [(k, re, im) for k, (re, im) in raw.items()])
+        return PhaseScalar._of(_gaussian_terms(total, dv * dv * dh))
+    (dv, vs), (dh, scaled) = _integral(vec), _integral(entries)
+    scaled = iter(scaled)
+    for i, row in rows:
+        raw = {}
+        for _, j in row:
+            scalars._product_into(raw, next(scaled), vs[j])
         if raw:
-            conj = {(-k, (n - a, n) if a else ROOT_ONE): c for (k, (a, n)), c in vi.items()}
+            conj = {(-k, (n - a, n) if a else ROOT_ONE): c for (k, (a, n)), c in vs[i].items()}
             row_total = {(k, r): c for k, bucket in raw.items() for r, c in bucket.items() if c}
             scalars._product_into(total, conj, row_total)
     return PhaseScalar._of(_canonical(total, dv * dv * dh))

@@ -5,6 +5,10 @@ closed-form determinant of P_d; scan_hit is the brute-force linear scan
 that the minimal-hit solver circle.first_hit must agree with, and
 diophantine_fraction is the approximation clause as one Fraction
 inequality, which certificate.satisfies_diophantine must decide alike.
+family_values_per_exponent scores the families of certificate._family_values
+with every exponent reduced on its own (phase_angle_by_division, dividing
+the residue first as fixed_to_angle does); the one reduction per family and
+circle.signed_angle must give the same floats, bit for bit.
 relabel is the support relabelling W_m -> W_(Theta m), which the
 automorphism criterion checks against algebra.multiply; is_symplectic (Theta^T Sigma
 Theta = Sigma), built on mat_mul and transpose, says for which Theta it
@@ -38,6 +42,7 @@ algebra.multiply per '*'.  nctorus.parser must return the same element,
 and raise the same ParseError, for every text.
 """
 
+import math
 from fractions import Fraction
 from math import floor, lcm
 
@@ -45,11 +50,11 @@ import numpy as np
 
 from nctorus import circle
 from nctorus.algebra import AlgebraElement, adjoint, multiply, scalar_element, weyl
-from nctorus.lattice import SkewForm, as_matrix, mat_vec, pairing
+from nctorus.lattice import SkewForm, as_matrix, mat_vec, pairing, theta_j
 from nctorus.parser import ParseError
 from nctorus.scalars import (ROOT_I, ROOT_ONE, GaussRat, PhaseScalar, _sum_of_products,
                              as_fraction, as_scalar, cyclotomic)
-from nctorus.states import HermitianMatrix, PsdVerdict, _exact_witness
+from nctorus.states import HermitianMatrix, PsdVerdict, _exact_witness, eval_generator
 
 
 def build_H_prime(p, q, d: int, l: int, N: int) -> HermitianMatrix:
@@ -109,6 +114,42 @@ def diophantine_fraction(h, n: int, xi2: int, d: int, eps) -> bool:
     frac = turns - floor(turns)
     dev = abs(frac - Fraction(1, d))
     return dev < as_fraction(eps) / (4 * d * d) / circle.TWO_PI
+
+
+def fixed_to_angle(fixed: int) -> float:
+    """Radians in [0, 2*pi) of a fixed-point turn fraction, dividing first."""
+    return (fixed % circle.MODULUS) / circle.MODULUS * 2.0 * math.pi
+
+
+def phase_angle_by_division(h, k: int) -> float:
+    """The signed angle of zeta^k, each exponent reduced on its own and the
+    residue read through fixed_to_angle's division."""
+    fixed = k * circle.hbar_fixed(h) % circle.MODULUS
+    return (fixed_to_angle(fixed) if 2 * fixed < circle.MODULUS
+            else -fixed_to_angle(circle.MODULUS - fixed))
+
+
+def family_values_per_exponent(state, params, ctx) -> list[float]:
+    """The closed-form family scores of certificate._family_values, with the
+    cosine of every distinct exponent k e_1 taken once from
+    phase_angle_by_division."""
+    d, n_val, x = params.d, params.N, params.xi[0]
+    p = eval_generator(state, params.xi)
+    base = float(d - d * d * p * p)
+    q = [(k, float(qk)) for k in range(1, d) if (qk := state.value(n_val * k * x))]
+    cosines: dict[int, float] = {}
+    values = []
+    for l in range(1, d + 1):
+        g1, g2 = (mat_vec(theta_j(n_val, l, j), params.xi) for j in (1, 2))
+        e1 = -pairing(ctx.sigma, g1, g2)
+        terms = []
+        for k, qk in q:
+            e = k * e1
+            if e not in cosines:
+                cosines[e] = math.cos(phase_angle_by_division(ctx.h, e))
+            terms.append(2 * (d - k) * qk * cosines[e])
+        values.append(math.fsum([base, *terms]))
+    return values
 
 
 def relabel(theta, a: AlgebraElement) -> AlgebraElement:

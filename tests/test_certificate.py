@@ -194,6 +194,45 @@ def test_family_values_match_dense_gram(data):
         assert abs(closed[l - 1] - dense) <= 1e-9 * max(1.0, abs(dense)), (l, closed, dense)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_family_values_match_per_exponent_phases(data):
+    # one reduction per family, f_k = k f_1 mod one turn, gives every score float for
+    # float as reducing each exponent k e_1 on its own and dividing the residue first
+    from paper_oracles import family_values_per_exponent
+
+    d = data.draw(st.integers(1, 30), label="d")
+    x = data.draw(st.integers(1, 3), label="x")
+    h = data.draw(st.sampled_from((Fraction(1), Fraction(3, 7), Fraction(-2))), label="h")
+    ctx = PhaseContext(h=h, sigma=data.draw(st.sampled_from(GENUS_ONE_FORMS), label="sigma"))
+    p = data.draw(st.fractions(-2, 2, max_denominator=10**6).filter(bool), label="p")
+    n_val = math.factorial(d) * data.draw(st.integers(1, 2**200), label="k")
+    ks = data.draw(st.sets(st.sampled_from(range(1, d))) if d > 1 else st.just(set()), label="ks")
+    q = st.fractions(-1, 1, max_denominator=10**6)
+    state = StateCandidate({x: p, **{k * n_val * x: data.draw(q, label=f"q{k}") for k in sorted(ks)}})
+    params = CertParams(xi=(x, x), d=d, N=n_val, epsilon=Fraction(1, 10))
+    assert _family_values(state, params, ctx) == family_values_per_exponent(state, params, ctx)
+
+
+def test_refute_rejects_p_too_large_for_a_float(ctx, monkeypatch):
+    # a v1 certificate stores p, the witness and d - d^2 p^2 as floats: past |p| ~ 1.3e154
+    # refute says so with a ValueError, before the Diophantine search
+    import nctorus.certificate as certificate
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the search must not start")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(certificate, "diophantine_N", refused)
+        for p in (10**400, -(2**520), Fraction(10**160, 3), 10**155):
+            with pytest.raises(ValueError, match="too large for a certificate"):
+                refute(StateCandidate({2: 0.5, 1: p}), ctx)
+    state = StateCandidate({1: 10**150})  # p^2 still fits a float
+    cert = refute(state, ctx)
+    assert cert.params.d == 1 and cert.value == float(1 - 10**300)
+    assert verify(state, cert, ctx).accepted
+
+
 def _q_map_from_state(state, d, n_val, xi2):
     return {j * n_val: eval_generator(state, (j * n_val * xi2, 0)) for j in range(1, d)}
 

@@ -7,12 +7,12 @@ from nctorus.circle import (
     MODULUS,
     PI,
     first_hit,
-    fixed_to_angle,
     hbar_fixed,
     phase_angle,
+    signed_angle,
     to_fixed,
 )
-from paper_oracles import scan_hit
+from paper_oracles import fixed_to_angle, phase_angle_by_division, scan_hit
 
 
 def brute_first_hit(a, m, t, w, cap):
@@ -89,3 +89,17 @@ def test_to_fixed_round_trip():
     for num, den in [(1, 3), (2, 7), (5, 8), (122, 123)]:
         f = to_fixed(Fraction(num, den))
         assert abs(fixed_to_angle(f) - 2 * math.pi * num / den) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-2**320, 2**320),
+                 st.sampled_from([0, 1, MODULUS // 2 - 1, MODULUS // 2, MODULUS // 2 + 1,
+                                  MODULUS - 1, MODULUS, -1, -MODULUS // 2])),
+       st.sampled_from((Fraction(1), Fraction(3, 7), Fraction(-2))))
+def test_signed_angle_is_the_division_float(fixed, h):
+    # float(fixed) * RADIAN rounds (fixed / 2^256) * 2 * pi once, as dividing first does,
+    # so signed_angle and phase_angle give the division's float bit for bit
+    residue = fixed % MODULUS
+    want = fixed_to_angle(residue) if 2 * residue < MODULUS else -fixed_to_angle(MODULUS - residue)
+    assert signed_angle(fixed) == want
+    assert phase_angle(h, fixed) == phase_angle_by_division(h, fixed)

@@ -213,6 +213,9 @@ def test_usage_errors(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
     code, out, err = run(capsys, "refute", "--state", '{"orbit_values":{"1":"1/0"}}')
     assert code == 2 and out == "" and err.startswith("error: ")
+    # a p whose certificate floats would overflow is a usage error, not a bare OverflowError
+    code, out, err = run(capsys, "refute", "--state", '{"orbit_values":{"1":"1e400"}}')
+    assert code == 2 and out == "" and err.startswith("error: orbit 1: |p| is too large")
     # a tolerance that is not finite or is negative decides nothing
     state = '{"orbit_values":{"1":0.5}}'
     code, out, _ = run(capsys, "refute", "--state", state)

@@ -177,6 +177,35 @@ def test_gram_reads_each_orbit_value_once(monkeypatch):
     assert any(k for i, j in orbit for k, _ in h.entry(i, j)._terms)  # phased entries
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 13])
+def test_gram_visits_each_unordered_pair_once(n, monkeypatch):
+    # the gcd is symmetric and sigma skew: n generators cost n(n-1)/2 gcds, the diagonal
+    # none, and the (j, i) entry is exactly the conjugate of the (i, j) entry
+    import nctorus.states as states
+
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    ctx = PhaseContext(h=Fraction(5, 7), sigma=SkewForm(((0, 3), (-3, 0))))
+    gens = [(j, j * j + 1) for j in range(n)]
+    state = StateCandidate({j: Fraction(1, 1 + j) if j % 3 else 2 for j in range(1, 2 * n * n)})
+    monkeypatch.setattr(states, "_gcd", counting_gcd)
+    h = gram(state, gens, ctx)
+    assert len(calls) == n * (n - 1) // 2
+    for i, m in enumerate(gens):
+        assert h.entry(i, i)._terms == {(0, (0, 1)): 1}
+        for j, g in enumerate(gens[i + 1:], i + 1):
+            want = PhaseScalar.zeta(-pairing(ctx.sigma, m, g), state.value(gcd(g[0] - m[0], g[1] - m[1])))
+            assert h.entry(i, j) == want and h.entry(i, j)._terms == want._terms
+            mirror = h.entry(i, j).conjugate()
+            assert h.entry(j, i)._terms == mirror._terms, (i, j)
+            assert [type(c) for c in h.entry(j, i)._terms.values()] == \
+                [type(c) for c in mirror._terms.values()]
+
+
 def test_gram_hermitian_exact(ctx):
     rng = random.Random(11)
     state = StateCandidate({1: 0.5, 2: 0.25, 3: -0.125})
@@ -256,29 +285,95 @@ def test_quadratic_form_examples():
 
 
 def test_quadratic_form_multiplies_each_entry_once(ctx, monkeypatch):
+    # roots 1 and i: each used entry's terms are read once into Gaussian products
+    # (H_ij v_j, inline), and each nonzero row total once more, times conj(v_i), by
+    # scalars._gaussian_into; no root bucket and no PhaseScalar product is made
     from nctorus import scalars
+
+    reads = {}
+
+    class CountedTerms(dict):  # counts the items() reads that multiply an entry
+        def items(self):
+            reads[id(self)] = reads.get(id(self), 0) + 1
+            return super().items()
 
     state = StateCandidate({1: 0.5, 2: -0.25})
     h = gram(state, [(0, 0), (1, 0), (0, 1), (2, 2)], ctx)
+    h = HermitianMatrix._of(tuple(tuple(PhaseScalar._of(CountedTerms(c._terms)) for c in row)
+                                  for row in h.rows()))
     v = [PhaseScalar.gaussian(1, 2), PhaseScalar.rational(-1), 0, PhaseScalar.zeta(3, 2)]
     direct = PhaseScalar.zero()
     for i in range(4):
         for j in range(4):
             direct = direct + v[i].conjugate() * h.entry(i, j) * v[j]
-    product_into, pairs = scalars._product_into, []
+    reads.clear()
+    gaussian_into, row_products = scalars._gaussian_into, []
 
-    def counted(raw, x, y, *rest):
-        pairs.append((x, y))
-        return product_into(raw, x, y, *rest)
+    def counted(acc, x, y, *rest):
+        row_products.append((x, y))
+        return gaussian_into(acc, x, y, *rest)
 
-    monkeypatch.setattr(scalars, "_product_into", counted)
+    def refused(*args):
+        raise AssertionError("a Q(i) total needs no root buckets")
+
+    monkeypatch.setattr(scalars, "_gaussian_into", counted)
+    monkeypatch.setattr(scalars, "_product_into", refused)
     monkeypatch.setattr(PhaseScalar, "__mul__", None)  # no full product per entry
     assert numeric_eval(quadratic_form(h, v), ctx).real == numeric_eval(direct, ctx).real
     # H_ij v_j for each nonzero pair of a row with v_i != 0 (a zero v_i skips its row),
     # then conj(v_i) times each such row total
+    used = [id(c._terms) for vi, row in zip(v, h.rows()) if vi
+            for c, x in zip(row, v) if c and x]
+    assert sorted(reads) == sorted(used) and set(reads.values()) == {1}  # each entry once
     per_row = [sum(1 for c, x in zip(row, v) if c and x) if vi else 0
                for vi, row in zip(v, h.rows())]
-    assert len(pairs) == sum(per_row) + sum(1 for n in per_row if n)
+    assert len(row_products) == sum(1 for n in per_row if n)
+    assert len(reads) + len(row_products) == sum(per_row) + sum(1 for n in per_row if n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.data())
+def test_gaussian_quadratic_form_matches_per_row_reduction(data):
+    # refute-shaped totals (a Gram matrix, Gaussian witness entries times zeta powers):
+    # the Q(i) sum stores the terms, and coefficient types, of reducing each row first;
+    # an e(1/3) entry sends the total through scalars._product_into, to the same value
+    from nctorus import scalars
+    from paper_oracles import quadratic_form_per_row
+
+    def stored(x):
+        return sorted((key, type(c), c) for key, c in x._terms.items())
+
+    ctx = PhaseContext(h=data.draw(hs.sampled_from((Fraction(1), Fraction(3, 7)))))
+    gens = data.draw(hs.lists(hs.tuples(hs.integers(-6, 6), hs.integers(-6, 6)),
+                              min_size=1, max_size=7, unique=True), label="gens")
+    values = data.draw(hs.dictionaries(hs.integers(1, 12), hs.fractions(-2, 2, max_denominator=30),
+                                       max_size=5), label="values")
+    part = hs.fractions(-3, 3, max_denominator=12)
+    v = data.draw(hs.lists(hs.one_of(hs.just(0), hs.builds(GaussRat, part, part),
+                                     hs.builds(lambda re, im, k: PhaseScalar.gaussian(re, im).times_zeta(k),
+                                               part, part, hs.integers(-3, 3))),
+                           min_size=len(gens), max_size=len(gens)), label="v")
+    h = gram(StateCandidate(values), gens, ctx)
+    calls = []
+    product_into = scalars._product_into
+
+    def counted(*args):
+        calls.append(args)
+        return product_into(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "_product_into", counted)
+        got = quadratic_form(h, v)
+        assert not calls
+        rows = [list(row) for row in h.rows()]
+        i, j = (data.draw(hs.integers(0, len(gens) - 1), label=name) for name in "ij")
+        rows[i][j] = rows[i][j] + PhaseScalar.root_of_unity(Fraction(1, 3), Fraction(1, 2))
+        h_third = HermitianMatrix._of(tuple(map(tuple, rows)))
+        got_third = quadratic_form(h_third, v)
+        assert calls or not (v[i] and v[j])
+    want = quadratic_form_per_row(h, v)
+    assert stored(got) == stored(want) and repr(got) == repr(want)
+    assert got_third == quadratic_form_per_row(h_third, v)
 
 
 def test_quadratic_form_exact_p5():
