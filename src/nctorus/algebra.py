@@ -198,7 +198,7 @@ def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
     residue into the float circle.phase_angle gives, so zeta-exponents far
     beyond float range still give a deterministic phase.  Its error grows
     like |k| * 2^-256 turns: it is no longer small past |k| ~ 2^240, and
-    the phase is lost past 2^256 (ROADMAP item 5).
+    the phase is lost past 2^256 (ROADMAP item 7).
     The stored terms are read in the order they were stored, and a root
     other than 1 becomes a Fraction only for its phase.  Each component is
     the math.fsum of the rounded terms, which is correctly rounded, so the

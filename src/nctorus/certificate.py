@@ -4,15 +4,19 @@ Pipeline, for a candidate with p != 0 on orbit j: put xi = (j, j), choose
 d with d*p^2 > 1 and a safety margin eps, find N = d!*k with h*N*xi2^2
 close to 2*pi/d mod 2*pi, restrict the state to the spans
 {W_(0,0)} u {W_(Theta_j xi)} for the families Theta_j in G_(N,l),
-l = 1..d.  The average of their Gram matrices is an eps-perturbation of
+l = 1..d.  On xi = (a, b) the family's labels have the closed form
+Theta_j xi = (a + j (N/l) s, s) with s = (l-1) a + b, an arithmetic
+progression that family_generators builds by adding, with no 2x2 matrix.
+The average of their Gram matrices is an eps-perturbation of
 P_d = [p; 1; 0; ...; 0], whose explicit witness (-p*d, 1, ..., 1) has
 quadratic value d*(1 - d*p^2) < 0, so some family l* is not positive
 either.  Each family's Gram matrix is Toeplitz, so refute() scores the d
 families with the closed-form witness value (one phase reduction per
 family), takes l* and the average's value from those scores, and builds
-the exact Gram matrix of l* alone.  The average only guides refute() to
-l*; the proof is the single element a = sum v_i W_(g_i) on that family
-with omega(a* a) < 0, and refute() certifies its exact total rounded once.
+l*'s generators once, for its exact Gram matrix and the certificate.
+The average only guides refute() to l*; the proof is the single element
+a = sum v_i W_(g_i) on that family with omega(a* a) < 0, and refute()
+certifies its exact total rounded once.
 verify() re-derives the parameters and the l* generators, and sums
 omega(a* a) from the pair relations W_(g_i)^* W_(g_j) =
 zeta^(-sigma(g_i, g_j)) W_(g_j - g_i) on Gaussian ints (_witness_total),
@@ -209,16 +213,35 @@ def diophantine_N(ctx: PhaseContext, xi2: int, d: int, eps, *,
 # ---------------------------------------------------------------------------
 
 def family_generators(params: CertParams, l: int) -> tuple[Vec, ...]:
-    """The generator labels {(0,0)} u {Theta_j xi} for the (N, l) family."""
+    """The generator labels {(0,0)} u {Theta_j xi} for the (N, l) family.
+
+    lattice.theta_j(N, l, j) maps xi = (a, b) to (a + j (N/l) s, s) with
+    s = (l-1) a + b, so the labels after (0,0) are an arithmetic progression
+    in the first coordinate: each one is the last plus (N/l) s, one int add.
+    l < 1, l not dividing N and a xi of length other than 2 raise ValueError.
+    """
+    n_val, xi = params.N, params.xi
+    if l < 1 or n_val % l:
+        raise ValueError(f"invalid family parameters: need l >= 1 and l | N, got N={n_val}, l={l}")
+    if len(xi) != 2:
+        raise ValueError(f"the families act on Z^2, got a length-{len(xi)} xi")
+    a, b = xi
+    s = (l - 1) * a + b
+    step = n_val // l * s
     gens = [(0, 0)]
-    for j in range(1, params.d + 1):
-        gens.append(mat_vec(theta_j(params.N, l, j), params.xi))
+    for _ in range(params.d):
+        a += step
+        gens.append((a, s))
     return tuple(gens)
 
 
 def build_H_second(state: StateCandidate, params: CertParams, l: int,
                    ctx: PhaseContext) -> HermitianMatrix:
-    """The true Gram matrix of the state on span{W_(0,0), W_(Theta_j xi)}."""
+    """The true Gram matrix of the state on span{W_(0,0), W_(Theta_j xi)}.
+
+    refute() does not call it: it builds l*'s generators once and passes
+    them to gram() itself.  It stays for tests and callers.
+    """
     if not 1 <= l <= params.d:
         raise ValueError(f"need 1 <= l <= d, got l={l}, d={params.d}")
     if params.N < 1 or params.xi[0] != params.xi[1] or params.xi[1] < 1:
@@ -293,12 +316,15 @@ def choose_parameters(p) -> tuple[int, Fraction]:
     return d, eps
 
 
+_ONE = GaussRat(1)  # immutable: every unit entry of a witness is this one value
+
+
 def witness_vector(p, d: int) -> tuple[GaussRat, ...]:
     """v = (-p*d, 1, ..., 1); its P_d quadratic value is d*(1 - d*p^2) < 0."""
     pf = as_fraction(p)
     if d * pf * pf <= 1:
         raise ValueError(f"d*p^2 = {d * pf * pf} <= 1: no negativity witness")
-    return (GaussRat(-pf * d),) + tuple(GaussRat(1) for _ in range(d))
+    return (GaussRat(-pf * d),) + (_ONE,) * d
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +372,13 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
         avg_value = math.fsum(values) / d
         if avg_value < -1e-6:
             l_star = values.index(min(values)) + 1
-            total = quadratic_form(build_H_second(state, params, l_star, ctx), v)
+            gens = family_generators(params, l_star)
+            total = quadratic_form(gram(state, gens, ctx), v)
             return Certificate(
                 params=params,
                 p=p,
                 l_star=l_star,
-                generators=family_generators(params, l_star),
+                generators=gens,
                 witness=v,
                 value=numeric_eval(total, ctx).real,
                 avg_value=avg_value,

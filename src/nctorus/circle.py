@@ -9,7 +9,7 @@ accurate to 2^-256 of a turn, though: hbar_fixed keeps 256 bits of
 hbar = h/(2*pi), so the phase of zeta^k carries an error of about
 |k| * 2^-256 turns.  Past |k| ~ 2^240 that error is no longer small
 (2^-16 turns), and past 2^256 the phase is lost; the multi-orbit
-certificate at d = 60 reaches k ~ 2^309 (defect A).  ROADMAP item 5
+certificate at d = 60 reaches k ~ 2^309 (defect A).  ROADMAP item 7
 replaces this with a phase precision chosen per exponent.
 
 The module also hosts the minimal-hit solver for irrational rotations:
@@ -30,7 +30,7 @@ MODULUS = 1 << BITS
 RADIAN = 2.0 * math.pi / MODULUS  # radians per fixed-point unit: a power-of-two scaling, exact
 
 # 200 decimal digits of pi: ample for 256-bit phases, too few for
-# certificate._window from d ~ 115 on (defect B, ROADMAP item 1).
+# certificate._window from d ~ 115 on (defect B, ROADMAP item 2).
 PI = Fraction(
     "3.14159265358979323846264338327950288419716939937510582097494459230781"
     "64062862089986280348253421170679821480865132823066470938446095505822317"

@@ -9,6 +9,9 @@ family_values_per_exponent scores the families of certificate._family_values
 with every exponent reduced on its own (phase_angle_by_division, dividing
 the residue first as fixed_to_angle does); the one reduction per family and
 circle.signed_angle must give the same floats, bit for bit.
+family_generators_by_theta builds each family label as the matrix
+product Theta_j xi, one lattice.theta_j per generator, which the closed-form
+progression of certificate.family_generators must reproduce.
 relabel is the support relabelling W_m -> W_(Theta m), which the
 automorphism criterion checks against algebra.multiply; is_symplectic (Theta^T Sigma
 Theta = Sigma), built on mat_mul and transpose, says for which Theta it
@@ -150,6 +153,15 @@ def family_values_per_exponent(state, params, ctx) -> list[float]:
             terms.append(2 * (d - k) * qk * cosines[e])
         values.append(math.fsum([base, *terms]))
     return values
+
+
+def family_generators_by_theta(params, l: int) -> tuple:
+    """The labels {(0,0)} u {Theta_j xi}, j = 1..d, each one the product
+    mat_vec(theta_j(N, l, j), xi)."""
+    gens = [(0, 0)]
+    for j in range(1, params.d + 1):
+        gens.append(mat_vec(theta_j(params.N, l, j), params.xi))
+    return tuple(gens)
 
 
 def relabel(theta, a: AlgebraElement) -> AlgebraElement:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -41,7 +42,8 @@ from nctorus.states import (
 )
 from nctorus.lattice import SIGMA2, SkewForm, pairing
 from nctorus.scalars import GaussRat, PhaseScalar
-from paper_oracles import build_H_prime, det_P, diophantine_fraction, is_hermitian, scan_hit
+from paper_oracles import (build_H_prime, det_P, diophantine_fraction, family_generators_by_theta,
+                           is_hermitian, scan_hit)
 
 
 # -- diophantine ------------------------------------------------------------
@@ -163,6 +165,32 @@ def test_build_H_second_first_row(ctx):
     assert np.allclose(arr[0, 1:], 0.5)
     assert np.allclose(arr[1:, 0], 0.5)
     assert np.allclose(np.diag(arr), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_family_generators_match_theta_oracle(data):
+    # the progression g_j = g_(j-1) + (N/l s, 0) is Theta_j xi, one matrix product each
+    l = data.draw(st.integers(1, 100), label="l")
+    bound = 2**600 // l
+    n_val = l * data.draw(st.integers(-bound, bound), label="N/l")
+    d = data.draw(st.integers(1, 60), label="d")
+    a = data.draw(st.integers(-2**64, 2**64), label="a")
+    b = data.draw(st.integers(-2**64, 2**64).filter(lambda b: b != a), label="b")
+    params = CertParams(xi=(a, b), d=d, N=n_val, epsilon=Fraction(1, 10))
+    gens = family_generators(params, l)
+    assert gens == family_generators_by_theta(params, l)
+    assert len(gens) == d + 1 and all(type(c) is int for g in gens for c in g)
+    # no family at l < 1 or at an l that does not divide N, and none for a length-3 xi
+    for bad_l in (0, -l):
+        with pytest.raises(ValueError):
+            family_generators(params, bad_l)
+    if l > 1:
+        off = n_val + data.draw(st.integers(1, l - 1), label="N mod l")
+        with pytest.raises(ValueError):
+            family_generators(CertParams(xi=(a, b), d=d, N=off, epsilon=Fraction(1, 10)), l)
+    with pytest.raises(ValueError):
+        family_generators(CertParams(xi=(a, b, a), d=d, N=n_val, epsilon=Fraction(1, 10)), l)
 
 
 GENUS_ONE_FORMS = (SIGMA2, SkewForm(((0, 3), (-3, 0))), SkewForm(((0, -1), (1, 0))))
@@ -343,6 +371,7 @@ def test_choose_parameters_examples():
 def test_witness_vector_examples():
     v = witness_vector(Fraction(1, 2), 5)
     assert [complex(x) for x in v] == [-2.5, 1, 1, 1, 1, 1]
+    assert len({id(x) for x in v[1:]}) == 1  # one shared unit entry
     v2 = witness_vector(1, 2)
     pd = build_H_prime(1, {}, 2, 1, 1)
     assert quadratic_form(pd, v2) == -2
@@ -529,6 +558,43 @@ def test_refute_builds_one_gram(ctx, monkeypatch):
         assert len(built) == 1
         dense = build_H_second(state, cert.params, cert.l_star, ctx)
         assert cert.value == numeric_eval(quadratic_form(dense, cert.witness), ctx).real
+
+
+# sha256 of refute(...).dumps(), pinned when the generators were still built as
+# Theta_j xi matrix products; the last case is CI's d = 12 state with a value on every
+# orbit kN (-1/2)^k, k = 1..11
+PINNED_CERTIFICATES = [
+    ({1: Fraction(1, 2)}, "ce1d87cd1e39d354c35aeca990f21d72683fc3f418ecc273408c101dfc8734c9"),
+    ({1: Fraction(3, 10)}, "4b6836978028986541e75ee8c7a4cf7935cbf5a00a84118e0360ef2ce521f34d"),
+    ({2: Fraction(1, 5)}, "502545a2516dfe5e5a02b54d55db5662f535d22f028ea4f11729e29225c1268d"),
+    ({3: Fraction(3, 20)}, "c22583ebdeddd5f9dc1fae02aacc2b6be91893e3ecf1a272b1082c23d9f6ff9f"),
+    ({1: 0.3, **{k * 481014364723200: (-0.5) ** k for k in range(1, 12)}},
+     "d62f2bd32417c2db26479fe8f82442420514ea6d6e2312818bcb772fcdd55e1a"),
+]
+
+
+@pytest.mark.parametrize("values, digest", PINNED_CERTIFICATES,
+                         ids=["1:1/2", "1:3/10", "2:1/5", "3:3/20", "d12-dense"])
+def test_refute_output_is_pinned(ctx, values, digest):
+    text = refute(StateCandidate(values), ctx).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_refute_builds_the_family_once(ctx, monkeypatch):
+    # l*'s generators are built once, for both the Gram matrix and the certificate
+    import nctorus.certificate as certificate
+
+    built = []
+
+    def counting_family(*args):
+        built.append(args)
+        return family_generators(*args)
+
+    monkeypatch.setattr(certificate, "family_generators", counting_family)
+    for values in [{1: 1.5}] + [values for values, _ in PINNED_CERTIFICATES]:
+        built.clear()
+        cert = refute(StateCandidate(values), ctx)
+        assert built == [(cert.params, cert.l_star)]
 
 
 @pytest.mark.parametrize("h", [Fraction(1), Fraction(5, 7)])
@@ -773,8 +839,8 @@ def _reference_module():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="phases use a 256-bit h/2pi (defect A, ROADMAP item 5) and "
-                   "the Diophantine clause a 200-digit pi (defect B, ROADMAP item 1)")
+                   reason="phases use a 256-bit h/2pi (defect A, ROADMAP item 7) and "
+                   "the Diophantine clause a 200-digit pi (defect B, ROADMAP item 2)")
 @pytest.mark.parametrize("p, multiples", [
     # defect A: zeta exponents past 2^256 lose their phase
     (Fraction(13, 100), {k: Fraction(9, 10) for k in range(1, 5)}),  # d = 60
