@@ -10,11 +10,16 @@ Grammar (left-associative; whitespace between tokens is ignored):
     rational := '-'? DIGITS ('/' DIGITS)?
     int      := '-'? DIGITS
 
-DIGITS are ASCII 0-9.  One compiled regex scans the text into token
-strings: a digit run, a symbol, or any other non-space character, which is
-an error.  A ParseError names the character offset of its token, which is
-found by scanning again, so only an error pays for offsets.  Scalar literals
-are Gaussian rationals times a power of zeta, so CLI arithmetic stays exact.
+DIGITS are ASCII 0-9.  One regex search looks for a character that is
+neither whitespace, a digit nor a symbol, which is an error; one findall
+then splits the text into token strings, each a digit run or a symbol.
+The literal productions (scalar, 'W[...]', rational and int) read that
+token list through a local index, so a literal costs a few calls, not a
+few per token.  A ParseError names the character offset of its token,
+which is found by scanning again, so only an error pays for offsets; a
+digit run too long for int() is a ParseError at its offset too.  Scalar
+literals are Gaussian rationals times a power of zeta, so CLI arithmetic
+stays exact.
 
 parse_element builds the element as it reads, by +, -, products and
 algebra.adjoint, left to right.  A scalar atom c * W_0 times a single term
@@ -28,10 +33,9 @@ parse-print-parse idempotent.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .algebra import AlgebraElement, PhaseContext, adjoint, multiply
-from .scalars import PhaseScalar
+from .scalars import ROOT_I, ROOT_ONE, Coeff, PhaseScalar, _over
 
 
 class ParseError(ValueError):
@@ -44,9 +48,8 @@ class ParseError(ValueError):
 
 # -- tokenizer --------------------------------------------------------------
 
-# an ASCII digit run, a symbol, or any other non-space character (an error)
-_TOKEN = re.compile(r"[0-9]+|[-+*/()\[\],^Wzi]|\S")
-_SYMBOLS = frozenset("+-*/()[],^Wzi")
+_TOKEN = re.compile(r"[0-9]+|\S")  # an ASCII digit run or a symbol, once _BAD finds nothing
+_BAD = re.compile(r"[^\s0-9+\-*/()\[\],^Wzi]")
 _ONE = PhaseScalar.one()._terms  # the terms of 1, a coefficient the product rule skips
 
 
@@ -58,10 +61,10 @@ def _offset(text: str, index: int) -> int:
 
 def _tokenize(text: str) -> list[str]:
     """The token texts, then '' for the end; a digit run is an int, any other a symbol."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
     tokens = _TOKEN.findall(text)
-    for i, tok in enumerate(tokens):
-        if tok not in _SYMBOLS and not "0" <= tok[0] <= "9":
-            raise ParseError(f"unexpected character {tok!r}", _offset(text, i))
     tokens.append("")
     return tokens
 
@@ -75,39 +78,31 @@ class _Parser:
         self.dim = ctx.dimension
         self.origin = (0,) * self.dim
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at token `index`."""
+        return ParseError(message, _offset(self.text, index))
 
-    def next(self) -> str:
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def error(self, message: str, index: int | None = None) -> ParseError:
-        """A ParseError at token `index`, by default the next one."""
-        return ParseError(message, _offset(self.text, self.pos if index is None else index))
-
-    def expect(self, kind: str) -> str:  # kind is a symbol, or 'int' for a digit run
-        tok = self.peek()
-        if not (tok.isdigit() if kind == "int" else tok == kind):
-            raise self.error(f"expected {kind!r}, found {tok or 'end of input'!r}")
-        return self.next()
+    def expected(self, kind: str, index: int) -> ParseError:  # kind is a symbol or 'int'
+        return self.error(f"expected {kind!r}, found {self.tokens[index] or 'end of input'!r}",
+                          index)
 
     def parse(self) -> AlgebraElement:
         node = self.expr()
-        if self.peek():
-            raise self.error(f"unexpected trailing input {self.peek()!r}")
+        if self.tokens[self.pos]:
+            raise self.error(f"unexpected trailing input {self.tokens[self.pos]!r}", self.pos)
         return node
 
     def expr(self) -> AlgebraElement:
         node = self.term()
-        while self.peek() in ("+", "-"):
-            node = node + self.term() if self.next() == "+" else node - self.term()
+        while (op := self.tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
+            node = node + self.term() if op == "+" else node - self.term()
         return node
 
     def term(self) -> AlgebraElement:
         node = self.factor()
-        while self.peek() == "*":
-            self.next()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
             node = self.product(node, self.factor())
         return node
 
@@ -124,76 +119,92 @@ class _Parser:
 
     def factor(self) -> AlgebraElement:
         node = self.primary()
-        while self.peek() == "^" and self.tokens[self.pos + 1] == "*":
+        toks = self.tokens
+        while toks[self.pos] == "^" and toks[self.pos + 1] == "*":
             self.pos += 2
             node = adjoint(node)
         return node
 
     def primary(self) -> AlgebraElement:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok == "W":
             return self.weyl_gen()
         if tok == "(":
-            self.next()
+            self.pos += 1
             node = self.expr()
-            self.expect(")")
+            if self.tokens[self.pos] != ")":
+                raise self.expected(")", self.pos)
+            self.pos += 1
             return node
         if tok == "-" or tok.isdigit():
             return self.scalar()
-        raise self.error(f"expected a scalar, 'W[...]' or '(', found {tok or 'end of input'!r}")
+        raise self.error(f"expected a scalar, 'W[...]' or '(', found {tok or 'end of input'!r}",
+                         self.pos)
 
     def weyl_gen(self) -> AlgebraElement:
-        start = self.pos
-        self.expect("W")
-        self.expect("[")
-        coords = [self.signed_int()]
-        while self.peek() == ",":
-            self.next()
-            coords.append(self.signed_int())
-        self.expect("]")
+        start = self.pos  # the 'W'
+        if self.tokens[start + 1] != "[":
+            raise self.expected("[", start + 1)
+        x, i = self.signed_int(start + 2)
+        coords = [x]
+        while self.tokens[i] == ",":
+            x, i = self.signed_int(i + 1)
+            coords.append(x)
+        if self.tokens[i] != "]":
+            raise self.expected("]", i)
+        self.pos = i + 1
         if len(coords) != self.dim:
             raise self.error(f"generator arity {len(coords)} does not match the context "
                              f"dimension {self.dim}", start)
         return AlgebraElement._of(self.dim, {tuple(coords): PhaseScalar.one()})
 
-    def signed_int(self) -> int:
-        neg = self.peek() == "-"
-        self.pos += neg
-        val = int(self.expect("int"))
-        return -val if neg else val
+    def signed_int(self, i: int) -> tuple[int, int]:
+        """The int at token i, and the index after it."""
+        neg = self.tokens[i] == "-"
+        i += neg
+        tok = self.tokens[i]
+        if not tok.isdigit():
+            raise self.expected("int", i)
+        try:
+            val = int(tok)
+        except ValueError:  # a digit run longer than sys.get_int_max_str_digits()
+            raise self.error(f"integer of {len(tok)} digits is too long", i) from None
+        return (-val if neg else val), i + 1
 
-    def rational(self) -> Fraction:
-        num, den = self.signed_int(), 1
-        if self.peek() == "/":
-            self.next()
-            den = int(self.expect("int"))
-            if den == 0:
-                raise self.error("zero denominator", self.pos - 1)
-        return Fraction(num, den)
-
-    def imaginary(self) -> bool:
-        """Whether ('+' | '-') rational 'i' follows: only the 'i' binds a '+' into a scalar."""
-        toks, j = self.tokens, self.pos + 1
-        j += toks[j] == "-"
-        if not toks[j].isdigit():
-            return False
-        j += 3 if toks[j + 1] == "/" and toks[j + 2].isdigit() else 1
-        return toks[j] == "i"
+    def rational(self, i: int) -> tuple[Coeff, int]:
+        """The rational at token i, an int when it is integral, and the index after it."""
+        num, i = self.signed_int(i)
+        if self.tokens[i] != "/":
+            return num, i
+        if self.tokens[i + 1] == "-":  # a denominator is DIGITS, unsigned
+            raise self.expected("int", i + 1)
+        den, i = self.signed_int(i + 1)
+        if not den:
+            raise self.error("zero denominator", i - 1)
+        return _over(num, den), i
 
     def scalar(self) -> AlgebraElement:
-        real, im = self.rational(), Fraction(0)
-        if self.peek() in ("+", "-") and self.imaginary():
-            im = self.rational() if self.next() == "+" else -self.rational()
-            self.next()  # the 'i'
-        elif self.peek() == "i":
-            self.next()
-            im, real = real, Fraction(0)
-        coeff = PhaseScalar.gaussian(real, im)
-        if self.peek() == "z":
-            self.next()
-            self.expect("^")
-            coeff = coeff.times_zeta(self.signed_int())
-        return AlgebraElement._of(self.dim, {self.origin: coeff} if coeff else {})
+        toks = self.tokens
+        real, i = self.rational(self.pos)
+        im = 0
+        if toks[i] in ("+", "-") and (toks[i + 1] == "-" or toks[i + 1].isdigit()):
+            # only a trailing 'i' binds ('+' | '-') rational into the scalar; else
+            # expr reads that rational again as the next term, and raises alike
+            part, j = self.rational(i + 1)
+            if toks[j] == "i":
+                im, i = (part if toks[i] == "+" else -part), j + 1
+        elif toks[i] == "i":
+            im, real = real, 0
+            i += 1
+        k = 0
+        if toks[i] == "z":
+            if toks[i + 1] != "^":
+                raise self.expected("^", i + 1)
+            k, i = self.signed_int(i + 2)
+        self.pos = i
+        terms = {(k, ROOT_ONE): real, (k, ROOT_I): im}  # PhaseScalar.gaussian(...).times_zeta(k)
+        coeff = {key: c for key, c in terms.items() if c}
+        return AlgebraElement._of(self.dim, {self.origin: PhaseScalar._of(coeff)} if coeff else {})
 
 
 def parse_element(text: str, ctx: PhaseContext) -> AlgebraElement:
@@ -208,8 +219,8 @@ def to_element(a: AlgebraElement, ctx: PhaseContext) -> AlgebraElement:
 
 # -- canonical printer ------------------------------------------------------
 
-def _scalar_str(re: Fraction, im: Fraction, zeta: int) -> str:
-    s = str(re)  # Fraction prints reduced 'a' or 'a/b'
+def _scalar_str(re: Coeff, im: Coeff, zeta: int) -> str:
+    s = str(re)  # an int, or a Fraction, which prints reduced 'a/b'
     if im:
         s += f"+{im}i" if im > 0 else f"-{-im}i"
     if zeta:
@@ -218,15 +229,20 @@ def _scalar_str(re: Fraction, im: Fraction, zeta: int) -> str:
 
 
 def format_element(a: AlgebraElement) -> str:
-    """Canonical text: atoms sorted by (lattice point, zeta power)."""
+    """Canonical text: atoms sorted by (lattice point, zeta power).
+
+    Each coefficient's stored terms are read by their root keys: the root 1
+    gives the real part and the root i the imaginary part of the Gaussian
+    rational at each zeta power.  Any other root raises ValueError, since the
+    grammar has no literal for it."""
     bits = []
     for m, coeff in a.items():
-        parts: dict[int, list[Fraction]] = {}
-        for k, r, c in coeff.terms():
-            if r not in (0, Fraction(1, 4)):
+        parts: dict[int, list[Coeff]] = {}
+        for (k, r), c in coeff._terms.items():
+            if r != ROOT_ONE and r != ROOT_I:
                 raise ValueError(f"coefficient {coeff} is not expressible in the element grammar")
-            parts.setdefault(k, [Fraction(0), Fraction(0)])[1 if r else 0] = c
-        gen = f"W[{','.join(str(x) for x in m)}]"
+            parts.setdefault(k, [0, 0])[r == ROOT_I] = c
+        gen = f"W[{','.join(map(str, m))}]"
         for k in sorted(parts):
             re, im = parts[k]
             bits.append(gen if (re, im, k) == (1, 0, 0) else f"{_scalar_str(re, im, k)} * {gen}")

@@ -42,7 +42,10 @@ make.
 parse_by_products reads the element grammar the plain way: one character
 at a time, a token record per token with its offset, and one
 algebra.multiply per '*'.  nctorus.parser must return the same element,
-and raise the same ParseError, for every text.
+and raise the same ParseError, for every text.  format_by_terms prints an
+element from PhaseScalar.terms(), each root as a Fraction; the key-level
+printer nctorus.parser.format_element must give the same text, and raise
+the same ValueError for a root outside Q(i).
 """
 
 import math
@@ -626,3 +629,28 @@ def parse_by_products(text: str, ctx) -> AlgebraElement:
     """The element grammar of nctorus.parser, tokenized one character at a
     time and with one algebra.multiply per '*', literal atoms included."""
     return _Parser(text, ctx).parse()
+
+
+def format_by_terms(a: AlgebraElement) -> str:
+    """The canonical text of nctorus.parser.format_element, read through
+    PhaseScalar.terms(): atoms sorted by (lattice point, zeta power)."""
+    bits = []
+    for m, coeff in a.items():
+        parts: dict[int, list[Fraction]] = {}
+        for k, r, c in coeff.terms():
+            if r not in (0, Fraction(1, 4)):
+                raise ValueError(f"coefficient {coeff} is not expressible in the element grammar")
+            parts.setdefault(k, [Fraction(0), Fraction(0)])[1 if r else 0] = c
+        gen = f"W[{','.join(str(x) for x in m)}]"
+        for k in sorted(parts):
+            re, im = parts[k]
+            if (re, im, k) == (1, 0, 0):
+                bits.append(gen)
+                continue
+            s = str(re)
+            if im:
+                s += f"+{im}i" if im > 0 else f"-{-im}i"
+            if k:
+                s += f"z^{k}"
+            bits.append(f"{s} * {gen}")
+    return " + ".join(bits) or "0"

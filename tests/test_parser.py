@@ -1,15 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctorus import PhaseContext, parser
+import nctorus
+from nctorus import AlgebraElement, PhaseContext, parser
 from nctorus.algebra import adjoint, multiply, scalar_element, weyl
 from nctorus.parser import ParseError, format_element, parse_element, to_element
 from nctorus.scalars import PhaseScalar
 from conftest import random_element
-from paper_oracles import multiply_reduced_once, parse_by_products
+from paper_oracles import format_by_terms, multiply_reduced_once, parse_by_products
 
 
 def test_product_example(ctx):
@@ -78,8 +81,11 @@ def test_syntax_error_offsets(ctx):
     with pytest.raises(ParseError) as info:
         parse_element("W[1,0$", ctx)
     assert info.value.offset == 5
-    with pytest.raises(ParseError):
-        parse_element("1/0", ctx)
+    for text, offset in [("1/0", 2), ("1+2/0i", 4)]:
+        with pytest.raises(ParseError) as info:
+            parse_element(text, ctx)
+        assert (str(info.value), info.value.offset) == (
+            f"zero denominator (at offset {offset})", offset)
     with pytest.raises(ParseError):
         parse_element("W[1,0] W[0,1]", ctx)  # juxtaposition needs '*'
 
@@ -126,6 +132,71 @@ def test_non_ascii_digits_are_unexpected_characters(ctx):
             parse_element(text, ctx)
         assert (str(info.value), info.value.offset) == (
             f"unexpected character {char!r} (at offset {offset})", offset)
+
+
+def test_long_digit_runs_are_parse_errors(ctx):
+    # int() refuses a digit run longer than sys.get_int_max_str_digits() (4300 by
+    # default); the parser names that run's offset like any other syntax error
+    for text, offset in [("9" * 5000 + " * W[1,0]", 0), ("1/" + "9" * 5000, 2),
+                         ("W[" + "1" * 5000 + ",0]", 2)]:
+        with pytest.raises(ParseError) as info:
+            parse_element(text, ctx)
+        assert (str(info.value), info.value.offset) == (
+            f"integer of 5000 digits is too long (at offset {offset})", offset)
+
+
+@pytest.fixture
+def corpus_texts(monkeypatch):
+    """Every expression of the seed 1-3 algebra corpora of the benchmark
+    (perfbench/workloads.py): each triple's three texts, then the CLI evals."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    texts = []
+    for seed in (1, 2, 3):
+        corpus = workloads.build("algebra", seed, nctorus)
+        texts += [t for triple in corpus.triples for t in triple]
+        texts += [expr for _, expr, _ in corpus.evals]
+    return texts
+
+
+def test_printer_matches_terms_oracle(ctx, corpus_texts):
+    rng = random.Random(107)
+    elements = [random_element(rng) for _ in range(100)]
+    elements += [multiply(random_element(rng, max_terms=3), random_element(rng, max_terms=3), ctx)
+                 for _ in range(30)]
+    elements += [weyl((1, 2)), weyl((0, 0)), AlgebraElement(2, {}),
+                 weyl((2, -1)) * PhaseScalar.gaussian(Fraction(-1, 2), -3) * PhaseScalar.zeta(-2)
+                 + weyl((2, -1)) * PhaseScalar.gaussian(5, Fraction(7, 3)) * PhaseScalar.zeta(3)]
+    elements += [parse_element(t, ctx) for t in corpus_texts]
+    printed = [format_element(a) for a in elements]
+    assert printed == [format_by_terms(a) for a in elements]
+    atoms = [atom for text in printed for atom in text.split(" + ")]
+    # int and Fraction parts, several zeta degrees, negative imaginary parts, bare atoms
+    for part in ("/", "z^-2", "z^1", "z^3", "-3i", "-1/2i"):
+        assert any(part in atom for atom in atoms), part
+    assert any(atom.startswith("W[") for atom in atoms)
+    third = weyl((0, 1)) + weyl((1, 0)) * PhaseScalar.root_of_unity(Fraction(1, 3))
+    for printer in (format_element, format_by_terms):
+        with pytest.raises(ValueError) as info:
+            printer(third)
+        assert str(info.value) == "coefficient 1*e(1/3) is not expressible in the element grammar"
+
+
+def test_corpus_parses_are_pinned(ctx, corpus_texts):
+    """sha256 of the stored terms, repr and printed text of every corpus
+    element and of the element its printed text parses to, computed with the
+    per-token parser and terms() printer that the current ones replace."""
+    def record(a):
+        return (sorted((m, sorted(c._terms.items())) for m, c in a._terms.items()), repr(a),
+                format_element(a))
+
+    out = []
+    for text in corpus_texts:
+        a = parse_element(text, ctx)
+        out.append((record(a), record(parse_element(format_element(a), ctx))))
+    assert len(out) == 552
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "9bbd1c83582243b6109a52b55b101d9f364f4563ec2deca9dc0aad110990bb7e")
 
 
 def test_literal_atoms_are_placed_without_products(ctx, monkeypatch):
