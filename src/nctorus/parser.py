@@ -17,7 +17,8 @@ The literal productions (scalar, 'W[...]', rational and int) read that
 token list through a local index, so a literal costs a few calls, not a
 few per token.  A ParseError names the character offset of its token,
 which is found by scanning again, so only an error pays for offsets; a
-digit run too long for int() is a ParseError at its offset too.  Scalar
+digit run too long for int() is a ParseError at its offset too, and so is
+a '(' nested deeper than MAX_DEPTH (within Python's recursion limit).  Scalar
 literals are Gaussian rationals times a power of zeta, so CLI arithmetic
 stays exact.
 
@@ -51,6 +52,7 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"[0-9]+|\S")  # an ASCII digit run or a symbol, once _BAD finds nothing
 _BAD = re.compile(r"[^\s0-9+\-*/()\[\],^Wzi]")
 _ONE = PhaseScalar.one()._terms  # the terms of 1, a coefficient the product rule skips
+MAX_DEPTH = 100  # nested parentheses; each level is four Python frames (expr to primary)
 
 
 def _offset(text: str, index: int) -> int:
@@ -77,6 +79,7 @@ class _Parser:
         self.ctx = ctx
         self.dim = ctx.dimension
         self.origin = (0,) * self.dim
+        self.depth = 0  # parentheses open at self.pos
 
     def error(self, message: str, index: int) -> ParseError:
         """A ParseError at token `index`."""
@@ -130,11 +133,13 @@ class _Parser:
         if tok == "W":
             return self.weyl_gen()
         if tok == "(":
-            self.pos += 1
+            if self.depth == MAX_DEPTH:
+                raise self.error(f"parentheses nested deeper than {MAX_DEPTH}", self.pos)
+            self.pos, self.depth = self.pos + 1, self.depth + 1
             node = self.expr()
             if self.tokens[self.pos] != ")":
                 raise self.expected(")", self.pos)
-            self.pos += 1
+            self.pos, self.depth = self.pos + 1, self.depth - 1
             return node
         if tok == "-" or tok.isdigit():
             return self.scalar()

@@ -81,9 +81,10 @@ states.gram, which feeds it, reads each orbit value once and builds every
 one-term entry, one gcd per unordered pair, through the trusted
 PhaseScalar._of.  The matrix counterpart is states._psd_exact and
 states.determinant_exact: they get their ints from _gaussian, which scales
-every entry of a matrix once by the lcm of its denominators, and eliminate
-on those Gaussian integers (Bareiss), so no GaussRat is built for an entry
-or multiplied or divided inside the elimination.
+every entry of a matrix once by the lcm of its denominators, and share one
+Bareiss step on those Gaussian integers; a non-PSD witness is
+back-substituted on the same ints, with exact divisions, so no GaussRat is
+multiplied or divided, and only the results are built as GaussRat.
 
 Printed form.  Equal values can have different canonical forms (1 + e(1/3)
 is e(1/6)), so which operations built a scalar decides its printed form:
@@ -658,8 +659,6 @@ class GaussRat:
         o = _operand(other, GaussRat.from_number)
         if o is None:
             return NotImplemented
-        if not (self.im or o.im):  # every operand of a real matrix's witness
-            return GaussRat._of(self.re * o.re, ZERO)
         return GaussRat._of(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__

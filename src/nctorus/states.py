@@ -316,8 +316,9 @@ def is_psd(H: HermitianMatrix, tol=0) -> PsdVerdict:
     """Whether H + tol*I is positive semidefinite, decided by fraction-free
     elimination on Gaussian integers (_psd_exact), with witness extraction.
 
-    The entries go straight to the Gaussian ints of D * H (_integer_rows, D
-    also clearing tol's denominator): only a witness is built as GaussRat.
+    The entries go straight to the Gaussian ints of D * (H + tol*I)
+    (_hermitian_ints, D also clearing tol's denominator), and the witness is
+    back-substituted on those ints: only its entries are built as GaussRat.
     Entries with zeta powers raise ValueError: round them first, as in
     HermitianMatrix(H.rounded(ctx)).  H must be Hermitian within tol,
     |H_ij - conj(H_ji)| <= tol, checked on those ints, and is read from its
@@ -328,123 +329,118 @@ def is_psd(H: HermitianMatrix, tol=0) -> PsdVerdict:
     ValueError.
     """
     shift = as_tolerance(tol)
-    den, re, im = _integer_rows(H, shift)
-    t = shift.numerator * (den // shift.denominator)  # tol * D
-    n = H.dim
-    pairs = ((re[i][j] - re[j][i], im[i][j] + im[j][i]) for i in range(n) for j in range(i, n))
-    if not all(x * x + y * y <= t * t if t else not (x or y) for x, y in pairs):
-        raise ValueError("matrix is not Hermitian")
-    for i in range(n):
-        re[i][i], im[i][i] = re[i][i] + t, 0
-    verdict = _psd_exact(den, re, im)
+    verdict = _psd_exact(*_hermitian_ints(H, shift))
     if verdict.is_psd:
         return verdict
     value = verdict.value - shift * sum(w.abs2() for w in verdict.witness)
     return PsdVerdict(False, verdict.witness, value)
 
 
-def _integer_rows(H: HermitianMatrix, tol: Fraction = ZERO) -> tuple[int, list, list]:
-    """(D, re, im): D is the lcm of every entry denominator and of tol's, and
-    re and im are the int real and imaginary parts of D * H, read through
-    scalars._gaussian.  An entry with a zeta power or another root than 1
-    and i raises ValueError."""
+def _hermitian_ints(H: HermitianMatrix, tol: Fraction = ZERO) -> tuple[int, list, list]:
+    """(D, re, im): the lcm D of the entry denominators and of tol's, and the
+    int real and imaginary parts of D * (H + tol*I) read by scalars._gaussian,
+    with a real diagonal.  A zeta power, a root other than 1 and i, or an H
+    that is not Hermitian within tol raises ValueError."""
     scaled = _gaussian([c._terms for row in H.rows() for c in row] + [{(0, ROOT_ONE): tol}])
     if scaled is None or any(k for entry in scaled[1] for k, _, _ in entry):
         raise ValueError("entries must be Gaussian rationals: round zeta powers first")
-    den, entries = scaled
-    n = H.dim
+    (den, entries), n = scaled, H.dim
     cells = [entry[0] if entry else (0, 0, 0) for entry in entries[:-1]]  # degree 0 only
     re = [[x for _, x, _ in cells[i:i + n]] for i in range(0, n * n, n)]
     im = [[y for _, _, y in cells[i:i + n]] for i in range(0, n * n, n)]
+    t = tol.numerator * (den // tol.denominator)  # tol * D
+    pairs = ((re[i][j] - re[j][i], im[i][j] + im[j][i]) for i in range(n) for j in range(i, n))
+    if not all(x * x + y * y <= t * t if t else not (x or y) for x, y in pairs):
+        raise ValueError("matrix is not Hermitian")
+    for i in range(n):
+        re[i][i], im[i][i] = re[i][i] + t, 0
     return den, re, im
 
 
-def _psd_exact(den: int, re: list[list[int]], im: list[list[int]]) -> PsdVerdict:
-    """Bareiss elimination of the lower triangle of A = D * H, given as the
-    int real and imaginary parts re and im of its Hermitian entries, whose
-    diagonal is real (_integer_rows and is_psd build them).
+def _bareiss_step(re: list[list[int]], im: list[list[int]], k: int, prev: int) -> int:
+    """Step k of Bareiss elimination of the lower triangle of a Hermitian A,
+    given as the int parts re and im of its entries, on the nonzero pivot
+    a_kk = re[k][k], returned as the next prev: a_ij, k < j <= i, becomes
+    (a_kk a_ij - a_ik conj(a_jk)) / prev, prev the last pivot (1 at first).
+    By Sylvester's identity that is a minor of A, so the division is exact."""
+    d = re[k][k]
+    for i in range(k + 1, len(re)):
+        ar, ai, rr, ri = re[i][k], im[i][k], re[i], im[i]
+        for j in range(k + 1, i + 1):
+            br, bi = re[j][k], im[j][k]
+            rr[j] = (d * rr[j] - ar * br - ai * bi) // prev
+            ri[j] = (d * ri[j] - ai * br + ar * bi) // prev
+    return d
 
-    Step k sets a_ij = (a_kk a_ij - a_ik conj(a_jk)) / prev, prev the last
-    pivot used (1 at first).  By Sylvester's identity a_ij is then a minor
-    of A, so the division is exact, and a_ij = prev * D * s_ij, s the
-    residual of LDL^H elimination of H.  Every pivot used was positive, so
-    a_kk has the sign of s_kk.  A zero pivot with a zero column is skipped
-    and keeps prev.  A negative pivot, or a zero one with coupling, gets a
-    witness, built once in Fractions from the integer columns that later
-    steps leave alone (L_ik = a_ik / a_kk), by _exact_witness.  re and im
-    are updated in place.
+
+def _psd_exact(den: int, re: list[list[int]], im: list[list[int]]) -> PsdVerdict:
+    """Bareiss steps on A = D * H from _hermitian_ints, updated in place.
+
+    After the steps on positive pivots a_ij = prev * D * s_ij, s the residual
+    of LDL^H elimination of H, so a_kk has the sign of s_kk.  A zero pivot
+    with a zero column is skipped and keeps prev.  A negative pivot gives the
+    residual vector y = e_k, of value s_kk < 0, and a zero one with coupling
+    a_jk != 0 gives y = e_j + y_k e_k, y_k = -(s_jj + 1) / (2 s_jk), of value
+    -1; q y is integral for q = 1, resp. 2 |a_jk|^2.  The witness v, v_l =
+    y_l for l >= k and L^H v = y (L_li = a_li / a_ii), has head -A11^-1 A12 y,
+    A11 the block of A on the positive pivots, of determinant prev.  So V =
+    prev q v is integral: V_i = -(sum_l conj(a_li) V_l) / a_ii (0 at a skipped
+    pivot) divides exactly, and V / (prev q) times an integer has value <= -1.
     """
-    n = len(re)
-    prev = 1
+    n, prev = len(re), 1
     for k in range(n):
         d = re[k][k]
         if d > 0:
-            for i in range(k + 1, n):
-                ar, ai, rr, ri = re[i][k], im[i][k], re[i], im[i]
-                for j in range(k + 1, i + 1):
-                    br, bi = re[j][k], im[j][k]
-                    rr[j] = (d * rr[j] - ar * br - ai * bi) // prev
-                    ri[j] = (d * ri[j] - ai * br + ar * bi) // prev
-            prev = d
+            prev = _bareiss_step(re, im, k, prev)
             continue
         j = k if d else next((j for j in range(k + 1, n) if re[j][k] or im[j][k]), None)
         if j is None:
             continue
-        unit = prev * den  # a_ij = unit * s_ij
-        y = [GaussRat(0)] * n
-        y[j], value = GaussRat(1), Fraction(d, unit)
-        if j != k:  # indefinite: a zero pivot with residual coupling s_kj = conj(s_jk)
-            y[k] = GaussRat(-(Fraction(re[j][j], unit) + 1)) / (
-                2 * GaussRat(Fraction(re[j][k], unit), Fraction(im[j][k], unit)))
-            value = Fraction(-1)
-        lcols = [[None] * n for _ in range(k)]  # lcols[c][i] = L[i][c] = a_ic / a_cc for i > c
-        for c in range(k):
-            p = re[c][c] or 1  # a skipped pivot has a zero column
-            for i in range(c + 1, n):
-                lcols[c][i] = GaussRat._of(Fraction(re[i][c], p), Fraction(im[i][c], p))
-        return _exact_witness(lcols, y, value, n, k)
+        unit, vr, vi = prev * den, [0] * n, [0] * n  # a_il = unit * s_il
+        if j == k:
+            q, value, vr[k] = 1, Fraction(d, unit), prev
+        else:
+            x, y, c = re[j][k], im[j][k], -prev * (re[j][j] + unit)
+            q, value = 2 * (x * x + y * y), Fraction(-1)
+            vr[k], vi[k], vr[j] = c * x, -c * y, prev * q  # q y_k = -(a_jj + unit) conj(a_jk)
+        for i in range(k - 1, -1, -1):
+            if p := re[i][i]:
+                col = [(re[l][i], im[l][i], vr[l], vi[l]) for l in range(i + 1, n)]
+                vr[i] = -sum(ar * xr + ai * xi for ar, ai, xr, xi in col) // p
+                vi[i] = -sum(ar * xi - ai * xr for ar, ai, xr, xi in col) // p
+        scale, out = isqrt(math.ceil(1 / -value)) + 1, prev * q
+        witness = (GaussRat._of(Fraction(a * scale, out), Fraction(b * scale, out))
+                   for a, b in zip(vr, vi))
+        return PsdVerdict(False, tuple(witness), value * scale * scale)
     return PsdVerdict(True)
 
 
-def _exact_witness(lcols, y, value: Fraction, n: int, upto: int) -> PsdVerdict:
-    # solve L^H v = y by back-substitution, then scale so v^H H v <= -1
-    v = list(y)
-    for i in range(upto - 1, -1, -1):
-        acc = y[i]
-        for j in range(i + 1, n):
-            if v[j]:
-                acc = acc - lcols[i][j].conjugate() * v[j]
-        v[i] = acc
-    scale = isqrt(int(math.ceil(1 / -value))) + 1
-    v = [x * scale for x in v]
-    return PsdVerdict(False, tuple(v), value * scale * scale)
-
-
 def determinant_exact(H: HermitianMatrix) -> GaussRat:
-    """Exact determinant by Bareiss elimination of A = D * H, read by
-    _integer_rows as in is_psd, pivoting on the first nonzero entry at or
-    below row k (a swap flips the sign); entries with zeta powers raise
-    ValueError.  The exact division by a complex pivot q is
-    x * conj(q) / |q|^2, and the result, the one GaussRat built, is
-    sign * a_nn / D^n."""
-    den, re, im = _integer_rows(H)
-    n = H.dim
-    sign, qr, qi = 1, 1, 0  # the last pivot q, 1 at first
+    """Exact determinant by the Bareiss steps of is_psd (_bareiss_step) on
+    A = D * H from _hermitian_ints (zeta powers, or an H that is not exactly
+    Hermitian, raise ValueError).  The pivots are real, the last is det A,
+    and the result, the one GaussRat built, is det A / D^n.
+
+    A zero pivot with a zero column gives det 0: the residual has a zero
+    row.  One with coupling a_jk != 0, j > k, is made nonzero by the
+    congruence A -> T A T^H, T = I + c e_k e_j^T (row and column k += c times
+    row and column j), c the first of (1, -1, i, -i) with a_kk = a_jj + 2
+    Re(c a_jk) != 0 (one is, as a_jk != 0); det T = 1.  The entries below
+    step k are minors of A, mapped alike, so later divisions stay exact.
+    """
+    den, re, im = _hermitian_ints(H)
+    n, prev = H.dim, 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if re[i][k] or im[i][k]), None)
-        if piv is None:
-            return GaussRat(0)
-        if piv != k:
-            re[k], re[piv], im[k], im[piv] = re[piv], re[k], im[piv], im[k]
-            sign = -sign
-        dr, di, kr, ki = re[k][k], im[k][k], re[k], im[k]
-        norm = qr * qr + qi * qi
-        for i in range(k + 1, n):
-            ar, ai, rr, ri = re[i][k], im[i][k], re[i], im[i]
-            for j in range(k + 1, n):  # column k is never read again
-                xr = dr * rr[j] - di * ri[j] - ar * kr[j] + ai * ki[j]
-                xi = dr * ri[j] + di * rr[j] - ar * ki[j] - ai * kr[j]
-                rr[j] = (xr * qr + xi * qi) // norm
-                ri[j] = (xi * qr - xr * qi) // norm
-        qr, qi = dr, di
-    return GaussRat._of(Fraction(sign * qr, den ** n), Fraction(sign * qi, den ** n))
+        if not re[k][k]:
+            j = next((j for j in range(k + 1, n) if re[j][k] or im[j][k]), None)
+            if j is None:
+                return GaussRat(0)
+            x, y, t = re[j][k], im[j][k], re[j][j]
+            cr, ci = next((cr, ci) for cr, ci in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                          if t + 2 * (cr * x - ci * y))
+            for i in range(k + 1, n):  # a_ik += conj(c) a_ij
+                u, v = (re[i][j], im[i][j]) if i >= j else (re[j][i], -im[j][i])
+                re[i][k], im[i][k] = re[i][k] + cr * u + ci * v, im[i][k] + cr * v - ci * u
+            re[k][k] = t + 2 * (cr * x - ci * y)
+        prev = _bareiss_step(re, im, k, prev)
+    return GaussRat._of(Fraction(prev, den ** n), ZERO)

@@ -35,14 +35,17 @@ before one reduction, quadratic_form_per_row, which reduces every row total
 of H v before the total, psd_exact_full_square, which updates the whole
 residual matrix, and psd_exact_fractions and determinant_fractions, the
 Fraction eliminations that the integer kernels of states.is_psd and
-states.determinant_exact replace.  as_gaussian and gaussian_entries read a
+states.determinant_exact replace.  Both psd oracles build their witness
+with _exact_witness, a GaussRat back-substitution that shares no code with
+the Gaussian-int one of states._psd_exact.  as_gaussian and gaussian_entries read a
 scalar and a matrix as GaussRat values, the copy those kernels no longer
 make.
 
 parse_by_products reads the element grammar the plain way: one character
 at a time, a token record per token with its offset, and one
 algebra.multiply per '*'.  nctorus.parser must return the same element,
-and raise the same ParseError, for every text.  format_by_terms prints an
+and raise the same ParseError, for every text (a '(' nested deeper than
+nctorus.parser.MAX_DEPTH among them).  format_by_terms prints an
 element from PhaseScalar.terms(), each root as a Fraction; the key-level
 printer nctorus.parser.format_element must give the same text, and raise
 the same ValueError for a root outside Q(i).
@@ -50,17 +53,17 @@ the same ValueError for a root outside Q(i).
 
 import math
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, isqrt, lcm
 
 import numpy as np
 
 from nctorus import circle
 from nctorus.algebra import AlgebraElement, adjoint, multiply, scalar_element, weyl
 from nctorus.lattice import SkewForm, as_matrix, mat_vec, pairing, theta_j
-from nctorus.parser import ParseError
+from nctorus.parser import MAX_DEPTH, ParseError
 from nctorus.scalars import (ROOT_I, ROOT_ONE, GaussRat, PhaseScalar, _sum_of_products,
                              as_fraction, as_scalar, cyclotomic)
-from nctorus.states import HermitianMatrix, PsdVerdict, _exact_witness, eval_generator
+from nctorus.states import HermitianMatrix, PsdVerdict, eval_generator
 
 
 def build_H_prime(p, q, d: int, l: int, N: int) -> HermitianMatrix:
@@ -376,6 +379,21 @@ def quadratic_form_per_row(H: HermitianMatrix, v) -> PhaseScalar:
     return _sum_of_products((vi.conjugate(), r) for vi, r in zip(vec, rows) if vi and r)
 
 
+def _exact_witness(lcols, y, value: Fraction, n: int, upto: int) -> PsdVerdict:
+    """Solve L^H v = y by back-substitution in GaussRat, then scale v by an
+    integer so that v^H H v <= -1."""
+    v = list(y)
+    for i in range(upto - 1, -1, -1):
+        acc = y[i]
+        for j in range(i + 1, n):
+            if v[j]:
+                acc = acc - lcols[i][j].conjugate() * v[j]
+        v[i] = acc
+    scale = isqrt(int(math.ceil(1 / -value))) + 1
+    v = [x * scale for x in v]
+    return PsdVerdict(False, tuple(v), value * scale * scale)
+
+
 def psd_exact_full_square(entries: list) -> PsdVerdict:
     """Pivoted LDL^H elimination that updates every entry of the residual."""
     n = len(entries)
@@ -505,6 +523,7 @@ class _Parser:
         self.pos = 0
         self.ctx = ctx
         self.dim = ctx.dimension
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -561,9 +580,13 @@ class _Parser:
         if tok[0] == "W":
             return self.weyl_gen()
         if tok[0] == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", tok[2])
             self.next()
+            self.depth += 1
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok[0] in ("int", "-"):
             return self.scalar()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nctorus.cli import main
+from nctorus.parser import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -49,6 +50,16 @@ def test_eval_command(capsys):
     assert out == '{"value": [0.0, 1.0]}\n'
     code, out, _ = run(capsys, "eval", "--state", '{"orbit_values":{}}', "2-3i * W[0,0]")
     assert out == "value: 2 + -3i\n"
+
+
+def test_eval_deep_nesting_is_a_syntax_error(capsys):
+    # past parser.MAX_DEPTH a '(' is a ParseError: exit 2 with its offset, no traceback
+    deep = "(" * 300 + "1" + ")" * 300
+    code, out, err = run(capsys, "eval", "--state", '{"orbit_values":{}}', deep)
+    assert (code, out) == (2, "")
+    assert err == f"error: parentheses nested deeper than {MAX_DEPTH} (at offset {MAX_DEPTH})\n"
+    code, out, _ = run(capsys, "eval", "--state", '{"orbit_values":{}}', "(" * 100 + "1" + ")" * 100)
+    assert code == 0 and out.startswith("value: 1")
 
 
 def test_eval_agrees_with_library(capsys, ctx):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import nctorus
 from nctorus import AlgebraElement, PhaseContext, parser
 from nctorus.algebra import adjoint, multiply, scalar_element, weyl
-from nctorus.parser import ParseError, format_element, parse_element, to_element
+from nctorus.parser import MAX_DEPTH, ParseError, format_element, parse_element, to_element
 from nctorus.scalars import PhaseScalar
 from conftest import random_element
 from paper_oracles import format_by_terms, multiply_reduced_once, parse_by_products
@@ -143,6 +143,21 @@ def test_long_digit_runs_are_parse_errors(ctx):
             parse_element(text, ctx)
         assert (str(info.value), info.value.offset) == (
             f"integer of 5000 digits is too long (at offset {offset})", offset)
+
+
+def test_nesting_depth_is_bounded(ctx):
+    # each level of parentheses is a few Python frames: past MAX_DEPTH the
+    # offending '(' is a ParseError, not a RecursionError
+    for depth in (100, MAX_DEPTH):
+        text = "(" * depth + "W[1,0] * W[0,1]^*" + ")" * depth
+        assert parse_element(text, ctx) == parse_element("W[1,0] * W[0,1]^*", ctx)
+    for text, offset in [("(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),
+                         ("( " * 300 + "1" + " )" * 300, 2 * MAX_DEPTH)]:
+        with pytest.raises(ParseError) as info:
+            parse_element(text, ctx)
+        assert (str(info.value), info.value.offset) == (
+            f"parentheses nested deeper than {MAX_DEPTH} (at offset {offset})", offset)
+        assert _outcome(parse_by_products, text, ctx) == _outcome(parse_element, text, ctx)
 
 
 @pytest.fixture

@@ -457,6 +457,8 @@ def test_psd_exact_matches_full_square_elimination(h):
     verdict = is_psd(h)
     want = psd_exact_full_square(gaussian_entries(h))
     assert (verdict.is_psd, verdict.witness, verdict.value) == (want.is_psd, want.witness, want.value)
+    # zero pivots with real and imaginary couplings: every congruence unit c
+    assert determinant_exact(h) == determinant_fractions(gaussian_entries(h))
     if not verdict.is_psd:
         assert quadratic_form(h, verdict.witness) == verdict.value < 0
 
@@ -516,6 +518,8 @@ def test_integer_elimination_needs_no_gaussrat_products(monkeypatch):
     from paper_oracles import build_H_prime
 
     pd = build_H_prime(Fraction(1, 5), {}, 25, 1, 1)  # d p^2 = 1: PSD, det 0
+    bad = build_H_prime(Fraction(-1, 4), {}, 25, 1, 1)  # d p^2 = 25/16: not PSD, det -9/16
+    want = psd_exact_fractions(gaussian_entries(bad))
 
     def refused(*_):
         raise AssertionError("GaussRat arithmetic inside the elimination")
@@ -524,6 +528,11 @@ def test_integer_elimination_needs_no_gaussrat_products(monkeypatch):
         monkeypatch.setattr(GaussRat, name, refused)
     assert is_psd(pd).is_psd
     assert determinant_exact(pd) == 0
+    verdict = is_psd(bad)  # the witness is back-substituted on Gaussian ints too
+    assert not verdict.is_psd and verdict.value == want.value == -4
+    assert verdict.witness == want.witness  # 12 e_0 + 3 (e_1 + ... + e_15) + e_16 + 2 e_17
+    assert [w.re for w in verdict.witness] == [12] + [3] * 15 + [1, 2] + [0] * 8
+    assert determinant_exact(bad) == GaussRat(Fraction(-9, 16))
 
 
 def test_exact_matrices_build_no_gaussrat_entries(monkeypatch):
@@ -613,6 +622,20 @@ def test_determinant_exact():
     for decide in (is_psd, determinant_exact):
         with pytest.raises(ValueError, match="round zeta powers first"):
             decide(HermitianMatrix([[1, w], [w.conjugate(), 1]]))
+
+
+def test_determinant_exact_zero_pivots():
+    i = PhaseScalar.gaussian(0, 1)
+    # a zero pivot with coupling takes the first unit c in (1, -1, i, -i) that
+    # makes a_jj + 2 Re(c a_jk) nonzero: here c = i
+    assert determinant_exact(HermitianMatrix([[0, i], [-i, 0]])) == GaussRat(-1)
+    # c = 1 gives the pivot -2 + 2 = 0, so c = -1
+    assert determinant_exact(HermitianMatrix([[0, 1], [1, -2]])) == GaussRat(-1)
+    # a zero pivot with a zero column, after a congruence and a negative pivot
+    assert determinant_exact(HermitianMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])) == 0
+    # the elimination reads the lower triangle: a non-Hermitian matrix is refused
+    with pytest.raises(ValueError, match="not Hermitian"):
+        determinant_exact(HermitianMatrix([[1, 2], [3, 4]]))
 
 
 finite = hs.floats(-2, 2, allow_nan=False, allow_infinity=False)
