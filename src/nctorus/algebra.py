@@ -129,9 +129,12 @@ class AlgebraElement:
             return NotImplemented
         if self._dim != other._dim:
             return False
-        if set(self._terms) != set(other._terms):
+        theirs = other._terms
+        if self._terms.keys() != theirs.keys():
             return False
-        return all(c == other._terms[m] for m, c in self._terms.items())
+        # equal canonical terms are equal values; only differing ones need
+        # PhaseScalar's cancellation, as 1 + e(1/3) and e(1/6) do
+        return all(c._terms == (d := theirs[m])._terms or c == d for m, c in self._terms.items())
 
     __hash__ = None
 

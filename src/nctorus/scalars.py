@@ -81,10 +81,11 @@ states.gram, which feeds it, reads each orbit value once and builds every
 one-term entry, one gcd per unordered pair, through the trusted
 PhaseScalar._of.  The matrix counterpart is states._psd_exact and
 states.determinant_exact: they get their ints from _gaussian, which scales
-every entry of a matrix once by the lcm of its denominators, and share one
-Bareiss step on those Gaussian integers; a non-PSD witness is
-back-substituted on the same ints, with exact divisions, so no GaussRat is
-multiplied or divided, and only the results are built as GaussRat.
+the nonzero entries of a matrix once by the lcm of their denominators (a
+zero entry is left at 0 and never read), and share one Bareiss step on
+those Gaussian integers; a non-PSD witness is back-substituted on the same
+ints, with exact divisions, so no GaussRat is multiplied or divided, and
+only the results are built as GaussRat.
 
 Printed form.  Equal values can have different canonical forms (1 + e(1/3)
 is e(1/6)), so which operations built a scalar decides its printed form:

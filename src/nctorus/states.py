@@ -305,27 +305,34 @@ class PsdVerdict:
 
 
 def as_tolerance(tol) -> Fraction:
-    """A tolerance as the exact rational it stands for (scalars.as_fraction:
-    1e-9 is 1/10^9).  nan, inf and negative values raise ValueError."""
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    return as_fraction(tol)
+    """A tolerance as the exact rational it stands for, read first by
+    scalars.as_fraction (1e-9 is 1/10^9, "1/10" is 1/10).  nan, inf,
+    negative values and malformed strings raise ValueError; a bool or
+    another type that is no number raises as_fraction's TypeError."""
+    try:
+        value = as_fraction(tol)
+        if value >= 0:
+            return value
+    except ValueError:  # nan, inf or a malformed string
+        pass
+    raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
 def is_psd(H: HermitianMatrix, tol=0) -> PsdVerdict:
     """Whether H + tol*I is positive semidefinite, decided by fraction-free
     elimination on Gaussian integers (_psd_exact), with witness extraction.
 
-    The entries go straight to the Gaussian ints of D * (H + tol*I)
-    (_hermitian_ints, D also clearing tol's denominator), and the witness is
-    back-substituted on those ints: only its entries are built as GaussRat.
-    Entries with zeta powers raise ValueError: round them first, as in
-    HermitianMatrix(H.rounded(ctx)).  H must be Hermitian within tol,
-    |H_ij - conj(H_ji)| <= tol, checked on those ints, and is read from its
-    lower triangle with the real part on the diagonal; the default tol = 0
-    asks for H = H^dagger exactly and decides H itself.  A non-PSD witness w
-    reports its value on the unshifted matrix, value - tol*|w|^2 <= -1 -
-    tol*|w|^2 < -tol.  A tol that is nan, infinite or negative raises
+    The nonzero entries go straight to the Gaussian ints of D * (H + tol*I)
+    (_hermitian_ints, D also clearing tol's denominator; a zero entry is
+    never read), and the witness is back-substituted on those ints: only its
+    entries are built as GaussRat.  Entries with zeta powers raise
+    ValueError: round them first, as in HermitianMatrix(H.rounded(ctx)).  H
+    must be Hermitian within tol, |H_ij - conj(H_ji)| <= tol, checked on the
+    nonzero cells of those ints, and is read from its lower triangle with
+    the real part on the diagonal; the default tol = 0 asks for H = H^dagger
+    exactly and decides H itself.  A non-PSD witness w reports its value on
+    the unshifted matrix, value - tol*|w|^2 <= -1 - tol*|w|^2 < -tol.  tol is
+    read by as_tolerance: a tol that is nan, infinite or negative raises
     ValueError.
     """
     shift = as_tolerance(tol)
@@ -338,18 +345,25 @@ def is_psd(H: HermitianMatrix, tol=0) -> PsdVerdict:
 
 def _hermitian_ints(H: HermitianMatrix, tol: Fraction = ZERO) -> tuple[int, list, list]:
     """(D, re, im): the lcm D of the entry denominators and of tol's, and the
-    int real and imaginary parts of D * (H + tol*I) read by scalars._gaussian,
-    with a real diagonal.  A zeta power, a root other than 1 and i, or an H
-    that is not Hermitian within tol raises ValueError."""
-    scaled = _gaussian([c._terms for row in H.rows() for c in row] + [{(0, ROOT_ONE): tol}])
+    int real and imaginary parts of D * (H + tol*I), with a real diagonal.
+
+    Only the nonzero entries are read, through scalars._gaussian, into rows
+    of zeros; the Hermitian check runs on their cells alone.  That misses
+    nothing: a pair of zero cells passes, and a pair with one nonzero cell
+    (i, j) is checked there, (re_ij - re_ji, im_ij + im_ji) holding both.
+    A zeta power, a root other than 1 and i, or an H that is not Hermitian
+    within tol raises ValueError."""
+    cells = [(i, j, c._terms) for i, row in enumerate(H.rows()) for j, c in enumerate(row)
+             if c._terms]
+    scaled = _gaussian([terms for _, _, terms in cells] + [{(0, ROOT_ONE): tol}])
     if scaled is None or any(k for entry in scaled[1] for k, _, _ in entry):
         raise ValueError("entries must be Gaussian rationals: round zeta powers first")
     (den, entries), n = scaled, H.dim
-    cells = [entry[0] if entry else (0, 0, 0) for entry in entries[:-1]]  # degree 0 only
-    re = [[x for _, x, _ in cells[i:i + n]] for i in range(0, n * n, n)]
-    im = [[y for _, _, y in cells[i:i + n]] for i in range(0, n * n, n)]
+    re, im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for (i, j, _), ((_, x, y),) in zip(cells, entries):  # one degree-0 triple each
+        re[i][j], im[i][j] = x, y
     t = tol.numerator * (den // tol.denominator)  # tol * D
-    pairs = ((re[i][j] - re[j][i], im[i][j] + im[j][i]) for i in range(n) for j in range(i, n))
+    pairs = ((re[i][j] - re[j][i], im[i][j] + im[j][i]) for i, j, _ in cells)
     if not all(x * x + y * y <= t * t if t else not (x or y) for x, y in pairs):
         raise ValueError("matrix is not Hermitian")
     for i in range(n):

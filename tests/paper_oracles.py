@@ -39,7 +39,9 @@ states.determinant_exact replace.  Both psd oracles build their witness
 with _exact_witness, a GaussRat back-substitution that shares no code with
 the Gaussian-int one of states._psd_exact.  as_gaussian and gaussian_entries read a
 scalar and a matrix as GaussRat values, the copy those kernels no longer
-make.
+make.  hermitian_ints_dense reads a matrix into Gaussian ints from every
+entry, zeros included, and checks every pair i <= j; states._hermitian_ints
+reads the nonzero entries only and must give the same ints and errors.
 
 parse_by_products reads the element grammar the plain way: one character
 at a time, a token record per token with its offset, and one
@@ -61,8 +63,8 @@ from nctorus import circle
 from nctorus.algebra import AlgebraElement, adjoint, multiply, scalar_element, weyl
 from nctorus.lattice import SkewForm, as_matrix, mat_vec, pairing, theta_j
 from nctorus.parser import MAX_DEPTH, ParseError
-from nctorus.scalars import (ROOT_I, ROOT_ONE, GaussRat, PhaseScalar, _sum_of_products,
-                             as_fraction, as_scalar, cyclotomic)
+from nctorus.scalars import (ROOT_I, ROOT_ONE, GaussRat, PhaseScalar, _gaussian,
+                             _sum_of_products, as_fraction, as_scalar, cyclotomic)
 from nctorus.states import HermitianMatrix, PsdVerdict, eval_generator
 
 
@@ -278,6 +280,27 @@ def gaussian_entries(h: HermitianMatrix) -> list[list[GaussRat]] | None:
     if any(None in row for row in parts):
         return None
     return [[GaussRat._of(*g) for g in row] for row in parts]
+
+
+def hermitian_ints_dense(h: HermitianMatrix, tol: Fraction = ZERO) -> tuple[int, list, list]:
+    """(D, re, im) of D * (H + tol*I) read from all n^2 entries, zeros too,
+    with the Hermitian-within-tol check over every pair i <= j: the reader
+    that states._hermitian_ints, which reads the nonzero entries only, must
+    match, error text included."""
+    scaled = _gaussian([c._terms for row in h.rows() for c in row] + [{(0, ROOT_ONE): tol}])
+    if scaled is None or any(k for entry in scaled[1] for k, _, _ in entry):
+        raise ValueError("entries must be Gaussian rationals: round zeta powers first")
+    (den, entries), n = scaled, h.dim
+    cells = [entry[0] if entry else (0, 0, 0) for entry in entries[:-1]]  # degree 0 only
+    re = [[x for _, x, _ in cells[i:i + n]] for i in range(0, n * n, n)]
+    im = [[y for _, _, y in cells[i:i + n]] for i in range(0, n * n, n)]
+    t = tol.numerator * (den // tol.denominator)  # tol * D
+    pairs = ((re[i][j] - re[j][i], im[i][j] + im[j][i]) for i in range(n) for j in range(i, n))
+    if not all(x * x + y * y <= t * t if t else not (x or y) for x, y in pairs):
+        raise ValueError("matrix is not Hermitian")
+    for i in range(n):
+        re[i][i], im[i][i] = re[i][i] + t, 0
+    return den, re, im
 
 
 def reduce_roots(parts: dict) -> dict:

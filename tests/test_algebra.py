@@ -180,6 +180,36 @@ def test_associativity_exact(ctx):
         assert multiply(multiply(a, b, ctx), c, ctx) == multiply(a, multiply(b, c, ctx), ctx)
 
 
+def test_equal_elements_compare_by_canonical_terms(ctx, monkeypatch):
+    a = AlgebraElement(2, {(1, 0): PhaseScalar.gaussian(Fraction(1, 2), -3), (0, 2): 2})
+    b = AlgebraElement(2, {(2, 1): PhaseScalar.zeta(-1), (0, 0): Fraction(-3, 4)})
+    left, right = multiply(multiply(a, b, ctx), a, ctx), multiply(a, multiply(b, a, ctx), ctx)
+
+    def refused(*_):
+        raise AssertionError("PhaseScalar comparison of equal canonical terms")
+
+    # Q(i) coefficients have one canonical form: equal dicts decide, with no
+    # subtraction and no PhaseScalar.__eq__ call
+    for name in ("__sub__", "__eq__"):
+        monkeypatch.setattr(PhaseScalar, name, refused)
+    assert left == right and len(left.support()) > 1
+
+
+def test_equal_values_in_other_canonical_forms_compare_equal():
+    third = PhaseScalar.root_of_unity(Fraction(1, 3))
+    sixth = PhaseScalar.root_of_unity(Fraction(1, 6))
+    summed = PhaseScalar.one() + third
+    assert summed._terms != sixth._terms  # 1 + e(1/3) and e(1/6): one value, two forms
+    built = AlgebraElement(2, {(1, 0): summed, (0, 1): 2})
+    assert built == weyl((1, 0)) * sixth + weyl((0, 1)) * 2
+    assert weyl((1, 0)) + weyl((1, 0)) * third == weyl((1, 0)) * sixth
+    for other in (AlgebraElement(2, {(1, 0): summed}),  # a smaller support
+                  AlgebraElement(2, {(1, 0): summed, (0, 2): 2}),  # another point
+                  AlgebraElement(2, {(1, 0): summed, (0, 1): third})):  # another value
+        assert built != other and other != built
+    assert weyl((0, 0)) != weyl((0, 0, 0, 0)) and weyl((0, 0, 0, 0)) != weyl((0, 0))
+
+
 def test_star_antimultiplicative(ctx):
     rng = random.Random(17)
     for _ in range(100):

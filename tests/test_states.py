@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings, strategies as hs
 from nctorus.algebra import AlgebraElement, PhaseContext, adjoint, multiply, numeric_eval, weyl
 from nctorus.certificate import refute
 from nctorus.lattice import SkewForm, pairing
-from nctorus.scalars import GaussRat, PhaseScalar
+from nctorus.scalars import ZERO, GaussRat, PhaseScalar, _gaussian
 from nctorus.states import (
     HermitianMatrix,
     StateCandidate,
+    _hermitian_ints,
     as_tolerance,
     determinant_exact,
     eval_generator,
@@ -28,6 +29,7 @@ from paper_oracles import (
     as_gaussian,
     determinant_fractions,
     gaussian_entries,
+    hermitian_ints_dense,
     is_hermitian,
     min_eigenvalue,
     psd_exact_fractions,
@@ -578,6 +580,88 @@ def test_hermitian_within_tol_at_its_boundary():
         is_psd(matrix(0, 0, Fraction(1, 6)))
 
 
+def test_hermitian_ints_reads_only_the_nonzero_entries(monkeypatch):
+    from nctorus import states
+    from paper_oracles import build_H_prime
+
+    pd = build_H_prime(Fraction(1, 5), {}, 25, 1, 1)  # 26 x 26, d p^2 = 1: PSD, det 0
+    read = []
+
+    def counted(term_dicts):
+        read.append(len(term_dicts))
+        return _gaussian(term_dicts)
+
+    monkeypatch.setattr(states, "_gaussian", counted)
+    assert is_psd(pd).is_psd and determinant_exact(pd) == 0
+    assert read == [77, 77]  # 26 diagonal and 2 * 25 arrow entries, and tol's
+
+
+TOLS = hs.sampled_from([ZERO, Fraction(1, 10**9), Fraction(1, 4), Fraction(1, 2), Fraction(1), 2])
+
+
+@hs.composite
+def arrow(draw):
+    """P_d-like: ones on the diagonal, p and conj(p) in row and column 0."""
+    n, p = draw(hs.integers(1, 9)), draw(gauss)
+    rows = [[PhaseScalar.rational(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n):
+        rows[0][k], rows[k][0] = PhaseScalar.gaussian(p.re, p.im), PhaseScalar.gaussian(p.re, -p.im)
+    return HermitianMatrix(rows), draw(TOLS)
+
+
+@hs.composite
+def one_sided(draw):
+    """A nonzero off-diagonal entry v whose mirror is zero, as in [[1, 1], [0, 1]]:
+    Hermitian within tol exactly when |v| <= tol."""
+    h = draw(hermitian())
+    assume(h.dim > 1)
+    i, j = draw(hs.permutations(range(h.dim)))[:2]
+    v, rows = draw(gauss.filter(bool)), [list(row) for row in h.rows()]
+    rows[i][j], rows[j][i] = PhaseScalar.gaussian(v.re, v.im), PhaseScalar.zero()
+    return HermitianMatrix(rows), draw(TOLS)
+
+
+@hs.composite
+def near_hermitian(draw):
+    """H_ij moved off conj(H_ji) by a gap of length tol, or just past it."""
+    h = draw(hermitian())
+    i, j = draw(hs.integers(0, h.dim - 1)), draw(hs.integers(0, h.dim - 1))
+    tol = draw(hs.sampled_from([Fraction(1, 3), Fraction(5, 2)]))
+    length = tol + draw(hs.sampled_from([0, Fraction(1, 10**9)]))
+    x, y = draw(hs.sampled_from([(1, 0), (0, -1), (Fraction(3, 5), Fraction(4, 5))]))
+    rows = [list(row) for row in h.rows()]
+    rows[i][j] = rows[i][j] + PhaseScalar.gaussian(x * length, y * length)
+    return HermitianMatrix(rows), tol
+
+
+@hs.composite
+def phased(draw):
+    """An entry, and maybe its mirror, times zeta^k or e(1/3)."""
+    h = draw(hermitian())
+    i, j = draw(hs.integers(0, h.dim - 1)), draw(hs.integers(0, h.dim - 1))
+    phase = draw(hs.sampled_from([PhaseScalar.zeta(1), PhaseScalar.zeta(-2),
+                                  PhaseScalar.root_of_unity(Fraction(1, 3))]))
+    rows = [list(row) for row in h.rows()]
+    rows[i][j] = rows[i][j] * phase
+    if draw(hs.booleans()):
+        rows[j][i] = rows[j][i] * phase.conjugate()
+    return HermitianMatrix(rows), draw(TOLS)
+
+
+def read_or_error(read, h, tol):
+    try:
+        return read(h, tol)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hs.one_of(hs.tuples(hermitian(), TOLS), arrow(), one_sided(), near_hermitian(), phased()))
+def test_sparse_reader_matches_dense_reader(case):
+    h, tol = case[0], as_tolerance(case[1])
+    assert read_or_error(_hermitian_ints, h, tol) == read_or_error(hermitian_ints_dense, h, tol)
+
+
 def test_psd_two_by_two_iff(ctx):
     for p in [-1.2, -1.0, -0.5, 0.0, 0.5, 0.99, 1.0, 1.001, 1.5]:
         st = StateCandidate({1: abs(p)}) if p >= 0 else StateCandidate({1: p})
@@ -673,8 +757,14 @@ def test_is_psd_tolerance_shifts_the_diagonal():
     assert verdict.is_psd
     bad = is_psd(h, 0.0)
     assert bad.value <= -1 and quadratic_form(h, bad.witness) == bad.value
-    for tol in (float("nan"), float("inf"), -1e-9):
-        with pytest.raises(ValueError):
+    for tol in (float("nan"), float("inf"), -1e-9, "-1/10", "nan", "1/0"):
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            is_psd(h, tol)
+    # the tolerance is read by as_fraction before it is compared: a string is a number
+    assert as_tolerance("1/10") == Fraction(1, 10) and as_tolerance(1e-9) == Fraction(1, 10**9)
+    assert not is_psd(h, "1/5").is_psd and is_psd(h, "1/4").is_psd
+    for tol in (True, None):
+        with pytest.raises(TypeError):
             is_psd(h, tol)
 
 
