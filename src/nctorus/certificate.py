@@ -11,9 +11,11 @@ The average of their Gram matrices is an eps-perturbation of
 P_d = [p; 1; 0; ...; 0], whose explicit witness (-p*d, 1, ..., 1) has
 quadratic value d*(1 - d*p^2) < 0, so some family l* is not positive
 either.  Each family's Gram matrix is Toeplitz, so refute() scores the d
-families with the closed-form witness value (one phase reduction per
-family), takes l* and the average's value from those scores, and builds
-l*'s generators once, for its exact Gram matrix and the certificate.
+families with the closed-form witness value.  On xi = (x, x) family l's
+phase exponent is e_1 = sigma_01 N l x^2, so F = sigma_01 N x^2 hbar_fixed(h)
+is reduced once and family l reads l F mod 2^256.  refute() takes l* and the
+average's value from those scores, and builds l*'s generators once, for its
+exact Gram matrix and the certificate.
 The average only guides refute() to l*; the proof is the single element
 a = sum v_i W_(g_i) on that family with omega(a* a) < 0, and refute()
 certifies its exact total rounded once.
@@ -36,7 +38,7 @@ from math import gcd, lcm
 
 from . import circle
 from .algebra import PhaseContext, numeric_eval
-from .lattice import Vec, as_integer, as_vector, mat_vec, pairing, theta_j
+from .lattice import Vec, as_integer, as_vector
 from .scalars import GaussRat, PhaseScalar, _gaussian_terms, as_fraction
 from .states import (
     HermitianMatrix,
@@ -113,12 +115,8 @@ class Certificate:
         (lattice.as_vector): 12.5 is rejected, never truncated.
         """
         try:
-            params = CertParams(
-                xi=as_vector(obj["xi"]),
-                d=as_integer(obj["d"]),
-                N=as_integer(obj["N"]),
-                epsilon=as_fraction(obj["epsilon"]),
-            )
+            params = CertParams(xi=obj["xi"], d=as_integer(obj["d"]), N=as_integer(obj["N"]),
+                                epsilon=obj["epsilon"])
             witness = tuple(GaussRat(re, im) for re, im in obj["witness"])
             generators = tuple(as_vector(g) for g in obj["generators"])
             return cls(
@@ -257,14 +255,14 @@ def _family_values(state: StateCandidate, params: CertParams,
     Toeplitz: H_00 = H_jj = 1, H_0j = p and H_ij = q_(N|i-j|x) zeta^(e_(j-i)),
     so the witness value is d - d^2 p^2 + 2 sum_k (d-k) q_(Nkx) cos(e_k h).
     e_k is the exponent gram() uses for the entry (i, i+k), -sigma(g_i, g_(i+k));
-    since g_(i+k) - g_i = k (g_2 - g_1) and sigma is bilinear, e_k = k e_1
-    with e_1 = -sigma(g_1, g_2), read from ctx.sigma rather than assumed.
-    Each family reduces e_1 once, f_1 = e_1 hbar_fixed(h) mod one turn, and
-    k f_1 mod one turn is the residue circle.phase_angle(h, e_k) reduces, so
-    every cosine reads the float phase_angle gives (circle.signed_angle).
-    With no value on any orbit N k x every family scores d - d^2 p^2, and no
-    family is built.  These float scores only choose l* and avg_value;
-    refute() certifies the exact total on the l* Gram matrix.
+    since g_(i+k) - g_i = k (g_2 - g_1) and sigma is bilinear, e_k = k e_1, and
+    the labels g_j = (x + jNx, lx) give e_1 = -sigma(g_1, g_2) = sigma_01 N l x^2,
+    sigma_01 read from ctx.sigma.  F = sigma_01 N x^2 hbar_fixed(h) mod one turn
+    is reduced once, family l's residue is f_1 = l F mod one turn, and k f_1 mod
+    one turn is the residue circle.phase_angle(h, e_k) reduces, so every cosine
+    reads the float phase_angle gives (circle.signed_angle).  With no value on
+    any orbit N k x every family scores d - d^2 p^2.  These float scores only
+    choose l* and avg_value; refute() certifies the exact total on l*'s Gram matrix.
     """
     d, n_val, x = params.d, params.N, params.xi[0]
     p = eval_generator(state, params.xi)
@@ -274,11 +272,10 @@ def _family_values(state: StateCandidate, params: CertParams,
                if (qk := state.value(n_val * k * x))]
     if not weights:
         return [base] * d
-    hbar = circle.hbar_fixed(ctx.h)
+    f = ctx.sigma.matrix[0][1] * n_val * x * x * circle.hbar_fixed(ctx.h) % circle.MODULUS  # F
     values = []
     for l in range(1, d + 1):
-        g1, g2 = (mat_vec(theta_j(n_val, l, j), params.xi) for j in (1, 2))
-        f1 = -pairing(ctx.sigma, g1, g2) * hbar % circle.MODULUS
+        f1 = l * f % circle.MODULUS
         values.append(math.fsum([base, *[w * math.cos(circle.signed_angle(k * f1))
                                          for k, w in weights]]))
     return values
@@ -489,9 +486,10 @@ def verify(state: StateCandidate, cert: Certificate, ctx: PhaseContext,
     conjugates at negated exponents.  The same step makes the exact total
     real, so its imaginary part needs no clause.
     avg_value is informational (refute's search margin) and is not checked.
-    A tol that is nan, infinite or negative raises ValueError.
+    tol is read once by as_tolerance, so "1/10" is a tolerance, and both
+    comparisons use that value; nan, infinite or negative raises ValueError.
     """
-    as_tolerance(tol)
+    tol = as_tolerance(tol)
     clauses: list[ClauseResult] = []
 
     def clause(name: str, ok: bool, detail: str = "") -> bool:

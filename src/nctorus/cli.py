@@ -97,7 +97,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     # --h stays a string here: PhaseContext reads it through scalars.as_fraction
     ap.add_argument("--h", default="1",
                     help="phase parameter h (default 1; h/2pi must stay irrational)")
-    ap.add_argument("--tol", type=float, default=1e-9, help="psd and verify tolerance (default 1e-9)")
+    # --tol too: main reads it once through states.as_tolerance, so 1/10 is a tolerance
+    ap.add_argument("--tol", default="1e-9", help="psd and verify tolerance (default 1e-9)")
     ap.add_argument("--exact", action="store_true", help="exact output (eval, gram) or input (psd)")
     ap.add_argument("--json", action="store_true", dest="as_json", help="machine-readable output")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -247,7 +248,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        as_tolerance(args.tol)
+        args.tol = as_tolerance(args.tol)
         return _COMMANDS[args.command](args, PhaseContext(h=args.h))
     except DiophantineBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -513,6 +513,25 @@ def test_verify_rejects_tampering(ctx):
     assert not report.accepted and report.failed == "params"
 
 
+def test_verify_reads_tol_once(ctx):
+    # tol is read by states.as_tolerance and compared as that value: a rational string is a
+    # tolerance, and the verdict is the one its Fraction or float gives
+    state = StateCandidate({1: 0.5})
+    cert = refute(state, ctx)
+    blob = cert.to_json()
+    blob["value"] = cert.value * 1.05  # off by 5 %: within 1/10 relative, far outside 1e-9
+    off = Certificate.from_json(blob)
+    assert verify(state, off, ctx, tol="1e-9").failed == "negativity"
+    for c in (cert, off):
+        want = verify(state, c, ctx, tol=0.1).to_json()
+        assert want["accepted"]
+        for tol in ("1/10", Fraction(1, 10), "0.1"):
+            assert verify(state, c, ctx, tol=tol).to_json() == want, tol
+    for bad in ("nan", "-1/10", "x"):
+        with pytest.raises(ValueError, match="tolerance"):
+            verify(state, cert, ctx, tol=bad)
+
+
 def test_verify_ignores_avg_value(ctx, monkeypatch):
     # the proof is the l* witness alone; the family average only guided refute
     import nctorus.certificate as certificate
@@ -560,27 +579,41 @@ def test_refute_builds_one_gram(ctx, monkeypatch):
         assert cert.value == numeric_eval(quadratic_form(dense, cert.witness), ctx).real
 
 
+SIGMA3_CTX = PhaseContext(h=Fraction(3, 7), sigma=SkewForm(((0, 3), (-3, 0))))
+# CI's d = 12 state with a value on every orbit kN, (-1/2)^k, k = 1..11, and a d = 13
+# state with one on every orbit kN under sigma_01 = 3 and h = 3/7; both N are those of
+# {1: p} alone, so every off-diagonal Gram entry is nonzero
+DENSE_D12 = {1: 0.3, **{k * 481014364723200: (-0.5) ** k for k in range(1, 12)}}
+DENSE_D13_SIGMA3 = {1: Fraction(7, 25),
+                    **{k * 50412291555225600: Fraction(-1, 2) ** k for k in range(1, 13)}}
+
 # sha256 of refute(...).dumps(), pinned when the generators were still built as
-# Theta_j xi matrix products; the last case is CI's d = 12 state with a value on every
-# orbit kN (-1/2)^k, k = 1..11
+# Theta_j xi matrix products; the dense sigma_01 = 3 case was pinned while each family
+# score still read its phase through Theta_1 xi and Theta_2 xi
 PINNED_CERTIFICATES = [
-    ({1: Fraction(1, 2)}, "ce1d87cd1e39d354c35aeca990f21d72683fc3f418ecc273408c101dfc8734c9"),
-    ({1: Fraction(3, 10)}, "4b6836978028986541e75ee8c7a4cf7935cbf5a00a84118e0360ef2ce521f34d"),
-    ({2: Fraction(1, 5)}, "502545a2516dfe5e5a02b54d55db5662f535d22f028ea4f11729e29225c1268d"),
-    ({3: Fraction(3, 20)}, "c22583ebdeddd5f9dc1fae02aacc2b6be91893e3ecf1a272b1082c23d9f6ff9f"),
-    ({1: 0.3, **{k * 481014364723200: (-0.5) ** k for k in range(1, 12)}},
+    (PhaseContext(), {1: Fraction(1, 2)},
+     "ce1d87cd1e39d354c35aeca990f21d72683fc3f418ecc273408c101dfc8734c9"),
+    (PhaseContext(), {1: Fraction(3, 10)},
+     "4b6836978028986541e75ee8c7a4cf7935cbf5a00a84118e0360ef2ce521f34d"),
+    (PhaseContext(), {2: Fraction(1, 5)},
+     "502545a2516dfe5e5a02b54d55db5662f535d22f028ea4f11729e29225c1268d"),
+    (PhaseContext(), {3: Fraction(3, 20)},
+     "c22583ebdeddd5f9dc1fae02aacc2b6be91893e3ecf1a272b1082c23d9f6ff9f"),
+    (PhaseContext(), DENSE_D12,
      "d62f2bd32417c2db26479fe8f82442420514ea6d6e2312818bcb772fcdd55e1a"),
+    (SIGMA3_CTX, DENSE_D13_SIGMA3,
+     "5e0cab1e72b0e6d73c675d0dd775f0988418eb3072b781bb20fc333614daa1d0"),
 ]
 
 
-@pytest.mark.parametrize("values, digest", PINNED_CERTIFICATES,
-                         ids=["1:1/2", "1:3/10", "2:1/5", "3:3/20", "d12-dense"])
+@pytest.mark.parametrize("ctx, values, digest", PINNED_CERTIFICATES,
+                         ids=["1:1/2", "1:3/10", "2:1/5", "3:3/20", "d12-dense", "d13-dense-sigma3"])
 def test_refute_output_is_pinned(ctx, values, digest):
     text = refute(StateCandidate(values), ctx).dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_refute_builds_the_family_once(ctx, monkeypatch):
+def test_refute_builds_the_family_once(monkeypatch):
     # l*'s generators are built once, for both the Gram matrix and the certificate
     import nctorus.certificate as certificate
 
@@ -591,10 +624,27 @@ def test_refute_builds_the_family_once(ctx, monkeypatch):
         return family_generators(*args)
 
     monkeypatch.setattr(certificate, "family_generators", counting_family)
-    for values in [{1: 1.5}] + [values for values, _ in PINNED_CERTIFICATES]:
+    for ctx, values in [(PhaseContext(), {1: 1.5})] + [case[:2] for case in PINNED_CERTIFICATES]:
         built.clear()
         cert = refute(StateCandidate(values), ctx)
         assert built == [(cert.params, cert.l_star)]
+
+
+def test_refute_builds_no_family_matrix(monkeypatch):
+    # the family scores read e_1 = sigma_01 N l x^2 in closed form: no Theta_j matrix,
+    # matrix-vector product or pairing, also on dense states whose every score has phases
+    import nctorus.certificate as certificate
+    import nctorus.lattice as lattice
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("refute must not build a 2x2 family matrix")
+
+    for name in ("theta_j", "mat_vec", "pairing"):
+        monkeypatch.setattr(lattice, name, forbidden)
+        monkeypatch.setattr(certificate, name, forbidden, raising=False)
+    for ctx, values in ((PhaseContext(), DENSE_D12), (SIGMA3_CTX, DENSE_D13_SIGMA3)):
+        cert = refute(StateCandidate(values), ctx)
+        assert cert.value < 0 and verify(StateCandidate(values), cert, ctx).accepted
 
 
 @pytest.mark.parametrize("h", [Fraction(1), Fraction(5, 7)])

@@ -168,6 +168,29 @@ def test_verify_agreement_is_relative(capsys, tmp_path):
     assert code == 1 and out.startswith("REJECT: negativity")
 
 
+def test_tol_is_read_as_a_rational(capsys, tmp_path):
+    # --tol follows the package's one rule for numbers: 1/10 is a tolerance for psd and verify
+    code, out, _ = run(capsys, "--tol", "1/10", "psd", '{"matrix": [[1]]}')
+    assert (code, out) == (0, "PSD\n")
+    # [[1, 1.05], [1.05, 1]] + tol*I is PSD at tol 1/10, and not at the default 1e-9
+    code, out, _ = run(capsys, "--tol", "1/10", "psd", '{"matrix": [[1, 1.05], [1.05, 1]]}')
+    assert (code, out) == (0, "PSD\n")
+    code, out, _ = run(capsys, "psd", '{"matrix": [[1, 1.05], [1.05, 1]]}')
+    assert code == 1 and out.startswith("NOT PSD")
+    state = '{"orbit_values":{"1":0.5}}'
+    cert_path = tmp_path / "cert.json"
+    assert main(["refute", "--state", state, "-o", str(cert_path)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "--tol", "1/10", "verify", "--state", state, "--cert", str(cert_path))
+    assert (code, out) == (0, "ACCEPT\n")
+    blob = json.loads(cert_path.read_text())
+    blob["value"] *= 1.05  # within 1/10 relative, outside the default 1e-9
+    code, out, _ = run(capsys, "--tol", "1/10", "verify", "--state", state, "--cert", json.dumps(blob))
+    assert (code, out) == (0, "ACCEPT\n")
+    code, out, _ = run(capsys, "verify", "--state", state, "--cert", json.dumps(blob))
+    assert code == 1 and out.startswith("REJECT: negativity")
+
+
 def test_refute_verify_full_corpus(capsys, tmp_path):
     for i, (j, p) in enumerate([(1, 0.9), (2, 0.9), (1, 0.5), (2, 0.5), (1, 0.2), (2, 0.2)]):
         state = json.dumps({"orbit_values": {str(j): p}})
