@@ -21,6 +21,7 @@ from .certificate import (
     Certificate,
     ConsistentWithTrace,
     DiophantineBudgetError,
+    DiophantinePrecisionError,
     VerificationReport,
     average_R,
     build_H_second,

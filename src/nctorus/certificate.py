@@ -1,8 +1,9 @@
 """Mechanized refutation of non-trace invariant-state candidates.
 
 Pipeline, for a candidate with p != 0 on orbit j: put xi = (j, j), choose
-d with d*p^2 > 1 and a safety margin eps, find N = d!*k with h*N*xi2^2
-close to 2*pi/d mod 2*pi, restrict the state to the spans
+d with d*p^2 > 1 and a safety margin eps, find the least N = d!*k with
+h*N*xi2^2 within eps/(4 d^2) of 2*pi/d mod 2*pi (a clause decided on ints
+for the true pi, satisfies_diophantine), restrict the state to the spans
 {W_(0,0)} u {W_(Theta_j xi)} for the families Theta_j in G_(N,l),
 l = 1..d.  On xi = (a, b) the family's labels have the closed form
 Theta_j xi = (a + j (N/l) s, s) with s = (l-1) a + b, an arithmetic
@@ -54,6 +55,11 @@ DEFAULT_BUDGET = 10**9
 
 class DiophantineBudgetError(RuntimeError):
     """The Diophantine search gave up."""
+
+
+class DiophantinePrecisionError(DiophantineBudgetError):
+    """The approximation clause stayed undecided after PI_DOUBLINGS
+    doublings of the pi precision."""
 
 
 class RefutationMarginError(RuntimeError):
@@ -154,51 +160,156 @@ class ConsistentWithTrace:
 # the Diophantine step
 # ---------------------------------------------------------------------------
 
-def _window(h, xi2: int, d: int, eps) -> tuple[int, int, int, int]:
-    """Integers (a, m, t, w): N meets the approximation clause exactly when
-    ((N*a - t) mod m) <= w.
+GUARD_BITS = 64
+PI_DOUBLINGS = 4  # precision doublings before an undecided clause raises
 
-    The clause puts frac(N h xi2^2/2pi) in the open interval
-    (lo, hi) = 1/d -+ eps/(4 d^2)/2pi of a turn.  m is the common
-    denominator of the step h xi2^2/2pi and of lo and hi, so N*a mod m is
-    m times that fraction, and t..t+w are the integers strictly inside
-    (lo*m, hi*m); w < 0 when there are none.
+
+def _clause_bits(h: Fraction, n: int, xi2: int, d: int, eps: Fraction) -> int:
+    """Working precision for the clause at N up to n: about
+    bits(h n xi2^2 d) + bits(4 d^2 / eps) + GUARD_BITS, read from bit lengths."""
+    angle = (abs(h.numerator * n) * xi2 * xi2 * d).bit_length() - h.denominator.bit_length()
+    width = (4 * d * d * eps.denominator).bit_length() - eps.numerator.bit_length()
+    return max(angle + 1, 0) + max(width + 1, 0) + GUARD_BITS
+
+
+def _units(h, xi2: int, d: int, eps, bits: int) -> tuple[int, int, int]:
+    """(a, B, H): h xi2^2 as a, and H = ceil(eps B 2^bits / (4d)), the
+    half-width eps/(4 d^2) rounded up, in units of 1/(B d 2^bits) radians,
+    B the denominator of h.  h and eps are rationals (Fraction or int)."""
+    den = h.denominator
+    return (h.numerator * xi2 * xi2 * d << bits, den,
+            -(-(eps.numerator * den << bits) // (4 * d * eps.denominator)))
+
+
+def _window(h, xi2: int, d: int, eps, q: int, bits: int) -> tuple[int, int, int, int]:
+    """Integers (a, m, t, w): at pi = q / 2^bits, N meets the approximation
+    clause exactly when ((N*a - t) mod m) <= w; eps > 0.
+
+    In _units, N*a is h N xi2^2 and m = 2 q B d is 2pi, both exact at that
+    pi, so N*a mod m is the residue r in [0, 2pi).  With c = 2 q B, the
+    units of 2pi/d, the clause |r - 2pi/d| < eps/(4 d^2) keeps the integers
+    strictly inside (c - H, c + H): t..t+w are c - H + 1 .. c + H - 1.
+    Clamping them to 0..m-1, where r always lies, keeps the mod from
+    wrapping: d = 1's window is one-sided, below a full turn, and an eps
+    wider than 2pi/d stops at zero.
     """
-    step = as_fraction(h) * xi2 * xi2 / circle.TWO_PI
-    delta = as_fraction(eps) / (4 * d * d) / circle.TWO_PI
-    lo, hi = Fraction(1, d) - delta, Fraction(1, d) + delta
-    m = lcm(step.denominator, lo.denominator, hi.denominator)
-    # the clamps: d = 1's one-sided window below a full turn, an eps wider than 1/d
-    t = max(math.floor(lo * m) + 1, 0)
-    w = min(math.ceil(hi * m) - 1, m - 1) - t
-    return step.numerator * (m // step.denominator), m, t, w
+    a, den, half = _units(h, xi2, d, eps, bits)
+    c = 2 * q * den
+    m = c * d
+    t = max(c - half + 1, 0)
+    return a, m, t, min(c + half - 1, m - 1) - t
+
+
+def _decide(h, n: int, xi2: int, d: int, eps, bits: int) -> bool | None:
+    """The clause at N = n for every pi in the interval (pi_scaled(bits) -+
+    PI_ERROR) / 2^bits, which holds the true pi, or None when the two ends
+    of the interval disagree.
+
+    At each end q, (k, r) = divmod(n a, m) with _window's a and m is the
+    turn count floor(h n xi2^2 / 2pi) and the residue, and r's place is
+    below (r <= c - H), inside or above (r >= c + H) the window; the clamps
+    need no test, since r lies in 0..m-1.  k is monotone in pi, so equal k
+    at both ends keep it constant on the interval; r - 2pi/d is then linear
+    in pi, and each place is an interval of r - 2pi/d, so equal places at
+    both ends hold at every pi between them, the true pi included.
+    """
+    a, den, half = _units(h, xi2, d, eps, bits)
+    na, p = n * a, circle.pi_scaled(bits)
+    ends = []
+    for q in (p - circle.PI_ERROR, p + circle.PI_ERROR):
+        c = 2 * q * den
+        k, r = divmod(na, c * d)
+        ends.append((k, (r > c - half) + (r >= c + half)))
+    (k_lo, place), hi = ends
+    return place == 1 if (k_lo, place) == hi else None
 
 
 def satisfies_diophantine(h, n: int, xi2: int, d: int, eps) -> bool:
-    """Exact check of |(h N xi2^2) mod 2pi - 2pi/d| < eps/(4 d^2), N = n."""
-    a, m, t, w = _window(h, xi2, d, eps)
-    return (n * a - t) % m <= w
+    """Decide |(h N xi2^2) mod 2pi - 2pi/d| < eps/(4 d^2) for N = n and the true pi.
+
+    The residue lies in [0, 2pi), so the clause is one-sided at d = 1, and
+    an eps wider than 2pi/d clamps at zero; eps <= 0 never holds.  _decide
+    reads the clause at both ends of a pi interval of _clause_bits bits,
+    bits(h n xi2^2 d) + bits(4 d^2/eps) + 64, which leaves the ends about
+    2^-64 of the window apart; while they disagree the precision doubles, up
+    to PI_DOUBLINGS times, and then DiophantinePrecisionError is raised.
+    pi is irrational and h n xi2^2 rational, so the true pi is never on the
+    window's edge and some precision decides every input.
+    """
+    h, eps = as_fraction(h), as_fraction(eps)
+    if eps.numerator <= 0:
+        return False
+    bits = _clause_bits(h, n, xi2, d, eps)
+    for _ in range(PI_DOUBLINGS + 1):
+        verdict = _decide(h, n, xi2, d, eps, bits)
+        if verdict is not None:
+            return verdict
+        bits *= 2
+    raise DiophantinePrecisionError(
+        f"the approximation clause at N = {n} stays undecided at {bits // 2} bits of pi")
 
 
 def diophantine_N(ctx: PhaseContext, xi2: int, d: int, eps, *,
                   budget: int = DEFAULT_BUDGET) -> int:
-    """Smallest N = d!*k with |(h N xi2^2) mod 2pi - 2pi/d| < eps/(4 d^2).
+    """Smallest N = d!*k with |(h N xi2^2) mod 2pi - 2pi/d| < eps/(4 d^2), for the true pi.
 
-    The exact Euclidean minimal-hit solver (circle.first_hit) finds the
-    least k on _window's integers, the same ones satisfies_diophantine
-    reads; a minimal k above `budget`, or a window no multiple of d!
-    reaches, raises DiophantineBudgetError.
+    The search covers k up to a span, at first `budget`, at the precision
+    _clause_bits gives for N = d! span, and reads _window at the middle of
+    the pi interval, p / 2^bits.  A pi of the interval is within
+    PI_ERROR / 2^bits of it, which moves h N xi2^2 - 2pi k by under
+    2 PI_ERROR |k| / 2^bits radians and the window's edges (2pi/d -+ eps/(4 d^2),
+    clamped to [0, 2pi)) by under 2 PI_ERROR / 2^bits; k is the turn count,
+    |k| <= |h| N xi2^2 / 6 + 1.  In _units that is under
+    E = PI_ERROR d (|h_num| xi2^2 d! span + 4 B), so the window widened by E
+    on each side holds every N of the span that meets the clause for some
+    pi of the interval, the true pi included.  The precision also carries
+    bits(1 / step), step = |h| xi2^2 d! the rotation per k in radians: that
+    keeps E far below one step, so a step much finer than a radian does
+    not walk a long run of k through the band of width E by an edge, each
+    one a hit to reject.
+
+    circle.first_hit takes the least k in the widened window, and _decide
+    confirms it at the search precision: a confirmed k is the least, a
+    rejected one resumes the search past it, and an undecided one, or a
+    window the rational rotation never reaches, doubles the precision (up
+    to PI_DOUBLINGS times, then DiophantinePrecisionError).  A least widened
+    hit past the span proves that no k in the span hits: the span grows to
+    cover it, so the least k is found whatever the budget.  A least k above
+    `budget` raises DiophantineBudgetError with that k.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if d < 1 or xi2 < 1:
         raise ValueError("need d >= 1 and xi2 >= 1")
-    fact = math.factorial(d)
-    a, m, t, w = _window(ctx.h, xi2, d, eps)
-    k = circle.first_hit(fact * a % m, m, t, w)
-    if k is None:
-        raise DiophantineBudgetError(f"no multiple of {d}! hits the target window")
+    h, fact = ctx.h, math.factorial(d)
+    step_bits = (abs(h.numerator) * xi2 * xi2 * fact).bit_length() - h.denominator.bit_length()
+    fine = max(1 - step_bits, 0)  # bits(1 / step)
+    span, done = max(budget, 1), 0  # no k <= done hits
+    bits, doublings = _clause_bits(h, fact * span, xi2, d, eps) + fine, 0
+    while True:
+        a, m, t, w = _window(h, xi2, d, eps, circle.pi_scaled(bits), bits)
+        slack = circle.PI_ERROR * d * (abs(h.numerator) * xi2 * xi2 * fact * span
+                                       + 4 * h.denominator)  # E
+        step = fact * a % m
+        j = circle.first_hit(step, m, t - slack - done * step, w + 2 * slack)
+        if j is not None and done + j > span:
+            done, span = span, max(done + j, 2 * span)
+            bits = max(bits, _clause_bits(h, fact * span, xi2, d, eps) + fine)
+            continue
+        verdict = None if j is None else _decide(h, fact * (done + j), xi2, d, eps, bits)
+        if verdict:
+            break
+        if verdict is None:
+            doublings += 1
+            if doublings > PI_DOUBLINGS:
+                raise DiophantinePrecisionError(
+                    f"the search for N = {d}! k past k = {done} stays undecided at "
+                    f"{bits} bits of pi")
+            bits *= 2
+        else:
+            done += j
+    k = done + j
     if k > budget:
         raise DiophantineBudgetError(
             f"minimal k = {k} exceeds the search budget {budget}; "

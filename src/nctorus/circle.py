@@ -1,7 +1,6 @@
-"""Fixed-point arithmetic on the unit circle.
+"""Fixed-point arithmetic on the unit circle, and an integer pi.
 
-Phases are represented as 256-bit fixed-point fractions of a full turn;
-the Diophantine step does not use them (certificate._window is exact).
+Phases are represented as 256-bit fixed-point fractions of a full turn.
 The certificate pipeline produces zeta-exponents far beyond 2^53, where a
 double carries no phase information at all; reducing k * hbar mod 1 in
 integer arithmetic keeps every numeric phase deterministic.  It is not
@@ -11,6 +10,10 @@ hbar = h/(2*pi), so the phase of zeta^k carries an error of about
 (2^-16 turns), and past 2^256 the phase is lost; the multi-orbit
 certificate at d = 60 reaches k ~ 2^309 (defect A).  ROADMAP item 7
 replaces this with a phase precision chosen per exponent.
+
+The Diophantine step reads no phase: it decides its clause on ints
+against pi_scaled(bits), an integer Machin pi with a proved error bound,
+at whatever precision the clause needs (certificate.satisfies_diophantine).
 
 The module also hosts the minimal-hit solver for irrational rotations:
 the smallest k >= 1 with k * alpha landing in a prescribed arc.  This is
@@ -29,14 +32,67 @@ BITS = 256
 MODULUS = 1 << BITS
 RADIAN = 2.0 * math.pi / MODULUS  # radians per fixed-point unit: a power-of-two scaling, exact
 
-# 200 decimal digits of pi: ample for 256-bit phases, too few for
-# certificate._window from d ~ 115 on (defect B, ROADMAP item 2).
+# 200 decimal digits of pi, for the 256-bit phases of hbar_fixed only: the
+# Diophantine clause, which needs more bits as N grows, reads pi_scaled.
 PI = Fraction(
     "3.14159265358979323846264338327950288419716939937510582097494459230781"
     "64062862089986280348253421170679821480865132823066470938446095505822317"
     "2535940812848111745028410270193852110555964462294895493038196"
 )
 TWO_PI = 2 * PI
+
+
+PI_ERROR = 2  # |pi * 2^bits - pi_scaled(bits)| < PI_ERROR, for every bits >= 0
+
+_PI_CACHE = (0, 3)  # (bits, pi_scaled(bits)) at the widest precision computed so far
+
+
+def _arctan_inv(x: int, one: int) -> int:
+    """arctan(1/x) * one, to within the error bound in pi_scaled."""
+    power = total = one // x
+    x2, k, sign = x * x, 3, -1
+    while power:
+        power //= x2
+        total += sign * (power // k)
+        sign, k = -sign, k + 2
+    return total
+
+
+def pi_scaled(bits: int) -> int:
+    """An integer P with |pi * 2^bits - P| < PI_ERROR = 2.
+
+    Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239) is summed at
+    n = top + g bits, with top >= bits the widest precision asked for so
+    far and g = bits(top) + 7 guard bits, and the sum is cut to top bits
+    once; a narrower request shifts that cached value right.
+
+    Proof of the bound.  Put one = 2^n.  _arctan_inv(x, one) adds the terms
+    T_k = floor(floor(one / x^(2k+1)) / (2k+1)) = floor(one / ((2k+1) x^(2k+1)))
+    (nested floors of positive ints) with alternating signs, for k = 0..K,
+    where K is the first k with x^(2K+1) > one.  Each T_k is below the true
+    term t_k = one / ((2k+1) x^(2k+1)) by less than 1, and the omitted tail
+    of the alternating series is below t_(K+1) < 1, so the sum misses
+    one * arctan(1/x) by less than K + 2.  Since x^(2K-1) <= one,
+    K <= (n / log2(x) + 1) / 2: under n/4.64 + 1/2 for x = 5 and n/15.8 + 1/2
+    for x = 239.  The Machin sum S therefore misses one * pi by less than
+    16 (n/4.64 + 5/2) + 4 (n/15.8 + 5/2) < 4n + 50 = 4 top + 4g + 50, and
+    2^g >= 128 (top + 1) exceeds that for every top >= 0.
+    So |S / 2^g - pi 2^top| < 1, and P_top = floor(S / 2^g) adds at most 1
+    more: |pi 2^top - P_top| < 2.  For bits < top, P_top / 2^(top-bits)
+    misses pi 2^bits by less than 2 / 2^(top-bits) <= 1, and the floor of
+    the shift adds less than 1 again, so the bound holds for every slice.
+    """
+    global _PI_CACHE
+    if bits < 0:
+        raise ValueError(f"need bits >= 0, got {bits}")
+    top, value = _PI_CACHE
+    if bits > top:
+        top = max(bits, 2 * top)  # widen geometrically: a growing precision recomputes rarely
+        guard = top.bit_length() + 7
+        one = 1 << (top + guard)
+        value = (16 * _arctan_inv(5, one) - 4 * _arctan_inv(239, one)) >> guard
+        _PI_CACHE = (top, value)
+    return value >> (top - bits)
 
 
 def to_fixed(turns: Fraction) -> int:

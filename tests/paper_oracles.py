@@ -4,7 +4,10 @@ build_H_prime and det_P are the idealized restriction matrix H'_l and the
 closed-form determinant of P_d; scan_hit is the brute-force linear scan
 that the minimal-hit solver circle.first_hit must agree with, and
 diophantine_fraction is the approximation clause as one Fraction
-inequality, which certificate.satisfies_diophantine must decide alike.
+inequality on a 200-digit pi, which certificate.satisfies_diophantine must
+decide alike where that pi suffices; clause_by_reference_pi decides it on
+the Machin pi of perfbench_reference, the benchmark's independent checker,
+at the precision the window needs.
 family_values_per_exponent scores the families of certificate._family_values
 with every exponent reduced on its own (phase_angle_by_division, dividing
 the residue first as fixed_to_angle does); the one reduction per family and
@@ -53,9 +56,12 @@ printer nctorus.parser.format_element must give the same text, and raise
 the same ValueError for a root outside Q(i).
 """
 
+import importlib.util
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, isqrt, lcm
+from pathlib import Path
 
 import numpy as np
 
@@ -120,11 +126,51 @@ def scan_hit(a: int, m: int, t: int, w: int, limit: int) -> int | None:
 
 
 def diophantine_fraction(h, n: int, xi2: int, d: int, eps) -> bool:
-    """|(h N xi2^2) mod 2pi - 2pi/d| < eps/(4 d^2) for N = n, in Fraction turns."""
+    """|(h N xi2^2) mod 2pi - 2pi/d| < eps/(4 d^2) for N = n, in Fraction turns.
+
+    A 200-digit oracle: circle.TWO_PI is off the true 2pi by about 1e-200, so
+    the residue carries an error of about |h N xi2^2| 1e-200 radians.  It
+    decides the clause as the true pi does where its hypothesis draws stay,
+    n <= 2^400 and eps >= 1e-15, and not where that error nears the window
+    eps/(4 d^2); clause_by_reference_pi reads those.
+    """
     turns = as_fraction(h) * n * xi2 * xi2 / circle.TWO_PI
     frac = turns - floor(turns)
     dev = abs(frac - Fraction(1, d))
     return dev < as_fraction(eps) / (4 * d * d) / circle.TWO_PI
+
+
+@lru_cache(maxsize=None)
+def perfbench_reference():
+    """perfbench/reference.py, the benchmark's independent checker, loaded
+    once by path: it imports nothing from nctorus."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def clause_by_reference_pi(h, n: int, xi2: int, d: int, eps) -> bool:
+    """The approximation clause against the reference's own Machin pi, at
+    bits(h n xi2^2) + bits(4 d^2/eps) + 64 bits.
+
+    reference.approximation_holds keeps bits(h n xi2^2) + 64 bits: its residue
+    is then good to about 2^-64 radians, and it cannot read a window
+    eps/(4 d^2) narrower than that.  Here pi_scaled's unit error moves the
+    residue by at most 2 (k + 2) units, k the turn count, and a verdict
+    closer to the window's edge than that fails the assertion.
+    """
+    x = as_fraction(h) * n * xi2 * xi2
+    eps = as_fraction(eps)
+    bits = ((abs(x.numerator) // x.denominator + 1).bit_length()
+            + (4 * d * d * eps.denominator // eps.numerator + 1).bit_length() + 64)
+    pi_b = perfbench_reference().pi_scaled(bits)
+    k, r = divmod((x.numerator << bits) // x.denominator, 2 * pi_b)
+    dev = abs(r - 2 * pi_b // d)
+    bound = eps / (4 * d * d) * (1 << bits)
+    assert abs(dev - bound) > 2 * (abs(k) + 2), "too close to the window's edge to decide"
+    return dev < bound
 
 
 def fixed_to_angle(fixed: int) -> float:

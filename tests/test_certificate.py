@@ -1,10 +1,8 @@
 import hashlib
-import importlib.util
 import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +14,7 @@ from nctorus.certificate import (
     Certificate,
     ConsistentWithTrace,
     DiophantineBudgetError,
+    DiophantinePrecisionError,
     _family_values,
     _window,
     _witness_total,
@@ -40,10 +39,11 @@ from nctorus.states import (
     is_psd,
     quadratic_form,
 )
+from nctorus.circle import PI_ERROR, pi_scaled
 from nctorus.lattice import SIGMA2, SkewForm, pairing
 from nctorus.scalars import GaussRat, PhaseScalar
-from paper_oracles import (build_H_prime, det_P, diophantine_fraction, family_generators_by_theta,
-                           is_hermitian, scan_hit)
+from paper_oracles import (build_H_prime, clause_by_reference_pi, det_P, diophantine_fraction,
+                           family_generators_by_theta, is_hermitian, perfbench_reference, scan_hit)
 
 
 # -- diophantine ------------------------------------------------------------
@@ -61,9 +61,11 @@ def test_diophantine_minimal_and_divisible(ctx, d, eps):
 
 
 def test_diophantine_scan_agrees_with_exact(ctx):
+    # a scan of the window at pi = pi_scaled(256) / 2^256: 2^-254 from the true pi, far
+    # finer than these windows, so its least hit is the least hit for the true pi
     for d, xi2, eps in [(2, 1, Fraction(1, 2)), (3, 2, Fraction(1, 2)), (4, 1, Fraction(1, 1))]:
         exact = diophantine_N(ctx, xi2, d, eps)
-        a, m, t, w = _window(ctx.h, xi2, d, eps)
+        a, m, t, w = _window(ctx.h, xi2, d, eps, pi_scaled(256), 256)
         fact = math.factorial(d)
         scanned = fact * scan_hit(fact * a, m, t, w, 10**6)
         assert exact == scanned
@@ -73,44 +75,91 @@ def test_diophantine_scan_agrees_with_exact(ctx):
 @given(h=st.fractions(-10, 10).filter(bool), d=st.integers(1, 60), xi2=st.integers(1, 9),
        mantissa=st.integers(1, 999), exponent=st.integers(-12, 6), data=st.data())
 def test_window_decides_the_fraction_inequality(h, d, xi2, mantissa, exponent, data):
-    # eps runs from 1e-15 to 1e6: past 8*pi*d the window is wider than 1/d
+    # eps runs from 1e-15 to 1e6: past 8*pi*d the window is wider than 1/d.  At these
+    # sizes the 200-digit pi of diophantine_fraction decides the clause as the true pi
+    # does, and the search is total: pi is irrational, so some multiple of d! hits
     eps = Fraction(mantissa, 1000) * Fraction(10) ** exponent
     ns = [data.draw(st.integers(0, 2**400)) for _ in range(3)]
-    try:
-        n_val = diophantine_N(PhaseContext(h=h), xi2, d, eps, budget=10**1000)
-        assert diophantine_fraction(h, n_val, xi2, d, eps)
-        ns += [n_val - 1, n_val, n_val + 1, n_val + math.factorial(d)]
-    except DiophantineBudgetError:
-        pass  # no multiple of d! reaches the window
+    n_val = diophantine_N(PhaseContext(h=h), xi2, d, eps, budget=10**1000)
+    assert diophantine_fraction(h, n_val, xi2, d, eps)
+    ns += [n_val - 1, n_val, n_val + 1, n_val + math.factorial(d)]
     for n in ns:
         assert satisfies_diophantine(h, n, xi2, d, eps) == diophantine_fraction(h, n, xi2, d, eps)
 
 
 def test_window_clamps(ctx):
-    # d = 1: one-sided, below a full turn; eps = 1000 > 8 pi d: the whole turn
+    # d = 1: one-sided, below a full turn; eps = 1000 > 8 pi d: the whole turn.  At
+    # either end of the pi interval the clamped window reads the clause for that pi,
+    # and for n < 2000 both ends decide it as the true pi does
+    bits = 256
+    p = pi_scaled(bits)
     for d, eps, lo_clamped, hi_clamped in [(1, Fraction(1, 10), False, True),
                                            (3, 1000, True, True),
                                            (3, Fraction(1, 10), False, False)]:
-        a, m, t, w = _window(ctx.h, 1, d, eps)
-        assert (t == 0, t + w == m - 1) == (lo_clamped, hi_clamped)
-        assert all(((n * a - t) % m <= w) == diophantine_fraction(ctx.h, n, 1, d, eps)
-                   for n in range(2000))
+        for q in (p - PI_ERROR, p + PI_ERROR):
+            a, m, t, w = _window(ctx.h, 1, d, eps, q, bits)
+            assert (t == 0, t + w == m - 1) == (lo_clamped, hi_clamped)
+            assert all(((n * a - t) % m <= w) == diophantine_fraction(ctx.h, n, 1, d, eps)
+                       == satisfies_diophantine(ctx.h, n, 1, d, eps) for n in range(2000))
 
 
 def test_diophantine_finer_than_fixed_point(ctx):
-    # a window far below 2^-256 turns: the exact window still decides it
+    # a window far below 2^-256 turns: the decided clause still finds and reads it.
+    # N ~ 2^330 puts the 200-digit pi of diophantine_fraction about 1e-100 radians off,
+    # the window's own width, so the reference's Machin pi judges the hit
     eps = Fraction(1, 10**100)
     n_val = diophantine_N(ctx, 1, 2, eps, budget=10**400)
     assert n_val % 2 == 0 and n_val.bit_length() > 256
     assert satisfies_diophantine(ctx.h, n_val, 1, 2, eps)
-    assert diophantine_fraction(ctx.h, n_val, 1, 2, eps)
+    assert clause_by_reference_pi(ctx.h, n_val, 1, 2, eps)
 
 
-def test_diophantine_unreachable_window(ctx):
-    # no multiple of 3! lands in a window of width 1e-250 around 2pi/3
-    for budget in (10**9, 10**1000):
-        with pytest.raises(DiophantineBudgetError, match="no multiple"):
-            diophantine_N(ctx, 1, 3, Fraction(1e-250), budget=budget)
+def test_diophantine_narrow_window(ctx):
+    # a window of width 1e-250 around 2pi/3.  A rational pi would make the rotation
+    # periodic, with about 1e-200 turns between its points, and no multiple of 3! would
+    # reach the window; pi is irrational, so some multiple does, past a small budget
+    eps = Fraction(1e-250)
+    with pytest.raises(DiophantineBudgetError, match="exceeds the search budget"):
+        diophantine_N(ctx, 1, 3, eps, budget=10**9)
+    n_val = diophantine_N(ctx, 1, 3, eps, budget=10**1000)
+    assert n_val % math.factorial(3) == 0
+    assert satisfies_diophantine(ctx.h, n_val, 1, 3, eps)
+    assert clause_by_reference_pi(ctx.h, n_val, 1, 3, eps)
+
+
+def test_clause_near_its_edge_doubles_the_precision(ctx, monkeypatch):
+    # eps puts the window's edge 2^-150 of the deviation away from N's residue: the
+    # first precision, about 100 bits, cannot tell the sides apart, a doubled one can
+    from nctorus import certificate
+
+    n_val, d, bits = 6 * 10**6, 3, 1200
+    p = pi_scaled(bits)
+    dev = abs((n_val << bits) % (2 * p) - 2 * p // d)  # |N mod 2pi - 2pi/3| 2^1200, to ~2^25
+    calls = []
+    decide = certificate._decide
+    monkeypatch.setattr(certificate, "_decide", lambda *a: calls.append(a[-1]) or decide(*a))
+    for sign in (1, -1):
+        eps = Fraction(4 * d * d * dev, 1 << bits) * (1 + Fraction(sign, 1 << 150))
+        calls.clear()
+        assert satisfies_diophantine(ctx.h, n_val, 1, d, eps) == (sign > 0)
+        assert len(calls) == 2 and calls[1] == 2 * calls[0] < 300
+
+
+def test_wider_pi_interval_keeps_every_answer(ctx, monkeypatch):
+    # a looser error bound still holds the true pi: the doublings that follow move
+    # no verdict and no least N; a bound no doubling overcomes raises the typed error
+    cases = [(d, eps, diophantine_N(ctx, 1, d, eps)) for d, eps in
+             [(1, Fraction(1, 10)), (3, Fraction(1, 10**6)), (12, choose_parameters(0.3)[1])]]
+    monkeypatch.setattr("nctorus.circle.PI_ERROR", 1 << 70)
+    for d, eps, n_val in cases:
+        assert diophantine_N(ctx, 1, d, eps) == n_val
+        assert satisfies_diophantine(ctx.h, n_val, 1, d, eps)
+        assert not satisfies_diophantine(ctx.h, n_val + math.factorial(d), 1, d, eps)
+    monkeypatch.setattr("nctorus.circle.PI_ERROR", 1 << 100000)
+    with pytest.raises(DiophantinePrecisionError, match="undecided"):
+        satisfies_diophantine(ctx.h, cases[0][2], 1, 1, Fraction(1, 10))
+    with pytest.raises(DiophantinePrecisionError, match="undecided"):
+        diophantine_N(ctx, 1, 3, Fraction(1, 10**6))
 
 
 def test_diophantine_budget_error(ctx):
@@ -880,29 +929,43 @@ def test_gram_matches_H_entry_formulas(ctx):
 
 # -- open soundness defects, decided by the independent reference -------------
 
-def _reference_module():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+# defect A: zeta exponents past 2^256 lose their phase
+DEFECT_A = pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason="phases use a 256-bit h/2pi (defect A, ROADMAP item 7)")
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="phases use a 256-bit h/2pi (defect A, ROADMAP item 7) and "
-                   "the Diophantine clause a 200-digit pi (defect B, ROADMAP item 2)")
 @pytest.mark.parametrize("p, multiples", [
-    # defect A: zeta exponents past 2^256 lose their phase
-    (Fraction(13, 100), {k: Fraction(9, 10) for k in range(1, 5)}),  # d = 60
-    (Fraction(1, 10), {1: Fraction(1, 4), 2: Fraction(-1, 8), 3: Fraction(1, 3)}),  # d = 101
-    # defect B: the approximation clause is false from d ~ 115 on
-    (Fraction(9, 100), {}),  # d = 124
-], ids=["A-d60", "A-d101", "B-d124"])
+    pytest.param(Fraction(13, 100), {k: Fraction(9, 10) for k in range(1, 5)},  # d = 60
+                 marks=DEFECT_A, id="A-d60"),
+    pytest.param(Fraction(1, 10), {1: Fraction(1, 4), 2: Fraction(-1, 8), 3: Fraction(1, 3)},
+                 marks=DEFECT_A, id="A-d101"),  # d = 101
+    # defect B: a 200-digit pi puts the approximation clause wrong from d ~ 115 on, so
+    # these hold only while the clause is decided for the true pi
+    pytest.param(Fraction(9, 100), {}, id="B-d124"),
+    pytest.param(Fraction(1, 20), {}, id="B-d401"),
+    pytest.param(Fraction(7, 200), {}, id="B-d817"),
+])
 def test_verify_verdict_matches_reference(ctx, p, multiples):
     budget = 10**30
     n_val = refute(StateCandidate({1: p}), ctx, budget=budget).params.N
     values = {1: p, **{k * n_val: q for k, q in multiples.items()}}
     state = StateCandidate(values)
     cert = refute(state, ctx, budget=budget)
-    valid, _, why = _reference_module().check_certificate(cert.dumps(), values)
+    valid, _, why = perfbench_reference().check_certificate(cert.dumps(), values)
     assert verify(state, cert, ctx).accepted == valid, why
+    assert valid, why  # what refute emits is a proof
+
+
+def test_d124_tampered_N_rejected_by_both(ctx):
+    # N+1 breaks d! | N, N+124! keeps it and moves the residue off the window
+    p = Fraction(9, 100)
+    state = StateCandidate({1: p})
+    cert = refute(state, ctx, budget=10**30)
+    reference = perfbench_reference()
+    for n_val in (cert.params.N + 1, cert.params.N + math.factorial(124)):
+        obj = {**cert.to_json(), "N": n_val}
+        tampered = Certificate.from_json(obj)
+        report = verify(state, tampered, ctx)
+        assert not report.accepted
+        assert report.failed == ("divisibility" if n_val % math.factorial(124) else "approximation")
+        assert not reference.check_certificate(json.dumps(obj), {1: p})[0]

@@ -1,18 +1,22 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from nctorus import circle
 from nctorus.circle import (
     MODULUS,
     PI,
+    PI_ERROR,
     first_hit,
     hbar_fixed,
     phase_angle,
+    pi_scaled,
     signed_angle,
     to_fixed,
 )
-from paper_oracles import fixed_to_angle, phase_angle_by_division, scan_hit
+from paper_oracles import fixed_to_angle, perfbench_reference, phase_angle_by_division, scan_hit
 
 
 def brute_first_hit(a, m, t, w, cap):
@@ -103,3 +107,18 @@ def test_signed_angle_is_the_division_float(fixed, h):
     want = fixed_to_angle(residue) if 2 * residue < MODULUS else -fixed_to_angle(MODULUS - residue)
     assert signed_angle(fixed) == want
     assert phase_angle(h, fixed) == phase_angle_by_division(h, fixed)
+
+
+def test_pi_scaled_error_bound(monkeypatch):
+    # from a cold cache: each request at or below the widest one is a slice of it
+    monkeypatch.setattr(circle, "_PI_CACHE", (0, 3))
+    for bits in (0, 1, 7, 64, 300, 650, 120, 5):
+        assert abs(PI * 2**bits - pi_scaled(bits)) < PI_ERROR  # PI is 1e-200 off, ~2^-664
+    # past the 200 digits, against the reference's own Machin pi, floor(pi 2^b) to one unit
+    wide = pi_scaled(20000)
+    assert abs(wide - perfbench_reference().pi_scaled(20000)) <= PI_ERROR
+    assert circle._PI_CACHE[0] >= 20000
+    for bits in (0, 650, 4096, 19999):
+        assert abs(wide - (pi_scaled(bits) << (20000 - bits))) < PI_ERROR << (20000 - bits)
+    with pytest.raises(ValueError):
+        pi_scaled(-1)

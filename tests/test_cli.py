@@ -299,6 +299,19 @@ def test_budget_exhaustion_exit_code(capsys):
     assert "budget" in err
 
 
+def test_undecided_clause_exit_code(capsys, monkeypatch, tmp_path):
+    # an error bound wider than any precision the doublings reach leaves the clause
+    # undecided: refute and verify both exit 3 with the reason on stderr
+    state = '{"orbit_values":{"1":0.5}}'
+    cert = tmp_path / "cert.json"
+    assert run(capsys, "refute", "--state", state, "-o", str(cert))[0] == 0
+    monkeypatch.setattr("nctorus.circle.PI_ERROR", 1 << 100000)
+    for argv in (["refute", "--state", state], ["verify", "--state", state, "--cert", str(cert)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == "" and err.startswith("error: ") and "undecided" in err
+
+
 def test_margin_failure_exit_code(capsys, monkeypatch):
     from nctorus.certificate import RefutationMarginError
 
