@@ -196,12 +196,9 @@ def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
     the package rounds an exact value.
 
     A term c or c*i rounds to exactly float(c) or float(c)*i.  Other phases
-    are reduced mod 2*pi in 256-bit fixed point first, as k * hbar_fixed(h)
-    with hbar_fixed read once per call, and circle.signed_angle turns the
-    residue into the float circle.phase_angle gives, so zeta-exponents far
-    beyond float range still give a deterministic phase.  Its error grows
-    like |k| * 2^-256 turns: it is no longer small past |k| ~ 2^240, and
-    the phase is lost past 2^256 (ROADMAP item 7).
+    are reduced to their exact 256-bit residue first (circle.zeta_residue),
+    all from one hbar slice taken at the largest |k|, and circle.signed_angle
+    turns each into the float circle.phase_angle gives, at any exponent size.
     The stored terms are read in the order they were stored, and a root
     other than 1 becomes a Fraction only for its phase.  Each component is
     the math.fsum of the rounded terms, which is correctly rounded, so the
@@ -210,16 +207,17 @@ def numeric_eval(s: PhaseScalar, ctx: PhaseContext | None) -> complex:
     exactly, so a real total has imaginary part 0.0.  ctx may be None when
     no term has a zeta power.
     """
-    hbar = None  # circle.hbar_fixed(h), read once, at the first phase
+    top = max((abs(k) for k, _ in s._terms), default=0)
+    if top and ctx is None:
+        raise ValueError("a PhaseContext is needed to evaluate zeta powers")
+    held = circle.hbar_slice(ctx.h, top) if top else None
     parts = []
     for (k, r), c in s._terms.items():
         if not k and (r == ROOT_ONE or r == ROOT_I):
             parts.append(complex(0, float(c)) if r[0] else float(c))
             continue
-        if k and ctx is None:
-            raise ValueError("a PhaseContext is needed to evaluate zeta powers")
-        if hbar is None:
-            hbar = circle.hbar_fixed(ctx.h) if ctx is not None else 0  # h only scales zeta powers
-        fixed = k * hbar + circle.to_fixed(Fraction(*r)) if r[0] else k * hbar
+        fixed = circle.zeta_residue(ctx.h, k, held) if k else 0
+        if r[0]:
+            fixed += circle.to_fixed(Fraction(*r))
         parts.append(float(c) * cmath.exp(1j * circle.signed_angle(fixed)))
     return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))

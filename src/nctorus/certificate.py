@@ -13,10 +13,11 @@ P_d = [p; 1; 0; ...; 0], whose explicit witness (-p*d, 1, ..., 1) has
 quadratic value d*(1 - d*p^2) < 0, so some family l* is not positive
 either.  Each family's Gram matrix is Toeplitz, so refute() scores the d
 families with the closed-form witness value.  On xi = (x, x) family l's
-phase exponent is e_1 = sigma_01 N l x^2, so F = sigma_01 N x^2 hbar_fixed(h)
-is reduced once and family l reads l F mod 2^256.  refute() takes l* and the
-average's value from those scores, and builds l*'s generators once, for its
-exact Gram matrix and the certificate.
+k-th phase exponent is k l sigma_01 N x^2, so the scores need one exact
+phase residue per distinct k l, all read from one hbar slice
+(circle.zeta_residue).  refute() takes l* and the average's value from
+those scores, and builds l*'s generators once, for its exact Gram matrix
+and the certificate.
 The average only guides refute() to l*; the proof is the single element
 a = sum v_i W_(g_i) on that family with omega(a* a) < 0, and refute()
 certifies its exact total rounded once.
@@ -160,16 +161,15 @@ class ConsistentWithTrace:
 # the Diophantine step
 # ---------------------------------------------------------------------------
 
-GUARD_BITS = 64
 PI_DOUBLINGS = 4  # precision doublings before an undecided clause raises
 
 
 def _clause_bits(h: Fraction, n: int, xi2: int, d: int, eps: Fraction) -> int:
     """Working precision for the clause at N up to n: about
-    bits(h n xi2^2 d) + bits(4 d^2 / eps) + GUARD_BITS, read from bit lengths."""
+    bits(h n xi2^2 d) + bits(4 d^2 / eps) + circle.GUARD_BITS, read from bit lengths."""
     angle = (abs(h.numerator * n) * xi2 * xi2 * d).bit_length() - h.denominator.bit_length()
     width = (4 * d * d * eps.denominator).bit_length() - eps.numerator.bit_length()
-    return max(angle + 1, 0) + max(width + 1, 0) + GUARD_BITS
+    return max(angle + 1, 0) + max(width + 1, 0) + circle.GUARD_BITS
 
 
 def _units(h, xi2: int, d: int, eps, bits: int) -> tuple[int, int, int]:
@@ -368,12 +368,12 @@ def _family_values(state: StateCandidate, params: CertParams,
     e_k is the exponent gram() uses for the entry (i, i+k), -sigma(g_i, g_(i+k));
     since g_(i+k) - g_i = k (g_2 - g_1) and sigma is bilinear, e_k = k e_1, and
     the labels g_j = (x + jNx, lx) give e_1 = -sigma(g_1, g_2) = sigma_01 N l x^2,
-    sigma_01 read from ctx.sigma.  F = sigma_01 N x^2 hbar_fixed(h) mod one turn
-    is reduced once, family l's residue is f_1 = l F mod one turn, and k f_1 mod
-    one turn is the residue circle.phase_angle(h, e_k) reduces, so every cosine
-    reads the float phase_angle gives (circle.signed_angle).  With no value on
-    any orbit N k x every family scores d - d^2 p^2.  These float scores only
-    choose l* and avg_value; refute() certifies the exact total on l*'s Gram matrix.
+    sigma_01 read from ctx.sigma.  So e_k = k l e, e = sigma_01 N x^2, and each
+    distinct m = k l is reduced once, by circle.zeta_residue from one hbar slice
+    for the largest exponent (d-1) d |e|, into the float phase_angle(h, e_k)
+    gives.  With no value on any orbit N k x every family scores d - d^2 p^2.
+    These float scores only choose l* and avg_value; refute() certifies the exact
+    total on l*'s Gram matrix.
     """
     d, n_val, x = params.d, params.N, params.xi[0]
     p = eval_generator(state, params.xi)
@@ -383,13 +383,11 @@ def _family_values(state: StateCandidate, params: CertParams,
                if (qk := state.value(n_val * k * x))]
     if not weights:
         return [base] * d
-    f = ctx.sigma.matrix[0][1] * n_val * x * x * circle.hbar_fixed(ctx.h) % circle.MODULUS  # F
-    values = []
-    for l in range(1, d + 1):
-        f1 = l * f % circle.MODULUS
-        values.append(math.fsum([base, *[w * math.cos(circle.signed_angle(k * f1))
-                                         for k, w in weights]]))
-    return values
+    e = ctx.sigma.matrix[0][1] * n_val * x * x
+    held = circle.hbar_slice(ctx.h, (d - 1) * d * abs(e))
+    cosines = {m: math.cos(circle.signed_angle(circle.zeta_residue(ctx.h, m * e, held)))
+               for m in {k * l for k, _ in weights for l in range(1, d + 1)}}
+    return [math.fsum([base, *[w * cosines[k * l] for k, w in weights]]) for l in range(1, d + 1)]
 
 
 def average_R(matrices) -> HermitianMatrix:

@@ -1,19 +1,10 @@
-"""Fixed-point arithmetic on the unit circle, and an integer pi.
+"""Fixed-point arithmetic on the unit circle, and the one integer pi.
 
-Phases are represented as 256-bit fixed-point fractions of a full turn.
-The certificate pipeline produces zeta-exponents far beyond 2^53, where a
-double carries no phase information at all; reducing k * hbar mod 1 in
-integer arithmetic keeps every numeric phase deterministic.  It is not
-accurate to 2^-256 of a turn, though: hbar_fixed keeps 256 bits of
-hbar = h/(2*pi), so the phase of zeta^k carries an error of about
-|k| * 2^-256 turns.  Past |k| ~ 2^240 that error is no longer small
-(2^-16 turns), and past 2^256 the phase is lost; the multi-orbit
-certificate at d = 60 reaches k ~ 2^309 (defect A).  ROADMAP item 7
-replaces this with a phase precision chosen per exponent.
-
-The Diophantine step reads no phase: it decides its clause on ints
-against pi_scaled(bits), an integer Machin pi with a proved error bound,
-at whatever precision the clause needs (certificate.satisfies_diophantine).
+Pi enters the package only as pi_scaled(bits), an integer Machin pi with a
+proved error bound.  The Diophantine clause is decided on ints against it
+(certificate.satisfies_diophantine), and so is every phase: the phase of
+zeta^k is the exact 256-bit residue floor(|k| hbar 2^256) mod one turn,
+with k's sign (zeta_residue), so a phase float depends on h and k alone.
 
 The module also hosts the minimal-hit solver for irrational rotations:
 the smallest k >= 1 with k * alpha landing in a prescribed arc.  This is
@@ -26,21 +17,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 BITS = 256
 MODULUS = 1 << BITS
 RADIAN = 2.0 * math.pi / MODULUS  # radians per fixed-point unit: a power-of-two scaling, exact
-
-# 200 decimal digits of pi, for the 256-bit phases of hbar_fixed only: the
-# Diophantine clause, which needs more bits as N grows, reads pi_scaled.
-PI = Fraction(
-    "3.14159265358979323846264338327950288419716939937510582097494459230781"
-    "64062862089986280348253421170679821480865132823066470938446095505822317"
-    "2535940812848111745028410270193852110555964462294895493038196"
-)
-TWO_PI = 2 * PI
-
+GUARD_BITS = 64  # bits read past what a decision needs: it is left undecided ~2^-64 of the time
 
 PI_ERROR = 2  # |pi * 2^bits - pi_scaled(bits)| < PI_ERROR, for every bits >= 0
 
@@ -100,24 +81,47 @@ def to_fixed(turns: Fraction) -> int:
     return (turns.numerator * MODULUS) // turns.denominator % MODULUS
 
 
-@lru_cache(maxsize=None)
-def hbar_fixed(h: Fraction) -> int:
-    """Fixed-point representation of hbar = h / (2*pi) modulo one turn."""
-    return to_fixed(h / TWO_PI)
+def hbar_slice(h: Fraction, n: int) -> tuple[int, int]:
+    """(b, floor(h 2^b / 2pi)) at b = bits(n) + 256 + GUARD_BITS: hbar, exact,
+    at the precision zeta_residue reads every exponent |k| <= n at.
+
+    The floor is taken at both ends of the pi interval P -+ PI_ERROR,
+    P = pi_scaled(m), m doubling from b + bits(h's numerator) + GUARD_BITS
+    while the two differ (h 2^b / 2pi is irrational, so that ends).  Being
+    exact, it does not depend on which pi slices were computed before.
+    """
+    bits = n.bit_length() + BITS + GUARD_BITS
+    m = bits + abs(h.numerator).bit_length() + GUARD_BITS
+    while len(ends := {(h.numerator << (bits + m)) // (2 * h.denominator * (pi_scaled(m) + e))
+                       for e in (PI_ERROR, -PI_ERROR)}) > 1:
+        m *= 2
+    return bits, ends.pop()
+
+
+def zeta_residue(h: Fraction, k: int, held: tuple[int, int] | None = None) -> int:
+    """The phase of zeta^k: floor(|k| hbar 2^256) mod one turn, negated for k < 0.
+
+    With (b, H) = hbar_slice(h, n), n >= |k|, |k| H <= |k| hbar 2^b < |k| H + |k|,
+    so both ends of the product shifted down to 256 bits bound the residue.
+    They agree but for about 2^-64 of exponents; where they differ, a wider
+    slice is read.  So the residue is the exact floor whatever slice decides
+    it.  held is a slice the caller took once for many exponents.
+    """
+    n = abs(k)
+    bits, hbar = held or hbar_slice(h, n)
+    while (r := (t := n * hbar) >> (bits - BITS)) != (t + n) >> (bits - BITS):
+        bits, hbar = hbar_slice(h, n << bits)  # bits(n) + bits more bits
+    return -r & (MODULUS - 1) if k < 0 else r & (MODULUS - 1)  # mod one turn, as a mask
 
 
 def phase_angle(h: Fraction, zeta_exp: int, root: Fraction = Fraction(0)) -> float:
     """Angle of zeta^k * e(r) in radians, the signed residue in [-pi, pi).
 
-    zeta_exp may be astronomically large; the reduction happens on 256-bit
-    integers before any float is produced.  The angle is only as good as
-    hbar_fixed, whose 256 bits leave an error of about |zeta_exp| * 2^-256
-    turns: 2^-16 turns at 2^240, and the phase is lost past 2^256 (module
-    docstring).  The residue is signed, so the angle of zeta^-k is exactly
-    the negated angle of zeta^k, and their rounded values are exact
-    conjugates.
+    zeta_exp may be astronomically large: zeta_residue reduces it exactly
+    first, and signs it, so the angle of zeta^-k is exactly the negated
+    angle of zeta^k, and their rounded values are exact conjugates.
     """
-    return signed_angle(zeta_exp * hbar_fixed(h) + to_fixed(root))
+    return signed_angle(zeta_residue(h, zeta_exp) + to_fixed(root))
 
 
 def signed_angle(fixed: int) -> float:
@@ -125,10 +129,10 @@ def signed_angle(fixed: int) -> float:
 
     The one expression for a phase float: float(fixed) is correctly rounded
     and RADIAN exact, so it rounds (fixed / 2^256) * 2 * pi once, and a caller
-    that reduces k * hbar_fixed(h) itself (numeric_eval, certificate
-    scoring) gets the float phase_angle(h, k) gives, bit for bit.
+    that reads zeta_residue itself (numeric_eval, certificate scoring) gets
+    the float phase_angle(h, k) gives, bit for bit.
     """
-    fixed %= MODULUS
+    fixed &= MODULUS - 1  # mod one turn
     return float(fixed) * RADIAN if 2 * fixed < MODULUS else -(float(MODULUS - fixed) * RADIAN)
 
 

@@ -4,14 +4,18 @@ build_H_prime and det_P are the idealized restriction matrix H'_l and the
 closed-form determinant of P_d; scan_hit is the brute-force linear scan
 that the minimal-hit solver circle.first_hit must agree with, and
 diophantine_fraction is the approximation clause as one Fraction
-inequality on a 200-digit pi, which certificate.satisfies_diophantine must
+inequality on PI_200, a 200-digit pi, which certificate.satisfies_diophantine must
 decide alike where that pi suffices; clause_by_reference_pi decides it on
 the Machin pi of perfbench_reference, the benchmark's independent checker,
 at the precision the window needs.
-family_values_per_exponent scores the families of certificate._family_values
-with every exponent reduced on its own (phase_angle_by_division, dividing
-the residue first as fixed_to_angle does); the one reduction per family and
-circle.signed_angle must give the same floats, bit for bit.
+residue_by_fraction is the 256-bit phase residue of zeta^k, floor(|k| h 2^256 / 2pi)
+with k's sign, in Fraction arithmetic for each exponent on its own against
+that same reference pi; phase_angle_by_division reads it as a float by
+dividing first, as fixed_to_angle does.  circle.zeta_residue and
+circle.signed_angle must give the same floats, bit for bit, and so must
+family_values_per_exponent, which scores the families of
+certificate._family_values with every exponent reduced on its own, against
+its one residue per distinct k l.
 family_generators_by_theta builds each family label as the matrix
 product Theta_j xi, one lattice.theta_j per generator, which the closed-form
 progression of certificate.family_generators must reproduce.
@@ -65,7 +69,6 @@ from pathlib import Path
 
 import numpy as np
 
-from nctorus import circle
 from nctorus.algebra import AlgebraElement, adjoint, multiply, scalar_element, weyl
 from nctorus.lattice import SkewForm, as_matrix, mat_vec, pairing, theta_j
 from nctorus.parser import MAX_DEPTH, ParseError
@@ -125,19 +128,27 @@ def scan_hit(a: int, m: int, t: int, w: int, limit: int) -> int | None:
     return None
 
 
+PI_200 = Fraction(
+    "3.14159265358979323846264338327950288419716939937510582097494459230781"
+    "64062862089986280348253421170679821480865132823066470938446095505822317"
+    "2535940812848111745028410270193852110555964462294895493038196"
+)
+TURN = 1 << 256  # one turn in the 256-bit fixed point of circle's phase residues
+
+
 def diophantine_fraction(h, n: int, xi2: int, d: int, eps) -> bool:
     """|(h N xi2^2) mod 2pi - 2pi/d| < eps/(4 d^2) for N = n, in Fraction turns.
 
-    A 200-digit oracle: circle.TWO_PI is off the true 2pi by about 1e-200, so
+    A 200-digit oracle: 2 PI_200 is off the true 2pi by about 1e-200, so
     the residue carries an error of about |h N xi2^2| 1e-200 radians.  It
     decides the clause as the true pi does where its hypothesis draws stay,
     n <= 2^400 and eps >= 1e-15, and not where that error nears the window
     eps/(4 d^2); clause_by_reference_pi reads those.
     """
-    turns = as_fraction(h) * n * xi2 * xi2 / circle.TWO_PI
+    turns = as_fraction(h) * n * xi2 * xi2 / (2 * PI_200)
     frac = turns - floor(turns)
     dev = abs(frac - Fraction(1, d))
-    return dev < as_fraction(eps) / (4 * d * d) / circle.TWO_PI
+    return dev < as_fraction(eps) / (4 * d * d) / (2 * PI_200)
 
 
 @lru_cache(maxsize=None)
@@ -175,15 +186,29 @@ def clause_by_reference_pi(h, n: int, xi2: int, d: int, eps) -> bool:
 
 def fixed_to_angle(fixed: int) -> float:
     """Radians in [0, 2*pi) of a fixed-point turn fraction, dividing first."""
-    return (fixed % circle.MODULUS) / circle.MODULUS * 2.0 * math.pi
+    return (fixed % TURN) / TURN * 2.0 * math.pi
+
+
+def residue_by_fraction(h, k: int) -> int:
+    """floor(|k| h 2^256 / 2pi) mod one turn, negated for k < 0, for this k alone.
+
+    |k| h 2^256 / 2pi is bracketed in Fractions by the reference's Machin pi
+    pi_scaled(b) +- 2 over 2^b, at b = bits(|k| h 2^256) + 64; both ends must
+    have the same floor, and a bracket too wide to decide fails the assertion.
+    """
+    x = abs(k) * as_fraction(h) * TURN
+    bits = (abs(x.numerator) // x.denominator + 1).bit_length() + 64
+    pi_b = perfbench_reference().pi_scaled(bits)
+    lo, hi = (floor(x * (1 << bits) / (2 * (pi_b + e))) for e in (2, -2))
+    assert lo == hi, "too close to a residue boundary to decide"
+    return -lo % TURN if k < 0 else lo % TURN
 
 
 def phase_angle_by_division(h, k: int) -> float:
-    """The signed angle of zeta^k, each exponent reduced on its own and the
-    residue read through fixed_to_angle's division."""
-    fixed = k * circle.hbar_fixed(h) % circle.MODULUS
-    return (fixed_to_angle(fixed) if 2 * fixed < circle.MODULUS
-            else -fixed_to_angle(circle.MODULUS - fixed))
+    """The signed angle of zeta^k, each exponent reduced on its own
+    (residue_by_fraction) and the residue read through fixed_to_angle's division."""
+    fixed = residue_by_fraction(h, k)
+    return fixed_to_angle(fixed) if 2 * fixed < TURN else -fixed_to_angle(TURN - fixed)
 
 
 def family_values_per_exponent(state, params, ctx) -> list[float]:
