@@ -21,12 +21,14 @@ and the certificate.
 The average only guides refute() to l*; the proof is the single element
 a = sum v_i W_(g_i) on that family with omega(a* a) < 0, and refute()
 certifies its exact total rounded once.
-verify() re-derives the parameters and the l* generators, and sums
-omega(a* a) from the pair relations W_(g_i)^* W_(g_j) =
-zeta^(-sigma(g_i, g_j)) W_(g_j - g_i) on Gaussian ints (_witness_total),
-each unordered pair once, since omega is Hermitian; it shares no product
-kernel with refute(), builds no Gram matrix or algebra element, and rounds
-the same exact total to the same float.
+verify() re-derives the parameters and the (N, l*) family, and sums
+omega(a* a) on that family in closed form on Gaussian ints (_family_total):
+from W_(g_i)^* W_(g_j) = zeta^(-sigma(g_i, g_j)) W_(g_j - g_i), the pairs
+(0, j) all read p and the pairs (i, i+k) all read q_(Nkx) at exponent
+k l sigma_01 N x^2, so the total needs one orbit value and at most one
+witness correlation per distance k, and no gcd.  It shares no product kernel with
+refute(), builds no Gram matrix or algebra element, and rounds the same
+exact total to the same float.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
+from operator import mul
 
 from . import circle
 from .algebra import PhaseContext, numeric_eval
@@ -448,7 +451,7 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
     is the exact witness total v^dagger H v on l*'s Gram matrix, rounded
     once.  omega(a* a) is the same exact scalar, and its roots lie in Q(i),
     where the canonical form is unique, so the value is bit for bit the
-    float verify() recomputes from the generator pairs (_witness_total).
+    float verify() recomputes in closed form on the family (_family_total).
     """
     if ctx.genus != 1:
         raise ValueError(
@@ -521,61 +524,54 @@ class VerificationReport:
         }
 
 
-def _witness_total(state: StateCandidate, generators, witness,
-                   ctx: PhaseContext) -> PhaseScalar:
-    """omega(a* a) for a = sum v_i W_(g_i), exact, from the defining relations.
+def _family_total(state: StateCandidate, params: CertParams, l: int, witness,
+                  ctx: PhaseContext) -> PhaseScalar:
+    """omega(a* a) for a = sum v_i W_(g_i) on the (N, l) family, exact, in closed form.
 
-    W_(g_i)^* W_(g_j) = zeta^(-sigma(g_i, g_j)) W_(g_j - g_i) and
-    omega(W_m) = p_gcd(m), so the ordered pair (i, j) adds
-    conj(v_i) v_j p_gcd(g_j - g_i) to the coefficient of zeta^(-sigma(g_i, g_j)).
-    omega is Hermitian: the orbit values are real, the gcd is symmetric and
-    sigma antisymmetric, so the (j, i) term is the complex conjugate of the
-    (i, j) term, at the negated exponent.  Each unordered pair i < j is
-    therefore summed once, into a half table keyed by k = -sigma(g_i, g_j),
-    and each half bucket is added once at k and once, conjugated, at -k.
-    The diagonal pairs (i, i) have g_i - g_i = 0 and sigma(g_i, g_i) = 0:
-    they add sum |v_i|^2 at exponent 0, with no gcd.  The witness is scaled
-    once to Gaussian ints by D, the lcm of its part denominators, and the
-    orbit values once by P, the lcm of theirs (the diagonal's omega(W_0) = 1
-    becomes P), so each pair adds int products into one (re, im) bucket per
-    exponent, and scalars._gaussian_terms divides each bucket once by
-    D^2 P.  A generator given twice keeps its last witness entry, as in a
-    dict.  Every root lies in Q(i), whose canonical form is unique: this
-    is the exact scalar evaluate_exact(state, multiply(adjoint(a), a, ctx))
-    gives.
+    On xi = (x, x) the generators are g_0 = 0 and g_j = x (1 + jN, l), and
+    W_(g_i)^* W_(g_j) = zeta^(-sigma(g_i, g_j)) W_(g_j - g_i), omega(W_m) = p_gcd(m).
+    Since l | N, the pair (0, j) has content x gcd(1 + jN, l) = x and exponent 0;
+    the pair (i, i+k), i >= 1, has the difference (kNx, 0) and the exponent k e,
+    e = sigma_01 l N x^2.  The orbit values are real and sigma antisymmetric, so
+    the pair (j, i) is the conjugate of (i, j) at the negated exponent, and
+        omega(a* a) = sum |v_i|^2 + 2 p_x Re(conj(v_0) sum_j v_j)
+                      + sum_k q_(kNx) (c_k zeta^(ke) + conj(c_k) zeta^(-ke)),
+    c_k = sum_(i=1..d-k) conj(v_i) v_(i+k).  It reads one orbit value per k,
+    forms c_k only where that value is nonzero, and takes no gcd.  The witness
+    is scaled to Gaussian ints by D, the lcm of its part denominators, and the
+    orbit values read by P, the lcm of theirs; scalars._gaussian_terms divides
+    each bucket once by D^2 P.  Q(i) has one
+    canonical form, so this is the exact scalar evaluate_exact(state,
+    multiply(adjoint(a), a, ctx)) gives on family_generators(params, l).
     """
     if ctx.genus != 1:
         raise ValueError(f"verify works at genus 1; the context form has genus {ctx.genus}")
-    terms = [(g, w) for g, w in dict(zip(generators, witness)).items() if w]
-    den = lcm(*(x.denominator for _, w in terms for x in (w.re, w.im)))
-    vec = [(u, v, w.re.numerator * (den // w.re.denominator),
-            w.im.numerator * (den // w.im.denominator)) for (u, v), w in terms]
-    scale = lcm(*(p.denominator for _, p in state.items()))
-    orbit = {j: p.numerator * (scale // p.denominator) for j, p in state.items() if p}
-    top = max(orbit, default=0)  # a larger gcd names an undeclared orbit: skip hashing a wide int
-    (s00, s01), (s10, s11) = ctx.sigma.matrix
-    half: dict[int, list[int]] = {}
-    for i, (x, y, a, b) in enumerate(vec):
-        r0, r1 = x * s00 + y * s10, x * s01 + y * s11  # g_i^T Sigma
-        for u, v, c, e in vec[i + 1:]:
-            q = gcd(u - x, v - y)
-            p = orbit.get(q) if q <= top else None
-            if p is None:
-                continue
-            k = -(r0 * u + r1 * v)
-            re, im = (a * c + b * e) * p, (a * e - b * c) * p  # conj(a + bi) (c + ei) p
-            acc = half.get(k)
-            if acc is None:
-                half[k] = [re, im]
-            else:
-                acc[0] += re
-                acc[1] += im
-    buckets = {0: [sum(a * a + b * b for _, _, a, b in vec) * scale, 0]}  # the diagonal
-    for k, (re, im) in half.items():
-        for key, part in ((k, im), (-k, -im)):  # the pair and its conjugate mirror
+    d, n_val, x = params.d, params.N, params.xi[0]
+    if len(witness) != d + 1 or params.xi != (x, x) or l < 1 or n_val % l:
+        raise ValueError(f"need xi = (x, x), l | N and d + 1 witness entries: {params}, l={l}")
+    den = lcm(*(y.denominator for w in witness for y in (w.re, w.im)))
+    re = [w.re.numerator * (den // w.re.denominator) for w in witness]
+    im = [w.im.numerator * (den // w.im.denominator) for w in witness]
+    imaginary = any(im)
+    p = state.value(x)
+    qs = [(k, q) for k in range(1, d) if (q := state.value(k * n_val * x))]
+    scale = lcm(p.denominator, *(q.denominator for _, q in qs))
+    cross = re[0] * sum(re[1:]) + im[0] * sum(im[1:])  # Re(conj(v_0) sum_j v_j)
+    diag = sum(map(mul, re, re)) + sum(map(mul, im, im))
+    buckets = {0: [diag * scale + 2 * cross * (p.numerator * (scale // p.denominator)), 0]}
+    e = ctx.sigma.matrix[0][1] * l * n_val * x * x
+    for k, q in qs:
+        q = q.numerator * (scale // q.denominator)
+        a, b = re[1:d + 1 - k], re[1 + k:]  # v_i and v_(i+k), i = 1..d-k
+        c_re, c_im = sum(map(mul, a, b)), 0
+        if imaginary:
+            s, t = im[1:d + 1 - k], im[1 + k:]
+            c_re += sum(map(mul, s, t))
+            c_im = sum(map(mul, a, t)) - sum(map(mul, s, b))
+        for key, part in ((k * e, c_im), (-k * e, -c_im)):  # c_k and its conjugate mirror
             acc = buckets.setdefault(key, [0, 0])
-            acc[0] += re
-            acc[1] += part
+            acc[0] += c_re * q
+            acc[1] += part * q
     return PhaseScalar._of(_gaussian_terms(buckets, den * den * scale))
 
 
@@ -583,17 +579,18 @@ def verify(state: StateCandidate, cert: Certificate, ctx: PhaseContext,
            tol: float = 1e-9) -> VerificationReport:
     """Independently recompute every clause of a certificate.
 
-    Only the l* family carries the proof.  After the parameters and the
-    generator family are re-derived, verify() sums omega(a* a) for
-    a = sum v_i W_(gen_i) on ints (_witness_total), with no algebra product
-    and no Gram machinery, and rounds the exact total once: "negativity"
-    demands that its real part and the certified value are negative and
-    agree within tol * max(1, |real part|).  The sum visits each unordered
-    pair i < j once and adds its conjugate mirror for (j, i): the orbit
-    values are real, sigma is antisymmetric and the gcd symmetric, so for
-    any complex witness the (i, j) and (j, i) pair terms are complex
-    conjugates at negated exponents.  The same step makes the exact total
-    real, so its imaginary part needs no clause.
+    Only the l* family carries the proof.  After the parameters are
+    re-derived, verify() sums omega(a* a) for a = sum v_i W_(g_i) on the
+    (N, l*) family it derives itself, not on cert.generators (the
+    "generators" clause compares those), in closed form on ints
+    (_family_total), with no algebra product and no Gram machinery, and
+    rounds the exact total once: "negativity" demands that its real part
+    and the certified value are negative and agree within
+    tol * max(1, |real part|).  Each correlation c_k enters at zeta^(ke)
+    and, conjugated, at zeta^(-ke): the orbit values are real and sigma is
+    antisymmetric, so for any complex witness the (i, j) and (j, i) pair
+    terms are complex conjugates at negated exponents.  The same step makes
+    the exact total real, so its imaginary part needs no clause.
     avg_value is informational (refute's search margin) and is not checked.
     tol is read once by as_tolerance, so "1/10" is a tolerance, and both
     comparisons use that value; nan, infinite or negative raises ValueError.
@@ -635,7 +632,7 @@ def verify(state: StateCandidate, cert: Certificate, ctx: PhaseContext,
     clause("generators", expected_gens == tuple(cert.generators),
            "generator family matches Theta_j xi for (N, l*)")
 
-    direct = numeric_eval(_witness_total(state, cert.generators, cert.witness, ctx), ctx)
+    direct = numeric_eval(_family_total(state, params, cert.l_star, cert.witness, ctx), ctx)
     bound = tol * max(1.0, abs(direct.real))
     clause("negativity",
            cert.value < 0 and direct.real < 0 and abs(direct.real - cert.value) <= bound,

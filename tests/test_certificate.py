@@ -15,9 +15,9 @@ from nctorus.certificate import (
     ConsistentWithTrace,
     DiophantineBudgetError,
     DiophantinePrecisionError,
+    _family_total,
     _family_values,
     _window,
-    _witness_total,
     average_R,
     build_H_second,
     choose_parameters,
@@ -40,7 +40,7 @@ from nctorus.states import (
     quadratic_form,
 )
 from nctorus.circle import PI_ERROR, pi_scaled
-from nctorus.lattice import SIGMA2, SkewForm, pairing
+from nctorus.lattice import SIGMA2, SkewForm
 from nctorus.scalars import GaussRat, PhaseScalar
 from paper_oracles import (build_H_prime, clause_by_reference_pi, det_P, diophantine_fraction,
                            family_generators_by_theta, is_hermitian, perfbench_reference, scan_hit)
@@ -715,7 +715,7 @@ def test_refute_value_is_verify_value(h):
             direct = evaluate(state, multiply(adjoint(element), element, ctx), ctx)
             assert cert.value == direct.real, (orbit, p, state)
             assert direct.imag == 0.0  # the real exact total rounds to a real float
-            total = _witness_total(state, cert.generators, cert.witness, ctx)
+            total = _family_total(state, cert.params, cert.l_star, cert.witness, ctx)
             dense = build_H_second(state, cert.params, cert.l_star, ctx)
             assert total == quadratic_form(dense, cert.witness), (orbit, p, state)
             assert numeric_eval(total, ctx) == direct
@@ -725,89 +725,86 @@ gaussians = st.builds(GaussRat, st.fractions(-3, 3, max_denominator=12),
                       st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=12)))
 
 
-def _pair_orbits(gens) -> list[int]:
-    """The orbits gcd(g_j - g_i) of the distinct pairs of distinct generators."""
-    return sorted({math.gcd(u - x, v - y) for i, (x, y) in enumerate(gens)
-                   for u, v in gens[i + 1:]})
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_witness_total_is_the_algebra_product(data):
-    # the pair sum on ints is omega(a* a) of the bare algebra product, exactly, for
-    # three generator shapes:
-    # - "family": an l family with extra generators that may repeat one (the last
-    #   witness entry counts), with orbit values on the orbits the family pairs name;
-    # - "collinear": multiples of one vector, so every sigma(g_i, g_j) = 0 and each pair
-    #   and its conjugate mirror share bucket 0 with the diagonal;
-    # - "undeclared": some pair gcds name no declared orbit, so those pairs are skipped
-    shape = data.draw(st.sampled_from(("family", "collinear", "undeclared")), label="shape")
+def _family_case(data):
+    """(state, params, l, witness, ctx) drawn for the closed-form family total: any
+    genus-1 form, h in {1, 5/7}, xi = (x, x), N = d! k with k up to 2^64, values on
+    random kNx orbits and on decoy orbits, and a complex witness that may be all zero."""
     h = data.draw(st.sampled_from((Fraction(1), Fraction(5, 7))), label="h")
     ctx = PhaseContext(h=h, sigma=data.draw(st.sampled_from(GENUS_ONE_FORMS), label="sigma"))
-    values = {}
-    if shape == "family":
-        d = data.draw(st.integers(1, 5), label="d")
-        x = data.draw(st.sampled_from((1, 2, 3)), label="x")
-        n_val = math.factorial(d) * data.draw(st.integers(1, 2**64), label="k")
-        params = CertParams(xi=(x, x), d=d, N=n_val, epsilon=Fraction(1, 10))
-        l = data.draw(st.integers(1, d), label="l")
-        extra = data.draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-                                   max_size=3), label="extra")
-        gens = data.draw(st.permutations(list(family_generators(params, l)) + extra),
-                         label="gens")
-        values[x] = data.draw(st.fractions(-2, 2, max_denominator=64), label="p")
-        for k in data.draw(st.lists(st.integers(1, d + 1), max_size=d), label="ks"):
-            values[k * n_val * x] = data.draw(st.fractions(-1, 1, max_denominator=64), label="q")
-    elif shape == "collinear":
-        w = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any), label="w")
-        ts = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=6, unique=True),
-                       label="ts")
-        gens = [(t * w[0], t * w[1]) for t in ts]
-        assert all(pairing(ctx.sigma, g, m) == 0 for g in gens for m in gens)
-        for j in _pair_orbits(gens):
-            values[j] = data.draw(st.fractions(-2, 2, max_denominator=64), label="q")
-    else:
-        gens = data.draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
-                                  min_size=2, max_size=6, unique=True), label="gens")
-        orbits = _pair_orbits(gens)
-        declared = data.draw(st.lists(st.sampled_from(orbits), max_size=len(orbits) - 1,
-                                      unique=True), label="declared")  # one is left out
-        for j in declared:
-            values[j] = data.draw(st.fractions(-2, 2, max_denominator=64), label="q")
-    witness = data.draw(st.lists(st.one_of(st.just(GaussRat(0)), gaussians),
-                                 min_size=len(gens), max_size=len(gens)), label="witness")
+    d = data.draw(st.integers(1, 6), label="d")
+    x = data.draw(st.sampled_from((1, 2, 3)), label="x")
+    n_val = math.factorial(d) * data.draw(st.integers(1, 2**64), label="k")
+    params = CertParams(xi=(x, x), d=d, N=n_val, epsilon=Fraction(1, 10))
+    l = data.draw(st.integers(1, d), label="l")
+    values = {x: data.draw(st.fractions(-2, 2, max_denominator=64), label="p")}
+    for k in data.draw(st.lists(st.integers(1, d + 1), max_size=d), label="ks"):
+        values[k * n_val * x] = data.draw(st.fractions(-1, 1, max_denominator=64), label="q")
     for j in data.draw(st.lists(st.integers(1, 40), max_size=3), label="decoys"):
         values.setdefault(j, Fraction(7, 8))
-    state = StateCandidate(values)
-    a = AlgebraElement(2, dict(zip(gens, witness)))
+    entries = st.just(GaussRat(0)) | gaussians
+    witness = data.draw(st.just([GaussRat(0)] * (d + 1))
+                        | st.lists(entries, min_size=d + 1, max_size=d + 1), label="witness")
+    return StateCandidate(values), params, l, witness, ctx
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_witness_total_is_the_algebra_product(data):
+    # the closed form on ints is omega(a* a) of the bare algebra product on the
+    # family_generators labels, exactly
+    state, params, l, witness, ctx = _family_case(data)
+    a = AlgebraElement(2, dict(zip(family_generators(params, l), witness)))
     expected = evaluate_exact(state, multiply(adjoint(a), a, ctx))
-    total = _witness_total(state, gens, witness, ctx)
+    total = _family_total(state, params, l, witness, ctx)
     assert total == expected
     assert sorted(total.terms()) == sorted(expected.terms())  # Q(i): one canonical form
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 13])
-def test_witness_total_visits_each_unordered_pair_once(n, monkeypatch):
-    # omega is Hermitian, so the (j, i) pair term is the conjugate mirror of (i, j):
-    # n distinct generators with nonzero entries cost n(n-1)/2 gcds, not n^2, and the
-    # diagonal none
+def test_witness_total_reads_one_orbit_per_distance(n, monkeypatch):
+    # the total reads p_x and one orbit value q_(kNx) per distance k = 1..d-1, and
+    # takes no gcd before the final division of its buckets, on a state with a
+    # value on every orbit a pair gcd could name
     import nctorus.certificate as certificate
+    import nctorus.scalars as scalars
 
-    calls = []
+    class CountingState(StateCandidate):
+        __slots__ = ("reads",)
 
-    def counting_gcd(*args):
-        calls.append(args)
-        return math.gcd(*args)
+        def value(self, j):
+            self.reads.append(j)
+            return super().value(j)
 
-    ctx = PhaseContext()
-    gens = [(j, j * j + 1) for j in range(n)]
-    witness = [GaussRat(1 + j, j % 3) for j in range(n)]
-    state = StateCandidate({j: Fraction(1, 1 + j) for j in range(1, 2 * n * n)})
-    monkeypatch.setattr(certificate, "gcd", counting_gcd)
-    total = _witness_total(state, gens, witness, ctx)
-    assert len(calls) == n * (n - 1) // 2
-    a = AlgebraElement(2, dict(zip(gens, witness)))
-    assert total == evaluate_exact(state, multiply(adjoint(a), a, ctx))
+    finishing, gcd = [], math.gcd
+
+    def no_gcd(*args):
+        assert finishing, "the family total must not take a gcd"
+        return gcd(*args)
+
+    def finish(*args):
+        finishing.append(True)
+        try:
+            return scalars._gaussian_terms(*args)
+        finally:
+            finishing.pop()
+
+    ctx = PhaseContext(h=Fraction(5, 7))
+    n_val, x = math.factorial(n) * 3, 2
+    params = CertParams(xi=(x, x), d=n, N=n_val, epsilon=Fraction(1, 10))
+    witness = [GaussRat(1 + j, j % 3) for j in range(n + 1)]
+    state = CountingState({x: Fraction(1, 3),
+                           **{k * n_val * x: Fraction(1, 1 + k) for k in range(1, n + 2)}})
+    state.reads = []
+    monkeypatch.setattr(math, "gcd", no_gcd)
+    monkeypatch.setattr(scalars, "gcd", no_gcd)
+    monkeypatch.setattr(certificate, "gcd", no_gcd, raising=False)
+    monkeypatch.setattr(certificate, "_gaussian_terms", finish)
+    total = _family_total(state, params, n, witness, ctx)
+    assert state.reads == [x] + [k * n_val * x for k in range(1, n)]
+    monkeypatch.undo()
+    a = AlgebraElement(2, dict(zip(family_generators(params, n), witness)))
+    assert total == evaluate_exact(StateCandidate(dict(state.items())),
+                                   multiply(adjoint(a), a, ctx))
 
 
 def test_verify_uses_no_product_or_gram(ctx, monkeypatch):
@@ -848,19 +845,11 @@ def test_verify_needs_genus_one():
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_witness_total_is_real(data):
-    # orbit values are real, sigma is antisymmetric and the gcd symmetric, so the
-    # (i, j) and (j, i) pair terms are conjugates for any complex witness: omega(a* a)
-    # is real, and verify has no clause on its imaginary part
-    h = data.draw(st.sampled_from((Fraction(1), Fraction(5, 7))), label="h")
-    ctx = PhaseContext(h=h, sigma=data.draw(st.sampled_from(GENUS_ONE_FORMS), label="sigma"))
-    gens = data.draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
-                              min_size=1, max_size=6, unique=True), label="gens")
-    witness = data.draw(st.lists(st.builds(GaussRat, st.fractions(-3, 3, max_denominator=12),
-                                           st.fractions(-3, 3, max_denominator=12)),
-                                 min_size=len(gens), max_size=len(gens)), label="witness")
-    values = data.draw(st.dictionaries(st.integers(1, 12), st.fractions(-2, 2, max_denominator=16),
-                                       min_size=1, max_size=4), label="values")
-    total = _witness_total(StateCandidate(values), gens, witness, ctx)
+    # orbit values are real and sigma is antisymmetric, so each correlation c_k comes with
+    # its conjugate at the negated exponent for any complex witness: omega(a* a) is
+    # real, and verify has no clause on its imaginary part
+    state, params, l, witness, ctx = _family_case(data)
+    total = _family_total(state, params, l, witness, ctx)
     assert total == total.conjugate()
 
 
