@@ -13,7 +13,6 @@ from .algebra import (
     adjoint,
     multiply,
     numeric_eval,
-    scalar_element,
     weyl,
 )
 from .certificate import (

@@ -151,10 +151,6 @@ def weyl(m) -> AlgebraElement:
     return AlgebraElement(len(v), {v: PhaseScalar.one()})
 
 
-def scalar_element(coeff, dim: int = 2) -> AlgebraElement:
-    return AlgebraElement(dim, {(0,) * dim: coeff})
-
-
 def multiply(a: AlgebraElement, b: AlgebraElement, ctx: PhaseContext) -> AlgebraElement:
     """Bilinear extension of W_n W_m = zeta^sigma(n, m) W_(n+m).
 

@@ -25,10 +25,11 @@ verify() re-derives the parameters and the (N, l*) family, and sums
 omega(a* a) on that family in closed form on Gaussian ints (_family_total):
 from W_(g_i)^* W_(g_j) = zeta^(-sigma(g_i, g_j)) W_(g_j - g_i), the pairs
 (0, j) all read p and the pairs (i, i+k) all read q_(Nkx) at exponent
-k l sigma_01 N x^2, so the total needs one orbit value and at most one
-witness correlation per distance k, and no gcd.  It shares no product kernel with
-refute(), builds no Gram matrix or algebra element, and rounds the same
-exact total to the same float.
+k l sigma_01 N x^2, so the total needs one declared orbit value (read,
+as for the scores, by _family_orbits) and at most one witness correlation
+per distance k, and no gcd.  It shares no product kernel with refute(),
+builds no Gram matrix or algebra element, and rounds the same exact total
+to the same float.
 """
 
 from __future__ import annotations
@@ -271,14 +272,15 @@ def diophantine_N(ctx: PhaseContext, xi2: int, d: int, eps, *,
     not walk a long run of k through the band of width E by an edge, each
     one a hit to reject.
 
-    circle.first_hit takes the least k in the widened window, and _decide
-    confirms it at the search precision: a confirmed k is the least, a
-    rejected one resumes the search past it, and an undecided one, or a
-    window the rational rotation never reaches, doubles the precision (up
-    to PI_DOUBLINGS times, then DiophantinePrecisionError).  A least widened
-    hit past the span proves that no k in the span hits: the span grows to
-    cover it, so the least k is found whatever the budget.  A least k above
-    `budget` raises DiophantineBudgetError with that k.
+    circle.first_hit takes the least k in the widened window, and
+    satisfies_diophantine, the one decision of the clause, confirms it for
+    the true pi: a confirmed k is the least, and a rejected one resumes the
+    search past it.  Only a window the rational rotation never reaches
+    (first_hit gives None) doubles the search precision, up to PI_DOUBLINGS
+    times, then DiophantinePrecisionError.  A least widened hit past the
+    span proves that no k in the span hits: the span grows to cover it, so
+    the least k is found whatever the budget.  A least k above `budget`
+    raises DiophantineBudgetError with that k.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -300,16 +302,15 @@ def diophantine_N(ctx: PhaseContext, xi2: int, d: int, eps, *,
             done, span = span, max(done + j, 2 * span)
             bits = max(bits, _clause_bits(h, fact * span, xi2, d, eps) + fine)
             continue
-        verdict = None if j is None else _decide(h, fact * (done + j), xi2, d, eps, bits)
-        if verdict:
-            break
-        if verdict is None:
+        if j is None:
             doublings += 1
             if doublings > PI_DOUBLINGS:
                 raise DiophantinePrecisionError(
                     f"the search for N = {d}! k past k = {done} stays undecided at "
                     f"{bits} bits of pi")
             bits *= 2
+        elif satisfies_diophantine(h, fact * (done + j), xi2, d, eps):
+            break
         else:
             done += j
     k = done + j
@@ -361,6 +362,14 @@ def build_H_second(state: StateCandidate, params: CertParams, l: int,
     return gram(state, family_generators(params, l), ctx)
 
 
+def _family_orbits(state: StateCandidate, params: CertParams) -> list[tuple[int, Fraction]]:
+    """(k, q_(kNx)), by k, for the nonzero values at k = 1..d-1, xi = (x, x): the
+    orbits the family reads past p_x, taken from the declared ones alone."""
+    step = params.N * params.xi[0]
+    return [(k, q) for j, q in state.items()
+            if q and not j % step and 0 < (k := j // step) < params.d]
+
+
 def _family_values(state: StateCandidate, params: CertParams,
                    ctx: PhaseContext) -> list[float]:
     """Witness value of (-p*d, 1, ..., 1) on every family l = 1..d, in closed form.
@@ -382,8 +391,7 @@ def _family_values(state: StateCandidate, params: CertParams,
     p = eval_generator(state, params.xi)
     base = float(d - d * d * p * p)
     # 2 (d-k) q_(Nkx), rounded as in 2 * (d - k) * q * cos, which multiplies left to right
-    weights = [(k, 2 * (d - k) * float(qk)) for k in range(1, d)
-               if (qk := state.value(n_val * k * x))]
+    weights = [(k, 2 * (d - k) * float(qk)) for k, qk in _family_orbits(state, params)]
     if not weights:
         return [base] * d
     e = ctx.sigma.matrix[0][1] * n_val * x * x
@@ -536,11 +544,11 @@ def _family_total(state: StateCandidate, params: CertParams, l: int, witness,
     the pair (j, i) is the conjugate of (i, j) at the negated exponent, and
         omega(a* a) = sum |v_i|^2 + 2 p_x Re(conj(v_0) sum_j v_j)
                       + sum_k q_(kNx) (c_k zeta^(ke) + conj(c_k) zeta^(-ke)),
-    c_k = sum_(i=1..d-k) conj(v_i) v_(i+k).  It reads one orbit value per k,
-    forms c_k only where that value is nonzero, and takes no gcd.  The witness
-    is scaled to Gaussian ints by D, the lcm of its part denominators, and the
-    orbit values read by P, the lcm of theirs; scalars._gaussian_terms divides
-    each bucket once by D^2 P.  Q(i) has one
+    c_k = sum_(i=1..d-k) conj(v_i) v_(i+k).  It reads p_x and the declared
+    q_(kNx) != 0, k < d (_family_orbits), forms c_k for those k alone, and
+    takes no gcd.  The witness is scaled to Gaussian ints by D, the lcm of
+    its part denominators, and the orbit values by P, the lcm of theirs;
+    scalars._gaussian_terms divides each bucket once by D^2 P.  Q(i) has one
     canonical form, so this is the exact scalar evaluate_exact(state,
     multiply(adjoint(a), a, ctx)) gives on family_generators(params, l).
     """
@@ -554,7 +562,7 @@ def _family_total(state: StateCandidate, params: CertParams, l: int, witness,
     im = [w.im.numerator * (den // w.im.denominator) for w in witness]
     imaginary = any(im)
     p = state.value(x)
-    qs = [(k, q) for k in range(1, d) if (q := state.value(k * n_val * x))]
+    qs = _family_orbits(state, params)
     scale = lcm(p.denominator, *(q.denominator for _, q in qs))
     cross = re[0] * sum(re[1:]) + im[0] * sum(im[1:])  # Re(conj(v_0) sum_j v_j)
     diag = sum(map(mul, re, re)) + sum(map(mul, im, im))

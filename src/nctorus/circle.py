@@ -114,14 +114,14 @@ def zeta_residue(h: Fraction, k: int, held: tuple[int, int] | None = None) -> in
     return -r & (MODULUS - 1) if k < 0 else r & (MODULUS - 1)  # mod one turn, as a mask
 
 
-def phase_angle(h: Fraction, zeta_exp: int, root: Fraction = Fraction(0)) -> float:
-    """Angle of zeta^k * e(r) in radians, the signed residue in [-pi, pi).
+def phase_angle(h: Fraction, zeta_exp: int) -> float:
+    """Angle of zeta^k in radians, the signed residue in [-pi, pi).
 
     zeta_exp may be astronomically large: zeta_residue reduces it exactly
     first, and signs it, so the angle of zeta^-k is exactly the negated
     angle of zeta^k, and their rounded values are exact conjugates.
     """
-    return signed_angle(zeta_residue(h, zeta_exp) + to_fixed(root))
+    return signed_angle(zeta_residue(h, zeta_exp))
 
 
 def signed_angle(fixed: int) -> float:

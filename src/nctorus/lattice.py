@@ -47,12 +47,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    if len(m) != len(v):
-        raise ValueError(f"dimension mismatch: {len(m)}x{len(m)} matrix, length-{len(v)} vector")
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
 # ---------------------------------------------------------------------------
 # skew forms
 # ---------------------------------------------------------------------------

@@ -73,11 +73,11 @@ algebra.multiply scales each of its two elements once and feeds all term
 pairs of all its coefficient products into one set of buckets per
 support point, so it builds no PhaseScalar per pair; _sum_of_products
 does the same for a sum of scalar products, and PhaseScalar.__mul__ is
-its one-pair case.  states.quadratic_form goes one step further: it scales
-v once and the nonzero entries of H once, leaves every row total of H v
-unreduced, adds conj(v_i) times each row total into one set of buckets
-(Gaussian [re, im] pairs on Q(i), root buckets otherwise) and divides once;
-states.gram, which feeds it, reads each orbit value once and builds every
+its one-pair case.  On Q(i) states.quadratic_form goes one step further:
+it scales v once and the nonzero entries of H once, leaves every row total
+of H v unreduced, adds conj(v_i) times each row total into one set of
+Gaussian [re, im] pairs and divides once; other roots take
+_sum_of_products per row and once more over the rows.  states.gram, which feeds it, reads each orbit value once and builds every
 one-term entry, one gcd per unordered pair, through the trusted
 PhaseScalar._of.  The matrix counterpart is states._psd_exact and
 states.determinant_exact: they get their ints from _gaussian, which scales
@@ -94,10 +94,10 @@ then their sum gives.  A product's form depends only on the set of pair
 products, never on the order they arrive in.  When every root lies in Q(i)
 (every denominator divides 4) the canonical form is unique, so the form
 does not depend on how the value was built at all.  Elsewhere it may:
-states.quadratic_form reduces only the total, so with roots of order 3,
-say, it can print another form than reducing each row total first would
-give, while the value is the same.  Every total refute() certifies lies in
-Q(i).
+with roots of order 3, say, states.quadratic_form reduces each row total
+of H v first and then the sum of conj(v_i) times those totals, which can
+print another form than the double sum reduced once, while the value is
+the same.  Every total refute() certifies lies in Q(i).
 """
 from __future__ import annotations
 

@@ -31,11 +31,9 @@ from .scalars import (
     ZERO,
     GaussRat,
     PhaseScalar,
-    _canonical,
     _coefficient,
     _gaussian,
     _gaussian_terms,
-    _integral,
     _sum_of_products,
     as_fraction,
     as_scalar,
@@ -229,37 +227,35 @@ def quadratic_form(H: HermitianMatrix, v) -> PhaseScalar:
     """The exact total v^dagger H v; numeric_eval(total, ctx).real rounds it.
 
     The vector is read as the matrix is (scalars.as_scalar).  Zero entries,
-    and the rows and columns of zero v entries, are skipped; v is scaled to
-    ints once by D_v and the remaining entries once by D_H, the lcms of
-    their denominators.  Row by row, each H_ij v_j goes unreduced into the
-    row's buckets, and conj(v_i) times the row total into the total's, which
-    is divided once by D_v^2 D_H: every entry is multiplied once, and only
-    one row's buckets are held at a time.  When every root of v and of those
-    entries is 1 or i, as in every refute() total, a bucket is one [re, im]
-    pair of Gaussian ints per zeta degree (v from scalars._gaussian, each
-    H_ij v_j added inline, the row step scalars._gaussian_into, the division
-    _gaussian_terms: algebra.multiply's rule on Q(i)), and Q(i)'s canonical
-    form is unique, so the stored terms are too.  Other roots take root
-    buckets (scalars._product_into) and _canonical reduces the total once;
-    cyclotomic reduction is linear over Q, so the value is that of the
-    double sum, and only the printed form may differ from a sum reduced in
-    another order (the scalars module's printed-form rule).
+    and the rows and columns of zero v entries, are skipped.  When every
+    root of v and of those entries is 1 or i, as in every refute() total,
+    v is scaled to Gaussian ints once by D_v (scalars._gaussian) and the
+    entries once by D_H, the lcms of their denominators.  Row by row, each
+    H_ij v_j is added inline, unreduced, into one [re, im] pair per zeta
+    degree, conj(v_i) times that row total goes into the total's pairs
+    (scalars._gaussian_into), and the total is divided once by D_v^2 D_H
+    (_gaussian_terms): every entry is multiplied once, only one row's pairs
+    are held at a time, and Q(i)'s canonical form is unique, so the stored
+    terms are too.  With any other root each row total is its own
+    _sum_of_products, and so is the sum of conj(v_i) times the row totals:
+    the per-row reduction of the scalars module's printed-form rule.
     """
     if len(v) != H.dim:
         raise ValueError(f"dimension mismatch: matrix is {H.dim}x{H.dim}, vector has length {len(v)}")
-    vec = [as_scalar(x)._terms for x in v]
-    support = [j for j, terms in enumerate(vec) if terms]
-    rows = [(i, [(terms, j) for j in support if (terms := row[j]._terms)])
-            for i, row in enumerate(H.rows()) if vec[i]]
-    entries = [terms for _, row in rows for terms, _ in row]
-    total: dict = {}
-    if (gv := _gaussian(vec)) and {r for terms in entries for _, r in terms} <= _GAUSSIAN_ROOTS:
+    vec = list(map(as_scalar, v))
+    support = [j for j, x in enumerate(vec) if x._terms]
+    rows = [(i, [(c, j) for j in support if (c := row[j])._terms])
+            for i, row in enumerate(H.rows()) if vec[i]._terms]
+    entries = [c._terms for _, row in rows for c, _ in row]
+    gv = _gaussian([x._terms for x in vec])
+    if gv and {r for terms in entries for _, r in terms} <= _GAUSSIAN_ROOTS:
         (dv, vs), dh = gv, lcm(*{c.denominator for terms in entries for c in terms.values()
                                  if type(c) is not int})
+        total: dict = {}
         for i, row in rows:
             raw: dict = {}
-            for terms, j in row:
-                for (k1, (a, _)), c in terms.items():  # c * i^a * zeta^k1, times D_H
+            for entry, j in row:
+                for (k1, (a, _)), c in entry._terms.items():  # c * i^a * zeta^k1, times D_H
                     c = c * dh if type(c) is int else c.numerator * (dh // c.denominator)
                     for k2, x, y in vs[j]:
                         re, im = (-c * y, c * x) if a else (c * x, c * y)
@@ -273,17 +269,8 @@ def quadratic_form(H: HermitianMatrix, v) -> PhaseScalar:
                 scalars._gaussian_into(total, [(-k, x, -y) for k, x, y in vs[i]],
                                        [(k, re, im) for k, (re, im) in raw.items()])
         return PhaseScalar._of(_gaussian_terms(total, dv * dv * dh))
-    (dv, vs), (dh, scaled) = _integral(vec), _integral(entries)
-    scaled = iter(scaled)
-    for i, row in rows:
-        raw = {}
-        for _, j in row:
-            scalars._product_into(raw, next(scaled), vs[j])
-        if raw:
-            conj = {(-k, (n - a, n) if a else ROOT_ONE): c for (k, (a, n)), c in vs[i].items()}
-            row_total = {(k, r): c for k, bucket in raw.items() for r, c in bucket.items() if c}
-            scalars._product_into(total, conj, row_total)
-    return PhaseScalar._of(_canonical(total, dv * dv * dh))
+    return _sum_of_products((vec[i].conjugate(), _sum_of_products((c, vec[j]) for c, j in row))
+                            for i, row in rows if row)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ relabel is the support relabelling W_m -> W_(Theta m), which the
 automorphism criterion checks against algebra.multiply; is_symplectic (Theta^T Sigma
 Theta = Sigma), built on mat_mul and transpose, says for which Theta it
 must be multiplicative, and cocycle is the 2-cocycle identity of
-lattice.pairing.  standard_form is the genus-g form, g copies of the
-genus-1 form, that the higher-genus tests build contexts from.  int_det is the integer determinant that decides which
+lattice.pairing; mat_vec (Theta m) and scalar_element (c W_0) are the
+plain helpers these oracles and the tests build with.  standard_form is
+the genus-g form, g copies of the genus-1 form, that the higher-genus tests build contexts from.  int_det is the integer determinant that decides which
 forms lattice.symplectic_normal_form must reject as degenerate, and
 is_hermitian checks H = H^dagger exactly.  These are exact; numeric
 comparisons go through HermitianMatrix.to_numpy().  min_eigenvalue is the
@@ -69,8 +70,8 @@ from pathlib import Path
 
 import numpy as np
 
-from nctorus.algebra import AlgebraElement, adjoint, multiply, scalar_element, weyl
-from nctorus.lattice import SkewForm, as_matrix, mat_vec, pairing, theta_j
+from nctorus.algebra import AlgebraElement, adjoint, multiply, weyl
+from nctorus.lattice import SkewForm, as_matrix, pairing, theta_j
 from nctorus.parser import MAX_DEPTH, ParseError
 from nctorus.scalars import (ROOT_I, ROOT_ONE, GaussRat, PhaseScalar, _gaussian,
                              _sum_of_products, as_fraction, as_scalar, cyclotomic)
@@ -260,6 +261,12 @@ def mat_mul(a, b):
                  for i in range(n))
 
 
+def mat_vec(m, v) -> tuple:
+    if len(m) != len(v):
+        raise ValueError(f"dimension mismatch: {len(m)}x{len(m)} matrix, length-{len(v)} vector")
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+
+
 def transpose(m):
     return tuple(zip(*m))
 
@@ -412,6 +419,11 @@ def reduce_roots(parts: dict) -> dict:
 
 def _terms(x: PhaseScalar) -> dict:
     return {(k, r): c for k, r, c in x.terms()}
+
+
+def scalar_element(coeff, dim: int = 2) -> AlgebraElement:
+    """coeff * W_0 in dimension dim."""
+    return AlgebraElement(dim, {(0,) * dim: coeff})
 
 
 def scalar_add(x: PhaseScalar, y: PhaseScalar) -> PhaseScalar:

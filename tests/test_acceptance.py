@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import nctorus as nt
-from nctorus.lattice import as_matrix, mat_vec
+from nctorus.lattice import as_matrix
 from nctorus.scalars import PhaseScalar
 from nctorus.states import eval_generator
 from conftest import random_element, random_scalar, random_sl2
-from paper_oracles import (build_H_prime, cocycle, det_P, int_det, is_symplectic, mat_mul, relabel,
-                           transpose)
+from paper_oracles import (build_H_prime, cocycle, det_P, int_det, is_symplectic, mat_mul, mat_vec,
+                           relabel, transpose)
 
 CTX = nt.PhaseContext()
 

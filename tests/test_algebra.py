@@ -10,7 +10,6 @@ from nctorus.algebra import (
     adjoint,
     multiply,
     numeric_eval,
-    scalar_element,
     weyl,
 )
 from nctorus.certificate import CertParams, family_generators
@@ -19,7 +18,7 @@ from nctorus.parser import format_element
 from nctorus.scalars import PhaseScalar
 from conftest import element_terms, random_element, random_sl2, shuffled_element
 from paper_oracles import (cocycle, int_det, is_symplectic, mat_mul, multiply_by_pairing,
-                           multiply_reduced_once, relabel, standard_form)
+                           multiply_reduced_once, relabel, scalar_element, standard_form)
 
 SHEAR_U = ((1, 1), (0, 1))
 SHEAR_L = ((1, 0), (1, 1))

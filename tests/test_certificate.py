@@ -15,6 +15,7 @@ from nctorus.certificate import (
     ConsistentWithTrace,
     DiophantineBudgetError,
     DiophantinePrecisionError,
+    _family_orbits,
     _family_total,
     _family_values,
     _window,
@@ -682,15 +683,16 @@ def test_refute_builds_the_family_once(monkeypatch):
 
 
 def test_refute_builds_no_family_matrix(monkeypatch):
-    # the family scores read e_1 = sigma_01 N l x^2 in closed form: no Theta_j matrix,
-    # matrix-vector product or pairing, also on dense states whose every score has phases
+    # the family scores read e_1 = sigma_01 N l x^2 in closed form: no Theta_j matrix or
+    # pairing (the package keeps no matrix-vector product), also on dense states whose
+    # every score has phases
     import nctorus.certificate as certificate
     import nctorus.lattice as lattice
 
     def forbidden(*args, **kwargs):
         raise AssertionError("refute must not build a 2x2 family matrix")
 
-    for name in ("theta_j", "mat_vec", "pairing"):
+    for name in ("theta_j", "pairing"):
         monkeypatch.setattr(lattice, name, forbidden)
         monkeypatch.setattr(certificate, name, forbidden, raising=False)
     for ctx, values in ((PhaseContext(), DENSE_D12), (SIGMA3_CTX, DENSE_D13_SIGMA3)):
@@ -762,9 +764,10 @@ def test_witness_total_is_the_algebra_product(data):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 13])
 def test_witness_total_reads_one_orbit_per_distance(n, monkeypatch):
-    # the total reads p_x and one orbit value q_(kNx) per distance k = 1..d-1, and
-    # takes no gcd before the final division of its buckets, on a state with a
-    # value on every orbit a pair gcd could name
+    # the total reads p_x and, per distance k = 1..d-1, at most the one declared orbit
+    # kNx: state.value is called on declared orbits only, never on an undeclared kNx
+    # (the even k are declared here, up to d + 1), and no gcd is taken before the final
+    # division of its buckets
     import nctorus.certificate as certificate
     import nctorus.scalars as scalars
 
@@ -793,18 +796,44 @@ def test_witness_total_reads_one_orbit_per_distance(n, monkeypatch):
     params = CertParams(xi=(x, x), d=n, N=n_val, epsilon=Fraction(1, 10))
     witness = [GaussRat(1 + j, j % 3) for j in range(n + 1)]
     state = CountingState({x: Fraction(1, 3),
-                           **{k * n_val * x: Fraction(1, 1 + k) for k in range(1, n + 2)}})
+                           **{k * n_val * x: Fraction(1, 1 + k) for k in range(2, n + 2, 2)}})
     state.reads = []
     monkeypatch.setattr(math, "gcd", no_gcd)
     monkeypatch.setattr(scalars, "gcd", no_gcd)
     monkeypatch.setattr(certificate, "gcd", no_gcd, raising=False)
     monkeypatch.setattr(certificate, "_gaussian_terms", finish)
     total = _family_total(state, params, n, witness, ctx)
-    assert state.reads == [x] + [k * n_val * x for k in range(1, n)]
+    assert x in state.reads and set(state.reads) <= set(state.declared_orbits())
     monkeypatch.undo()
     a = AlgebraElement(2, dict(zip(family_generators(params, n), witness)))
     assert total == evaluate_exact(StateCandidate(dict(state.items())),
                                    multiply(adjoint(a), a, ctx))
+
+
+def test_family_readers_skip_orbits_off_the_family():
+    # values on the orbits dNx and (d+1)Nx, past every distance the family spans, and on
+    # Nx + 1, no multiple of Nx: neither the scores nor the closed-form total count them,
+    # and refute and verify give the same bytes as without them
+    half = PhaseContext(h=Fraction(5, 7))
+    n_half = refute(StateCandidate({2: -0.45}), half).params.N
+    cases = [(PhaseContext(), {1: 0.3}), (PhaseContext(), DENSE_D12),
+             (SIGMA3_CTX, DENSE_D13_SIGMA3),
+             (half, {2: -0.45, **{2 * k * n_half: Fraction(1, k + 1) for k in (1, 3)}})]
+    for ctx, values in cases:
+        cert = refute(StateCandidate(values), ctx)
+        d, step = cert.params.d, cert.params.N * cert.params.xi[0]
+        plain = StateCandidate(values)
+        decoyed = StateCandidate({**values, d * step: Fraction(5, 7),
+                                  (d + 1) * step: Fraction(-2, 3), step + 1: Fraction(-3, 4)})
+        assert _family_orbits(decoyed, cert.params) == _family_orbits(plain, cert.params)
+        assert _family_values(decoyed, cert.params, ctx) == _family_values(plain, cert.params, ctx)
+        for l in range(1, d + 1):
+            assert (_family_total(decoyed, cert.params, l, cert.witness, ctx)._terms
+                    == _family_total(plain, cert.params, l, cert.witness, ctx)._terms)
+        assert refute(decoyed, ctx).dumps() == cert.dumps()
+        for tol in (1e-9, 0):
+            report = verify(decoyed, cert, ctx, tol)
+            assert report.accepted and report.to_json() == verify(plain, cert, ctx, tol).to_json()
 
 
 def test_verify_uses_no_product_or_gram(ctx, monkeypatch):

@@ -14,14 +14,13 @@ from nctorus.lattice import (
     as_vector,
     extended_gcd,
     identity,
-    mat_vec,
     orbit_rep,
     pairing,
     symplectic_normal_form,
     theta_j,
 )
 from conftest import random_sl2, random_unimodular
-from paper_oracles import int_det, is_symplectic, mat_mul, standard_form, transpose
+from paper_oracles import int_det, is_symplectic, mat_mul, mat_vec, standard_form, transpose
 
 
 def test_pairing_examples():

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import nctorus
 from nctorus import AlgebraElement, PhaseContext, parser
-from nctorus.algebra import adjoint, multiply, scalar_element, weyl
+from nctorus.algebra import adjoint, multiply, weyl
 from nctorus.parser import MAX_DEPTH, ParseError, format_element, parse_element, to_element
 from nctorus.scalars import PhaseScalar
 from conftest import random_element
-from paper_oracles import format_by_terms, multiply_reduced_once, parse_by_products
+from paper_oracles import format_by_terms, multiply_reduced_once, parse_by_products, scalar_element
 
 
 def test_product_example(ctx):

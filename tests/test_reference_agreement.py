@@ -1,9 +1,10 @@
 """verify against the benchmark's independent checker, on drawn states.
 
 Hypothesis draws a candidate, refute() certifies it, and verify() must
-accept the certificate and decide it and three tampers of it (N + 1,
-N + d! with that N's generators, one witness entry moved) exactly as
-perfbench/reference.py does, with its own Machin pi and its own pair sum.
+accept the certificate and decide it and three tampers of it (N + 1 and
+N + d!, each with the l* family of its own N where l* divides it, and one
+witness entry moved) exactly as perfbench/reference.py does, with its own
+Machin pi and its own pair sum.
 
 The draws cover x in {1, 2, 3}, small rational h, and:
 - single-orbit states {x: p} at any d up to 449.  Their Gram matrices hold
@@ -29,7 +30,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nctorus.algebra import PhaseContext
 from nctorus.certificate import Certificate, choose_parameters, family_generators, refute, verify
@@ -49,16 +50,22 @@ def _p(d: int, v: int, sign: int) -> Fraction:
     return p
 
 
+def _moved(cert: Certificate, n: int) -> dict:
+    """The certificate with N = n and, where l* divides n, the l* family of that N,
+    so that on a single orbit only the approximation and divisibility clauses can
+    reject it."""
+    shifted = replace(cert.params, N=n)
+    gens = family_generators(shifted, cert.l_star) if n % cert.l_star == 0 else cert.generators
+    return {**cert.to_json(), "N": n, "generators": [list(g) for g in gens]}
+
+
 def _tampers(cert: Certificate) -> list[dict]:
-    """N + 1; N + d! with the l* family of that N, so that on a single orbit
-    only the approximation clause can reject it; one witness entry moved."""
+    """N + 1 (at d = 1 also an N + d!), N + d!, and one witness entry moved."""
     obj = cert.to_json()
-    shifted = replace(cert.params, N=cert.params.N + math.factorial(cert.params.d))
     witness = [list(w) for w in obj["witness"]]
     witness[1][1] += 0.5
-    return [{**obj, "N": obj["N"] + 1},
-            {**obj, "N": shifted.N,
-             "generators": [list(g) for g in family_generators(shifted, cert.l_star)]},
+    return [_moved(cert, cert.params.N + 1),
+            _moved(cert, cert.params.N + math.factorial(cert.params.d)),
             {**obj, "witness": witness}]
 
 
@@ -79,6 +86,7 @@ def assert_agrees(values: dict, h: Fraction) -> Certificate:
 
 @settings(max_examples=50, deadline=None)
 @given(d=st.integers(1, 449), v=st.integers(10, 75), sign=st.sampled_from((1, -1)), x=xs, h=hs)
+@example(d=1, v=10, sign=1, x=1, h=Fraction(1, 4))  # {1: 1581139/500000}: N = 23 and N + 1 both hit
 def test_single_orbit_verdicts_match_reference(d, v, sign, x, h):
     assert_agrees({x: _p(d, v, sign)}, h)
 

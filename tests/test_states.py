@@ -86,7 +86,7 @@ def test_eval_generator_gcd(ctx):
         v = eval_generator(state, n)
         assert isinstance(v, Fraction)  # realness by construction
         for theta in (random_sl2(rng),):
-            from nctorus.lattice import mat_vec
+            from paper_oracles import mat_vec
 
             assert eval_generator(state, mat_vec(theta, n)) == v
 
@@ -338,7 +338,8 @@ def test_quadratic_form_multiplies_each_entry_once(ctx, monkeypatch):
 def test_gaussian_quadratic_form_matches_per_row_reduction(data):
     # refute-shaped totals (a Gram matrix, Gaussian witness entries times zeta powers):
     # the Q(i) sum stores the terms, and coefficient types, of reducing each row first;
-    # an e(1/3) entry sends the total through scalars._product_into, to the same value
+    # an e(1/3) entry sends the total through scalars._product_into, where each row
+    # total is reduced first, so it stores those terms too
     from nctorus import scalars
     from paper_oracles import quadratic_form_per_row
 
@@ -375,7 +376,7 @@ def test_gaussian_quadratic_form_matches_per_row_reduction(data):
         assert calls or not (v[i] and v[j])
     want = quadratic_form_per_row(h, v)
     assert stored(got) == stored(want) and repr(got) == repr(want)
-    assert got_third == quadratic_form_per_row(h_third, v)
+    assert stored(got_third) == stored(quadratic_form_per_row(h_third, v))
 
 
 def test_quadratic_form_exact_p5():
