@@ -9,6 +9,11 @@ float means its shortest decimal (0.2 is 1/5) and a string such as a JSON
 object key is parsed.  A key must then be a positive integer
 (lattice.as_integer: 1.5 is rejected, not truncated), and two keys naming
 the same orbit ("1" and "01") are rejected.
+
+gram visits each unordered generator pair once, except where the
+generators after the first form an arithmetic progression, as the labels
+Theta_j xi of a refutation family do: there the matrix past row 0 is
+Toeplitz, and gram builds it once per distance.
 """
 
 from __future__ import annotations
@@ -195,6 +200,17 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
     canonical: the entries and the rows go through the trusted constructors
     PhaseScalar._of and HermitianMatrix._of, and nothing is read twice.
     rounded(ctx) gives the numeric rows.
+
+    When n >= 4 and the generators after the first are an arithmetic
+    progression m_j = m_1 + (j-1) s (_progression_step), as on a Theta_j
+    family, only row 0 is filled by pairs.  For i, j >= 1, m_j - m_i =
+    (j-i) s, so its gcd is |j-i| gcd(s), and sigma(m_i, m_j) = (j-i)
+    sigma(m_1, s), as sigma is bilinear and sigma(s, s) = 0: the rest is
+    Toeplitz.  Its band is built once per distance k = 1..n-2, one entry
+    pair from q_(k gcd(s)) and exponent k sigma(m_1, s), stopping past the
+    largest declared orbit, and row i >= 1 is H_i0 followed by a slice of
+    it.  The entries are immutable, so the rows share them.  That is n gcds
+    in place of n(n-1)/2.
     """
     if ctx.genus != 1:
         raise ValueError("Gram matrices are built for genus 1")
@@ -209,8 +225,9 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
     top = max(coeff, default=0)
     (s00, s01), (s10, s11) = ctx.sigma.matrix
     zero, one = PhaseScalar.zero(), PhaseScalar._of({(0, ROOT_ONE): 1})
-    rows = [[zero] * len(vecs) for _ in vecs]
-    for i, (x, y) in enumerate(vecs):
+    n, step = len(vecs), _progression_step(vecs)
+    rows = [[zero] * n for _ in vecs]
+    for i, (x, y) in enumerate(vecs[:1] if step else vecs):  # a progression: row 0 alone
         r0, r1 = x * s00 + y * s10, x * s01 + y * s11  # m_i^T Sigma
         rows[i][i] = one
         for j, (u, v) in enumerate(vecs[i + 1:], i + 1):
@@ -220,7 +237,30 @@ def gram(state: StateCandidate, gens, ctx: PhaseContext) -> HermitianMatrix:
                 e = r0 * u + r1 * v  # sigma(m_i, m_j)
                 rows[i][j], rows[j][i] = (PhaseScalar._of({(-e, ROOT_ONE): c}),
                                           PhaseScalar._of({(e, ROOT_ONE): c}))
+    if step:
+        (x, y), (u, v) = vecs[1], step
+        g, t = _gcd(u, v), (x * s00 + y * s10) * u + (x * s01 + y * s11) * v  # sigma(m_1, s)
+        upper, lower = [zero] * (n - 1), [zero] * (n - 1)  # H_(i, i+k) and H_(i+k, i) at k
+        for k in range(1, min(n - 1, top // g + 1)):
+            if c := coeff.get(k * g):
+                upper[k], lower[k] = (PhaseScalar._of({(-k * t, ROOT_ONE): c}),
+                                      PhaseScalar._of({(k * t, ROOT_ONE): c}))
+        band = lower[:0:-1] + [one] + upper[1:]  # distances 2-n .. n-2: H_ij at n-2+j-i
+        for i in range(1, n):
+            rows[i][1:] = band[n - 1 - i:2 * n - 2 - i]
     return HermitianMatrix._of(tuple(map(tuple, rows)))
+
+
+def _progression_step(vecs: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """s when n >= 4 and vecs[1:] is m_1 + (j-1) s, j = 1..n-1, else None.
+    The generators are distinct, so s is never (0, 0)."""
+    if len(vecs) < 4:
+        return None
+    (x, y), (u, v) = vecs[1], vecs[2]
+    s0, s1 = u - x, v - y
+    if all(m == (x + j * s0, y + j * s1) for j, m in enumerate(vecs[3:], 2)):
+        return s0, s1
+    return None
 
 
 def quadratic_form(H: HermitianMatrix, v) -> PhaseScalar:

@@ -39,7 +39,9 @@ term for term: reduce_roots, scalar sums and products that canonicalize
 every zeta degree again through the public PhaseScalar constructor,
 multiply_by_pairing with one zeta product per term pair,
 multiply_reduced_once, which sums every scalar term pair of a support point
-before one reduction, quadratic_form_per_row, which reduces every row total
+before one reduction, gram_by_pairs, the Gram matrix built pair by pair,
+which states.gram must reproduce where it fills a progression by
+distance, quadratic_form_per_row, which reduces every row total
 of H v before the total, psd_exact_full_square, which updates the whole
 residual matrix, and psd_exact_fractions and determinant_fractions, the
 Fraction eliminations that the integer kernels of states.is_psd and
@@ -71,9 +73,9 @@ from pathlib import Path
 import numpy as np
 
 from nctorus.algebra import AlgebraElement, adjoint, multiply, weyl
-from nctorus.lattice import SkewForm, as_matrix, pairing, theta_j
+from nctorus.lattice import SkewForm, as_matrix, as_vector, pairing, theta_j
 from nctorus.parser import MAX_DEPTH, ParseError
-from nctorus.scalars import (ROOT_I, ROOT_ONE, GaussRat, PhaseScalar, _gaussian,
+from nctorus.scalars import (ROOT_I, ROOT_ONE, GaussRat, PhaseScalar, _coefficient, _gaussian,
                              _sum_of_products, as_fraction, as_scalar, cyclotomic)
 from nctorus.states import HermitianMatrix, PsdVerdict, eval_generator
 
@@ -475,6 +477,38 @@ def multiply_reduced_once(a: AlgebraElement, b: AlgebraElement, ctx) -> AlgebraE
                     key = (k1 + k2 + shift, (r1 + r2) % 1)
                     point[key] = point.get(key, ZERO) + c1 * c2
     return AlgebraElement(ctx.dimension, {m: PhaseScalar(t) for m, t in raw.items()})
+
+
+def gram_by_pairs(state, gens, ctx) -> HermitianMatrix:
+    """states.gram as one loop over the unordered generator pairs, whatever
+    their shape: one gcd(m_j - m_i) and one exponent sigma(m_i, m_j) per pair
+    i < j.  states.gram fills a progression by distance and must give the
+    same entries, coefficient types included."""
+    if ctx.genus != 1:
+        raise ValueError("Gram matrices are built for genus 1")
+    vecs = [as_vector(g) for g in gens]
+    if any(len(v) != 2 for v in vecs):
+        raise ValueError("generators must be lattice points of Z^2")
+    if len(set(vecs)) != len(vecs):
+        raise ValueError("duplicate generators give a degenerate Gram request")
+    if not vecs:
+        raise ValueError("matrix must have at least one row")
+    coeff = {j: _coefficient(p) for j, p in state.items() if p}
+    top = max(coeff, default=0)
+    (s00, s01), (s10, s11) = ctx.sigma.matrix
+    zero, one = PhaseScalar.zero(), PhaseScalar._of({(0, ROOT_ONE): 1})
+    rows = [[zero] * len(vecs) for _ in vecs]
+    for i, (x, y) in enumerate(vecs):
+        r0, r1 = x * s00 + y * s10, x * s01 + y * s11  # m_i^T Sigma
+        rows[i][i] = one
+        for j, (u, v) in enumerate(vecs[i + 1:], i + 1):
+            q = math.gcd(u - x, v - y)
+            c = coeff.get(q) if q <= top else None
+            if c:
+                e = r0 * u + r1 * v  # sigma(m_i, m_j)
+                rows[i][j], rows[j][i] = (PhaseScalar._of({(-e, ROOT_ONE): c}),
+                                          PhaseScalar._of({(e, ROOT_ONE): c}))
+    return HermitianMatrix._of(tuple(map(tuple, rows)))
 
 
 def quadratic_form_per_row(H: HermitianMatrix, v) -> PhaseScalar:

@@ -5,7 +5,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as hs
+from hypothesis import assume, example, given, settings, strategies as hs
 
 from nctorus.algebra import AlgebraElement, PhaseContext, adjoint, multiply, numeric_eval, weyl
 from nctorus.certificate import refute
@@ -29,6 +29,7 @@ from paper_oracles import (
     as_gaussian,
     determinant_fractions,
     gaussian_entries,
+    gram_by_pairs,
     hermitian_ints_dense,
     is_hermitian,
     min_eigenvalue,
@@ -206,6 +207,69 @@ def test_gram_visits_each_unordered_pair_once(n, monkeypatch):
             assert h.entry(j, i)._terms == mirror._terms, (i, j)
             assert [type(c) for c in h.entry(j, i)._terms.values()] == \
                 [type(c) for c in mirror._terms.values()]
+
+
+@hs.composite
+def progression_gram_case(draw):
+    """(gens, sigma_01, h, values): a first generator off the progression m_1 + (j-1) s,
+    j = 1..n-1, and values, integral, fractional or explicitly zero, on multiples of
+    gcd(s) and on other orbits."""
+    coord = hs.integers(-6, 6)
+    n = draw(hs.integers(4, 40))
+    (x, y), (u, v) = draw(hs.tuples(coord, coord)), draw(hs.tuples(coord, coord).filter(any))
+    prog = [(x + j * u, y + j * v) for j in range(n - 1)]
+    first = draw(hs.tuples(coord, coord).filter(lambda m: m not in prog))
+    g = gcd(u, v)
+    orbit = hs.one_of(hs.integers(1, n).map(lambda k: k * g), hs.integers(1, 2 * n * g))
+    value = hs.one_of(hs.integers(-2, 2), hs.fractions(-3, 3, max_denominator=8))
+    return ([first] + prog, draw(hs.sampled_from([1, 3, -2])),
+            draw(hs.fractions(-3, 3, max_denominator=9).filter(bool)),
+            draw(hs.dictionaries(orbit, value, max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(progression_gram_case())
+@example(([(0, 0), (1, 1), (3, 2)], 1, Fraction(1), {1: Fraction(1, 2), 2: 0}))  # n = 3
+@example(([(0, 0), (1, 2), (3, 2), (5, 2)], 3, Fraction(5, 7),  # n = 4, the smallest band
+          {1: 1, 2: Fraction(-1, 3), 4: Fraction(1, 4), 5: 0}))
+@example(([(-2, 3), (0, 1), (2, -1), (4, -3), (6, -5)], -2, Fraction(-1, 2),  # (-2, 3) = m_1 - s
+          {1: Fraction(3, 5), 2: 2, 4: 0, 6: Fraction(-1, 8), 8: 1}))
+def test_progression_fill_is_the_pair_loop(case):
+    gens, sigma01, h, values = case
+    ctx = PhaseContext(h=h, sigma=SkewForm(((0, sigma01), (-sigma01, 0))))
+    state = StateCandidate(values)
+    got, want = gram(state, gens, ctx), gram_by_pairs(state, gens, ctx)
+    assert got.dim == want.dim == len(gens)
+    for i, (row, ref) in enumerate(zip(got.rows(), want.rows())):
+        for j, (c, r) in enumerate(zip(row, ref)):
+            assert c._terms == r._terms, (i, j)
+            assert [type(x) for x in c._terms.values()] == [type(x) for x in r._terms.values()], (i, j)
+
+
+@pytest.mark.parametrize("n", [4, 5, 13, 40])
+def test_gram_takes_n_gcds_on_a_progression(n, monkeypatch):
+    # a family shape, (0, 0) then m_1 + (j-1) s: row 0 takes n-1 gcds and the band one,
+    # gcd(s); with one generator moved off the progression the pair loop takes n(n-1)/2
+    import nctorus.states as states
+
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    ctx = PhaseContext(h=Fraction(5, 7), sigma=SkewForm(((0, 3), (-3, 0))))
+    family = [(0, 0)] + [(1 + 6 * j, 5 - 4 * j) for j in range(n - 1)]
+    moved = family[:n // 2] + [(family[n // 2][0] + 1, family[n // 2][1])] + family[n // 2 + 1:]
+    state = StateCandidate({j: Fraction(1, 1 + j) if j % 3 else 2 for j in range(1, 4 * n)})
+    monkeypatch.setattr(states, "_gcd", counting_gcd)
+    for gens, count in ((family, n), (moved, n * (n - 1) // 2)):
+        calls.clear()
+        h = gram(state, gens, ctx)
+        assert len(calls) == count
+        want = gram_by_pairs(state, gens, ctx)
+        assert [[c._terms for c in row] for row in h.rows()] == \
+            [[c._terms for c in row] for row in want.rows()]
 
 
 def test_gram_hermitian_exact(ctx):
