@@ -22,14 +22,17 @@ The average only guides refute() to l*; the proof is the single element
 a = sum v_i W_(g_i) on that family with omega(a* a) < 0, and refute()
 certifies its exact total rounded once.
 verify() re-derives the parameters and the (N, l*) family, and sums
-omega(a* a) on that family in closed form on Gaussian ints (_family_total):
+omega(a* a) on that family in closed form on Gaussian ints (_family_sums):
 from W_(g_i)^* W_(g_j) = zeta^(-sigma(g_i, g_j)) W_(g_j - g_i), the pairs
 (0, j) all read p and the pairs (i, i+k) all read q_(Nkx) at exponent
 k l sigma_01 N x^2, so the total needs one declared orbit value (read,
 as for the scores, by _family_orbits) and at most one witness correlation
-per distance k, and no gcd.  It shares no product kernel with refute(),
-builds no Gram matrix or algebra element, and rounds the same exact total
-to the same float.
+per distance k, and no gcd.  It decides the sign of that exact total with
+a midpoint-radius ball over one phase residue and its powers
+(_family_sign), on ints with a proved radius.  It shares no product kernel
+with refute(), builds no Gram matrix, algebra element or exact scalar, and
+evaluates no float phase; the ball's midpoint, as a float, serves only the
+agreement with the certified value.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from operator import mul
 from . import circle
 from .algebra import PhaseContext, numeric_eval
 from .lattice import Vec, as_integer, as_vector
-from .scalars import GaussRat, PhaseScalar, _gaussian_terms, as_fraction
+from .scalars import GaussRat, as_fraction
 from .states import (
     HermitianMatrix,
     StateCandidate,
@@ -165,7 +168,7 @@ class ConsistentWithTrace:
 # the Diophantine step
 # ---------------------------------------------------------------------------
 
-PI_DOUBLINGS = 4  # precision doublings before an undecided clause raises
+PI_DOUBLINGS = 4  # precision doublings before a clause or a sign is left undecided
 
 
 def _clause_bits(h: Fraction, n: int, xi2: int, d: int, eps: Fraction) -> int:
@@ -457,9 +460,11 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
     avg_value, which must fall below -1e-6 (else eps halves and N is
     searched again).  The lowest-scoring family is l*.  The certified value
     is the exact witness total v^dagger H v on l*'s Gram matrix, rounded
-    once.  omega(a* a) is the same exact scalar, and its roots lie in Q(i),
-    where the canonical form is unique, so the value is bit for bit the
-    float verify() recomputes in closed form on the family (_family_total).
+    once, term by term (algebra.numeric_eval).  omega(a* a) is the same
+    exact scalar: verify() decides its sign with a ball (_family_sign), and
+    reads this float only for the agreement within tol and 2^-49 S of its
+    own midpoint, S the sum of the term sizes, which covers that per-term
+    rounding.
     """
     if ctx.genus != 1:
         raise ValueError(
@@ -532,9 +537,11 @@ class VerificationReport:
         }
 
 
-def _family_total(state: StateCandidate, params: CertParams, l: int, witness,
-                  ctx: PhaseContext) -> PhaseScalar:
-    """omega(a* a) for a = sum v_i W_(g_i) on the (N, l) family, exact, in closed form.
+def _family_sums(state: StateCandidate, params: CertParams, l: int, witness,
+                 ctx: PhaseContext) -> tuple[int, int, list[tuple[int, int, int]], int]:
+    """omega(a* a) for a = sum v_i W_(g_i) on the (N, l) family, exact, in closed form,
+    as the ints (e, B_0, [(k, C_re, C_im), ...], D^2 P) of
+        omega(a* a) = (B_0 + sum_k (C_k zeta^(ke) + conj(C_k) zeta^(-ke))) / (D^2 P).
 
     On xi = (x, x) the generators are g_0 = 0 and g_j = x (1 + jN, l), and
     W_(g_i)^* W_(g_j) = zeta^(-sigma(g_i, g_j)) W_(g_j - g_i), omega(W_m) = p_gcd(m).
@@ -547,10 +554,11 @@ def _family_total(state: StateCandidate, params: CertParams, l: int, witness,
     c_k = sum_(i=1..d-k) conj(v_i) v_(i+k).  It reads p_x and the declared
     q_(kNx) != 0, k < d (_family_orbits), forms c_k for those k alone, and
     takes no gcd.  The witness is scaled to Gaussian ints by D, the lcm of
-    its part denominators, and the orbit values by P, the lcm of theirs;
-    scalars._gaussian_terms divides each bucket once by D^2 P.  Q(i) has one
-    canonical form, so this is the exact scalar evaluate_exact(state,
-    multiply(adjoint(a), a, ctx)) gives on family_generators(params, l).
+    its part denominators, and the orbit values by P, the lcm of theirs:
+    B_0 is the degree-0 sum and C_k = c_k q_(kNx) at that scale, one per
+    declared orbit, by k.  The total is real, (B_0 + 2 sum_k Re(C_k zeta^(ke))) / (D^2 P),
+    and it is the exact scalar evaluate_exact(state, multiply(adjoint(a), a, ctx))
+    gives on family_generators(params, l).
     """
     if ctx.genus != 1:
         raise ValueError(f"verify works at genus 1; the context form has genus {ctx.genus}")
@@ -566,8 +574,8 @@ def _family_total(state: StateCandidate, params: CertParams, l: int, witness,
     scale = lcm(p.denominator, *(q.denominator for _, q in qs))
     cross = re[0] * sum(re[1:]) + im[0] * sum(im[1:])  # Re(conj(v_0) sum_j v_j)
     diag = sum(map(mul, re, re)) + sum(map(mul, im, im))
-    buckets = {0: [diag * scale + 2 * cross * (p.numerator * (scale // p.denominator)), 0]}
-    e = ctx.sigma.matrix[0][1] * l * n_val * x * x
+    b0 = diag * scale + 2 * cross * (p.numerator * (scale // p.denominator))
+    sums = []
     for k, q in qs:
         q = q.numerator * (scale // q.denominator)
         a, b = re[1:d + 1 - k], re[1 + k:]  # v_i and v_(i+k), i = 1..d-k
@@ -576,11 +584,62 @@ def _family_total(state: StateCandidate, params: CertParams, l: int, witness,
             s, t = im[1:d + 1 - k], im[1 + k:]
             c_re += sum(map(mul, s, t))
             c_im = sum(map(mul, a, t)) - sum(map(mul, s, b))
-        for key, part in ((k * e, c_im), (-k * e, -c_im)):  # c_k and its conjugate mirror
-            acc = buckets.setdefault(key, [0, 0])
-            acc[0] += c_re * q
-            acc[1] += part * q
-    return PhaseScalar._of(_gaussian_terms(buckets, den * den * scale))
+        sums.append((k, c_re * q, c_im * q))
+    return ctx.sigma.matrix[0][1] * l * n_val * x * x, b0, sums, den * den * scale
+
+
+def _family_ball(h: Fraction, e: int, b0: int, sums, bits: int) -> tuple[int, int]:
+    """(M, rad), ints with |M - 2^bits den T| <= rad, for
+    T = (B_0 + 2 sum_k (C_re cos k theta - C_im sin k theta)) / den, theta the
+    phase of zeta^e, and _family_sums' nonzero (k, C_re, C_im), by k; bits >= 3.
+
+    circle.zeta_residue(h, e, bits=bits) is theta's residue r, within one unit
+    (2^-bits of a turn) of theta, and circle.cos_sin(r, bits) is z_1 = c_1 + i s_1,
+    |z_1 - 2^bits w| < 2 sqrt 2, w = e^(2 pi i r / 2^bits).  z_k is z_(k-1) z_1 / 2^bits,
+    each part floored, so with E_k = |z_k - 2^bits w^k|, z_0 = 2^bits exactly,
+    E_k < E_(k-1) + 3 + 3 E_(k-1) / 2^bits + sqrt 2, which the ints
+    R_0 = 0, R_k = R_(k-1) + 6 + floor(3 R_(k-1) / 2^bits) bound.  w^k is within
+    2 pi k 2^-bits < 7k 2^-bits of e^(ik theta), so M = B_0 2^bits +
+    2 sum_k (C_re c_k - C_im s_k) misses 2^bits den T by at most
+    rad = 2 sum_k (|C_re| + |C_im|) (R_k + 7k): one residue, one (cos, sin)
+    and one fixed-point complex multiply per power up to the top k.
+    """
+    c1, s1 = circle.cos_sin(circle.zeta_residue(h, e, bits=bits), bits)
+    c, s, power, err = 1 << bits, 0, 0, 0
+    mid, rad = b0 << bits, 0
+    for k, x, y in sums:
+        while power < k:
+            c, s = (c * c1 - s * s1) >> bits, (c * s1 + s * c1) >> bits
+            power, err = power + 1, err + 6 + (3 * err >> bits)
+        mid += 2 * (x * c - y * s)
+        rad += 2 * (abs(x) + abs(y)) * (err + 7 * k)
+    return mid, rad
+
+
+def _family_sign(h: Fraction, e: int, b0: int, sums, den: int) -> tuple[int, float]:
+    """(sign, mid) of T = (B_0 + 2 sum_k (C_re cos k theta - C_im sin k theta)) / den
+    for _family_sums' ints, theta the phase of zeta^e: sign is -1 or 1 where it
+    is decided and 0 where it is not, and mid is the ball's midpoint as a
+    float, the correctly rounded int quotient M / (2^bits den).
+
+    With no nonzero C_k, T = B_0 / den is exact.  Otherwise the ball
+    (_family_ball) decides the sign once |M| > rad; while it holds 0 the
+    precision doubles, from GUARD_BITS + bits(top k) + 8, up to PI_DOUBLINGS
+    times.  An exact zero (B_0 = 0 and every C_k = 0) is never decided; for
+    every other T the exponents k e h are distinct algebraic numbers, so
+    the e^(ik e h) are linearly independent over the algebraic numbers
+    (Lindemann-Weierstrass), T is not 0, and some precision decides it.
+    """
+    sums = sorted((k, x, y) for k, x, y in sums if x or y)
+    if not sums:
+        return (b0 > 0) - (b0 < 0), b0 / den
+    bits = circle.GUARD_BITS + sums[-1][0].bit_length() + 8
+    for _ in range(PI_DOUBLINGS + 1):
+        mid, rad = _family_ball(h, e, b0, sums, bits)
+        if abs(mid) > rad:
+            return (mid > 0) - (mid < 0), mid / (den << bits)
+        bits *= 2
+    return 0, mid / (den << bits // 2)
 
 
 def verify(state: StateCandidate, cert: Certificate, ctx: PhaseContext,
@@ -591,14 +650,19 @@ def verify(state: StateCandidate, cert: Certificate, ctx: PhaseContext,
     re-derived, verify() sums omega(a* a) for a = sum v_i W_(g_i) on the
     (N, l*) family it derives itself, not on cert.generators (the
     "generators" clause compares those), in closed form on ints
-    (_family_total), with no algebra product and no Gram machinery, and
-    rounds the exact total once: "negativity" demands that its real part
-    and the certified value are negative and agree within
-    tol * max(1, |real part|).  Each correlation c_k enters at zeta^(ke)
-    and, conjugated, at zeta^(-ke): the orbit values are real and sigma is
-    antisymmetric, so for any complex witness the (i, j) and (j, i) pair
-    terms are complex conjugates at negated exponents.  The same step makes
-    the exact total real, so its imaginary part needs no clause.
+    (_family_sums), with no algebra product and no Gram machinery.  Each
+    correlation c_k enters at zeta^(ke) and, conjugated, at zeta^(-ke): the
+    orbit values are real and sigma is antisymmetric, so for any complex
+    witness the (i, j) and (j, i) pair terms are complex conjugates at
+    negated exponents, and the exact total T is real.  "negativity" demands
+    three things.  The ball decides T < 0 (_family_sign): an exact zero, or
+    a ball that still holds 0 after PI_DOUBLINGS doublings, fails the
+    clause.  The certified value is negative.  And it agrees with the ball's
+    midpoint mid within tol * max(1, |mid|) + 2^-49 S, S the sum of the
+    term sizes (|B_0| + 2 sum_k (|C_re| + |C_im|)) / (D^2 P): the allowance
+    covers refute's rounding of each term, so tol = 0 accepts refute's own
+    certificates.  tol and the float serve only that agreement; the sign
+    never reads them.
     avg_value is informational (refute's search margin) and is not checked.
     tol is read once by as_tolerance, so "1/10" is a tolerance, and both
     comparisons use that value; nan, infinite or negative raises ValueError.
@@ -640,11 +704,12 @@ def verify(state: StateCandidate, cert: Certificate, ctx: PhaseContext,
     clause("generators", expected_gens == tuple(cert.generators),
            "generator family matches Theta_j xi for (N, l*)")
 
-    direct = numeric_eval(_family_total(state, params, cert.l_star, cert.witness, ctx), ctx)
-    bound = tol * max(1.0, abs(direct.real))
-    clause("negativity",
-           cert.value < 0 and direct.real < 0 and abs(direct.real - cert.value) <= bound,
-           f"omega(a*a) = {direct.real:.6e} vs certified {cert.value:.6e}")
+    e, b0, sums, den = _family_sums(state, params, cert.l_star, cert.witness, ctx)
+    sign, mid = _family_sign(ctx.h, e, b0, sums, den)
+    size = (abs(b0) + 2 * sum(abs(x) + abs(y) for _, x, y in sums)) / den  # S
+    bound = tol * max(1.0, abs(mid)) + size * 2.0**-49
+    clause("negativity", sign < 0 and cert.value < 0 and abs(mid - cert.value) <= bound,
+           f"omega(a*a) = {mid:.6e} vs certified {cert.value:.6e}")
 
     accepted = all(c.ok for c in clauses)
     return VerificationReport(accepted, tuple(clauses))

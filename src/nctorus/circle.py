@@ -5,6 +5,9 @@ proved error bound.  The Diophantine clause is decided on ints against it
 (certificate.satisfies_diophantine), and so is every phase: the phase of
 zeta^k is the exact 256-bit residue floor(|k| hbar 2^256) mod one turn,
 with k's sign (zeta_residue), so a phase float depends on h and k alone.
+A residue can be read at any bit count, and cos_sin turns it into
+fixed-point cos and sin with a proved error: the ball in which
+certificate.verify decides the sign of omega(a* a).
 
 The module also hosts the minimal-hit solver for irrational rotations:
 the smallest k >= 1 with k * alpha landing in a prescribed arc.  This is
@@ -81,37 +84,86 @@ def to_fixed(turns: Fraction) -> int:
     return (turns.numerator * MODULUS) // turns.denominator % MODULUS
 
 
-def hbar_slice(h: Fraction, n: int) -> tuple[int, int]:
-    """(b, floor(h 2^b / 2pi)) at b = bits(n) + 256 + GUARD_BITS: hbar, exact,
-    at the precision zeta_residue reads every exponent |k| <= n at.
+def hbar_slice(h: Fraction, n: int, bits: int = BITS) -> tuple[int, int]:
+    """(b, floor(h 2^b / 2pi)) at b = bits(n) + bits + GUARD_BITS: hbar, exact,
+    at the precision zeta_residue reads every exponent |k| <= n at to `bits` bits.
 
     The floor is taken at both ends of the pi interval P -+ PI_ERROR,
     P = pi_scaled(m), m doubling from b + bits(h's numerator) + GUARD_BITS
     while the two differ (h 2^b / 2pi is irrational, so that ends).  Being
     exact, it does not depend on which pi slices were computed before.
     """
-    bits = n.bit_length() + BITS + GUARD_BITS
-    m = bits + abs(h.numerator).bit_length() + GUARD_BITS
-    while len(ends := {(h.numerator << (bits + m)) // (2 * h.denominator * (pi_scaled(m) + e))
+    b = n.bit_length() + bits + GUARD_BITS
+    m = b + abs(h.numerator).bit_length() + GUARD_BITS
+    while len(ends := {(h.numerator << (b + m)) // (2 * h.denominator * (pi_scaled(m) + e))
                        for e in (PI_ERROR, -PI_ERROR)}) > 1:
         m *= 2
-    return bits, ends.pop()
+    return b, ends.pop()
 
 
-def zeta_residue(h: Fraction, k: int, held: tuple[int, int] | None = None) -> int:
-    """The phase of zeta^k: floor(|k| hbar 2^256) mod one turn, negated for k < 0.
+def zeta_residue(h: Fraction, k: int, held: tuple[int, int] | None = None,
+                 bits: int = BITS) -> int:
+    """The phase of zeta^k: floor(|k| hbar 2^bits) mod one turn, negated for k < 0.
 
-    With (b, H) = hbar_slice(h, n), n >= |k|, |k| H <= |k| hbar 2^b < |k| H + |k|,
-    so both ends of the product shifted down to 256 bits bound the residue.
+    With (b, H) = hbar_slice(h, n, bits), n >= |k|, |k| H <= |k| hbar 2^b < |k| H + |k|,
+    so both ends of the product shifted down to `bits` bits bound the residue.
     They agree but for about 2^-64 of exponents; where they differ, a wider
     slice is read.  So the residue is the exact floor whatever slice decides
-    it.  held is a slice the caller took once for many exponents.
+    it, and the true phase of zeta^k lies within one unit, 2^-bits of a turn,
+    of it.  held is a slice the caller took once for many exponents, at the
+    same `bits`.
     """
     n = abs(k)
-    bits, hbar = held or hbar_slice(h, n)
-    while (r := (t := n * hbar) >> (bits - BITS)) != (t + n) >> (bits - BITS):
-        bits, hbar = hbar_slice(h, n << bits)  # bits(n) + bits more bits
-    return -r & (MODULUS - 1) if k < 0 else r & (MODULUS - 1)  # mod one turn, as a mask
+    width, hbar = held or hbar_slice(h, n, bits)
+    while (r := (t := n * hbar) >> (width - bits)) != (t + n) >> (width - bits):
+        width, hbar = hbar_slice(h, n << width, bits)  # bits(n) + width more bits
+    mask = (1 << bits) - 1
+    return -r & mask if k < 0 else r & mask  # mod one turn, as a mask
+
+
+def cos_sin(r: int, bits: int) -> tuple[int, int]:
+    """Fixed-point (cos, sin) of the turn residue r: ints (c, s) with
+    |c - 2^bits cos(t)| < 2 and |s - 2^bits sin(t)| < 2, t = 2pi r / 2^bits, bits >= 3.
+
+    The quarter turns come off exactly: r = j 2^(bits-2) + f with
+    |f| <= 2^(bits-3), so t = j pi/2 + alpha, |alpha| <= pi/4, and (cos t, sin t)
+    is (cos alpha, sin alpha) turned j times by (c, s) -> (-s, c).  The Taylor
+    series of alpha are summed at w = bits + g bits, g = bits(bits) + 2.
+
+    Proof of the bound.  With P = pi_scaled(w), |P - pi 2^w| < PI_ERROR = 2,
+    A = floor(f P / 2^(bits-1)) misses alpha 2^w = f pi 2^(w-bits+1) by less
+    than |f| 2 / 2^(bits-1) + 1 <= 3/2, so u = |A| / 2^w is within 3/2 units
+    (of 2^-w) of |alpha| and below 0.79; cos is even and sin odd, so s takes
+    the sign of A.  The terms t_0 = 2^w, t_n = floor(t_(n-1) |A| / (n 2^w))
+    (nested floors of non-negative ints) fall short of V_n = 2^w u^n / n! by
+    e_n, 0 <= e_n < e_(n-1) u / n + 1, so e_n < 2 for every n.  The loop stops
+    at the first t_Z = 0, Z <= w as V_w = 2^w u^w / w! < 1.58^w / w! < 1; V_n
+    falls with n, so each alternating tail left out is below V_Z <= e_Z < 2.
+    Each sum, of at most w/2 computed terms, is then within w + 2 units of
+    2^w cos u (resp. 2^w sin u), and within w + 4 of 2^w cos alpha (resp. sin),
+    both 1-Lipschitz.  2^g > 4 bits >= w + 4 for bits >= 3, so the shift to
+    bits bits leaves under one unit, and its floor under one more: under 2.
+    The quarter turns are exact.
+    """
+    if bits < 3:
+        raise ValueError(f"need bits >= 3, got {bits}")
+    j, f = divmod(r + (1 << (bits - 3)), 1 << (bits - 2))
+    f -= 1 << (bits - 3)
+    g = bits.bit_length() + 2
+    w = bits + g
+    a = f * pi_scaled(w) >> (bits - 1)
+    u, term, n = abs(a), 1 << w, 0
+    sums = [term, 0]  # cos alpha, sin |alpha|, at w bits
+    while term:
+        n += 1
+        term = (term * u >> w) // n
+        sums[n & 1] += -term if n & 2 else term
+    c, s = sums[0] >> g, sums[1] >> g
+    if a < 0:
+        s = -s
+    for _ in range(j & 3):
+        c, s = -s, c
+    return c, s
 
 
 def phase_angle(h: Fraction, zeta_exp: int) -> float:

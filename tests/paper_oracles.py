@@ -16,6 +16,12 @@ circle.signed_angle must give the same floats, bit for bit, and so must
 family_values_per_exponent, which scores the families of
 certificate._family_values with every exponent reduced on its own, against
 its one residue per distinct k l.
+turns_by_machin and cos_sin_by_machin read the phase of zeta^k in turns
+and its cos and sin as Fractions to 400 bits on that same Machin pi, with
+no quarter turn taken off: the oracle for circle.cos_sin and for the sign
+verify decides.  family_total is omega(a* a) on a family as the exact
+PhaseScalar built from certificate._family_sums, and family_total_by_machin
+the same total as a 400-bit Fraction.
 family_generators_by_theta builds each family label as the matrix
 product Theta_j xi, one lattice.theta_j per generator, which the closed-form
 progression of certificate.family_generators must reproduce.
@@ -73,10 +79,12 @@ from pathlib import Path
 import numpy as np
 
 from nctorus.algebra import AlgebraElement, adjoint, multiply, weyl
+from nctorus.certificate import _family_sums
 from nctorus.lattice import SkewForm, as_matrix, as_vector, pairing, theta_j
 from nctorus.parser import MAX_DEPTH, ParseError
 from nctorus.scalars import (ROOT_I, ROOT_ONE, GaussRat, PhaseScalar, _coefficient, _gaussian,
-                             _sum_of_products, as_fraction, as_scalar, cyclotomic)
+                             _gaussian_terms, _sum_of_products, as_fraction, as_scalar,
+                             cyclotomic)
 from nctorus.states import HermitianMatrix, PsdVerdict, eval_generator
 
 
@@ -235,6 +243,67 @@ def family_values_per_exponent(state, params, ctx) -> list[float]:
             terms.append(2 * (d - k) * qk * cosines[e])
         values.append(math.fsum([base, *terms]))
     return values
+
+
+def turns_by_machin(h, k: int, bits: int = 400) -> Fraction:
+    """The phase of zeta^k in turns, k h / 2pi mod 1, within 2^-bits, read on
+    the reference's Machin pi at bits(k h) + bits + 8 bits."""
+    x = k * as_fraction(h)
+    w = (abs(x.numerator) // x.denominator + 1).bit_length() + bits + 8
+    t = Fraction(x.numerator << w, 2 * x.denominator * perfbench_reference().pi_scaled(w))
+    return t - floor(t)
+
+
+def cos_sin_by_machin(turns, bits: int = 400) -> tuple[Fraction, Fraction]:
+    """(cos 2pi t, sin 2pi t) as Fractions, each within 2^-bits, bits <= 10000.
+
+    t is reduced to [-1/2, 1/2), and x = 2pi t is read on the reference's
+    Machin pi and rounded to the grid 2^-w, w = bits + 16: within 2^(2-w) of
+    2pi t, |x| <= pi + 2^-w.  The plain Taylor terms x^n / n!, each rounded to
+    the grid from the last, are summed, with no quarter turn taken off, until
+    a term rounds to 0 past n = 3.  A term's error e_n <= e_(n-1) |x| / n + 2^-w
+    stays below 6 units, so the (fewer than w) terms, the tail past the last
+    (below 7 units: the terms fall from n = 4 on) and x's error stay below
+    (6w + 12) 2^-w < 2^-bits.
+    """
+    w = bits + 16
+    one = 1 << w
+    t = as_fraction(turns)
+    t -= floor(t + Fraction(1, 2))
+    x = round(2 * t * perfbench_reference().pi_scaled(w))
+    term, n, parts = one, 0, [0, 0]
+    while term or n < 4:
+        parts[n & 1] += -term if n & 2 else term
+        n += 1
+        term = round(Fraction(term * x, n * one))
+    return Fraction(parts[0], one), Fraction(parts[1], one)
+
+
+def family_total(state, params, l: int, witness, ctx) -> PhaseScalar:
+    """omega(a* a) on the (N, l) family as the exact PhaseScalar: the ints of
+    certificate._family_sums, one bucket per zeta degree, each C_k at k e and
+    its conjugate at -k e, divided once by D^2 P (scalars._gaussian_terms)."""
+    e, b0, sums, den = _family_sums(state, params, l, witness, ctx)
+    buckets = {0: [b0, 0]}
+    for k, c_re, c_im in sums:
+        for key, part in ((k * e, c_im), (-k * e, -c_im)):
+            acc = buckets.setdefault(key, [0, 0])
+            acc[0] += c_re
+            acc[1] += part
+    return PhaseScalar._of(_gaussian_terms(buckets, den))
+
+
+def family_total_by_machin(state, params, l: int, witness, ctx, bits: int = 400) -> Fraction:
+    """omega(a* a) on the (N, l) family as a Fraction within 2^-bits S, S the
+    sum of its term sizes: the ints of certificate._family_sums, with the cos
+    and sin of every exponent k e read on their own (turns_by_machin,
+    cos_sin_by_machin)."""
+    e, b0, sums, den = _family_sums(state, params, l, witness, ctx)
+    total = Fraction(b0)
+    for k, c_re, c_im in sums:
+        c, s = cos_sin_by_machin(turns_by_machin(ctx.h, k * e, bits + 8), bits + 8)
+        total += 2 * (c_re * c - c_im * s)
+    return total / den
 
 
 def family_generators_by_theta(params, l: int) -> tuple:

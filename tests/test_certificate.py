@@ -3,6 +3,8 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from nctorus.certificate import (
     ConsistentWithTrace,
     DiophantineBudgetError,
     DiophantinePrecisionError,
+    _family_ball,
     _family_orbits,
-    _family_total,
+    _family_sums,
     _family_values,
     _window,
     average_R,
@@ -44,7 +47,9 @@ from nctorus.circle import PI_ERROR, pi_scaled
 from nctorus.lattice import SIGMA2, SkewForm
 from nctorus.scalars import GaussRat, PhaseScalar
 from paper_oracles import (build_H_prime, clause_by_reference_pi, det_P, diophantine_fraction,
-                           family_generators_by_theta, is_hermitian, perfbench_reference, scan_hit)
+                           cos_sin_by_machin, family_generators_by_theta, family_total,
+                           family_total_by_machin, is_hermitian, perfbench_reference, scan_hit,
+                           turns_by_machin)
 
 
 # -- diophantine ------------------------------------------------------------
@@ -702,8 +707,9 @@ def test_refute_builds_no_family_matrix(monkeypatch):
 
 @pytest.mark.parametrize("h", [Fraction(1), Fraction(5, 7)])
 def test_refute_value_is_verify_value(h):
-    # refute certifies the exact witness total rounded once: the very float
-    # verify recomputes by bare multiplication, on single- and multi-orbit states
+    # refute certifies the exact witness total rounded once: the very float the bare
+    # algebra product gives, on single- and multi-orbit states, and the exact scalar of
+    # the closed form whose sign verify decides
     ctx = PhaseContext(h=h)
     for orbit, p in ((1, 0.3), (2, -0.45), (1, 0.5), (3, 1.5)):
         single = StateCandidate({orbit: p})
@@ -717,7 +723,7 @@ def test_refute_value_is_verify_value(h):
             direct = evaluate(state, multiply(adjoint(element), element, ctx), ctx)
             assert cert.value == direct.real, (orbit, p, state)
             assert direct.imag == 0.0  # the real exact total rounds to a real float
-            total = _family_total(state, cert.params, cert.l_star, cert.witness, ctx)
+            total = family_total(state, cert.params, cert.l_star, cert.witness, ctx)
             dense = build_H_second(state, cert.params, cert.l_star, ctx)
             assert total == quadratic_form(dense, cert.witness), (orbit, p, state)
             assert numeric_eval(total, ctx) == direct
@@ -757,17 +763,16 @@ def test_witness_total_is_the_algebra_product(data):
     state, params, l, witness, ctx = _family_case(data)
     a = AlgebraElement(2, dict(zip(family_generators(params, l), witness)))
     expected = evaluate_exact(state, multiply(adjoint(a), a, ctx))
-    total = _family_total(state, params, l, witness, ctx)
+    total = family_total(state, params, l, witness, ctx)
     assert total == expected
     assert sorted(total.terms()) == sorted(expected.terms())  # Q(i): one canonical form
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 13])
 def test_witness_total_reads_one_orbit_per_distance(n, monkeypatch):
-    # the total reads p_x and, per distance k = 1..d-1, at most the one declared orbit
+    # the sums read p_x and, per distance k = 1..d-1, at most the one declared orbit
     # kNx: state.value is called on declared orbits only, never on an undeclared kNx
-    # (the even k are declared here, up to d + 1), and no gcd is taken before the final
-    # division of its buckets
+    # (the even k are declared here, up to d + 1), and no gcd is taken
     import nctorus.certificate as certificate
     import nctorus.scalars as scalars
 
@@ -778,18 +783,8 @@ def test_witness_total_reads_one_orbit_per_distance(n, monkeypatch):
             self.reads.append(j)
             return super().value(j)
 
-    finishing, gcd = [], math.gcd
-
     def no_gcd(*args):
-        assert finishing, "the family total must not take a gcd"
-        return gcd(*args)
-
-    def finish(*args):
-        finishing.append(True)
-        try:
-            return scalars._gaussian_terms(*args)
-        finally:
-            finishing.pop()
+        raise AssertionError("the family sums must not take a gcd")
 
     ctx = PhaseContext(h=Fraction(5, 7))
     n_val, x = math.factorial(n) * 3, 2
@@ -801,13 +796,13 @@ def test_witness_total_reads_one_orbit_per_distance(n, monkeypatch):
     monkeypatch.setattr(math, "gcd", no_gcd)
     monkeypatch.setattr(scalars, "gcd", no_gcd)
     monkeypatch.setattr(certificate, "gcd", no_gcd, raising=False)
-    monkeypatch.setattr(certificate, "_gaussian_terms", finish)
-    total = _family_total(state, params, n, witness, ctx)
+    sums = _family_sums(state, params, n, witness, ctx)
     assert x in state.reads and set(state.reads) <= set(state.declared_orbits())
     monkeypatch.undo()
+    assert [k for k, _, _ in sums[2]] == list(range(2, n, 2))
     a = AlgebraElement(2, dict(zip(family_generators(params, n), witness)))
-    assert total == evaluate_exact(StateCandidate(dict(state.items())),
-                                   multiply(adjoint(a), a, ctx))
+    assert family_total(state, params, n, witness, ctx) == evaluate_exact(
+        StateCandidate(dict(state.items())), multiply(adjoint(a), a, ctx))
 
 
 def test_family_readers_skip_orbits_off_the_family():
@@ -828,8 +823,8 @@ def test_family_readers_skip_orbits_off_the_family():
         assert _family_orbits(decoyed, cert.params) == _family_orbits(plain, cert.params)
         assert _family_values(decoyed, cert.params, ctx) == _family_values(plain, cert.params, ctx)
         for l in range(1, d + 1):
-            assert (_family_total(decoyed, cert.params, l, cert.witness, ctx)._terms
-                    == _family_total(plain, cert.params, l, cert.witness, ctx)._terms)
+            assert (_family_sums(decoyed, cert.params, l, cert.witness, ctx)
+                    == _family_sums(plain, cert.params, l, cert.witness, ctx))
         assert refute(decoyed, ctx).dumps() == cert.dumps()
         for tol in (1e-9, 0):
             report = verify(decoyed, cert, ctx, tol)
@@ -837,7 +832,8 @@ def test_family_readers_skip_orbits_off_the_family():
 
 
 def test_verify_uses_no_product_or_gram(ctx, monkeypatch):
-    # verify sums the pair relations itself: no algebra product, state evaluation or Gram build
+    # verify sums the pair relations itself: no algebra product, state evaluation, Gram
+    # build or float evaluation of an exact scalar, and it builds no PhaseScalar
     import nctorus
     import nctorus.algebra as algebra
     import nctorus.certificate as certificate
@@ -852,9 +848,11 @@ def test_verify_uses_no_product_or_gram(ctx, monkeypatch):
         raise AssertionError("verify must not call this")
 
     for module in (nctorus, algebra, states, certificate):
-        for name in ("multiply", "evaluate", "evaluate_exact", "gram", "quadratic_form"):
+        for name in ("multiply", "evaluate", "evaluate_exact", "gram", "quadratic_form",
+                     "numeric_eval"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(PhaseScalar, "_of", forbidden)
     for state, cert in cases:
         assert verify(state, cert, ctx).accepted
         tampered = cert.to_json()
@@ -875,11 +873,152 @@ def test_verify_needs_genus_one():
 @given(st.data())
 def test_witness_total_is_real(data):
     # orbit values are real and sigma is antisymmetric, so each correlation c_k comes with
-    # its conjugate at the negated exponent for any complex witness: omega(a* a) is
-    # real, and verify has no clause on its imaginary part
+    # its conjugate at the negated exponent for any complex witness: omega(a* a) of the
+    # algebra product is real, and verify decides the sign of its real closed form
     state, params, l, witness, ctx = _family_case(data)
-    total = _family_total(state, params, l, witness, ctx)
+    a = AlgebraElement(2, dict(zip(family_generators(params, l), witness)))
+    total = evaluate_exact(state, multiply(adjoint(a), a, ctx))
     assert total == total.conjugate()
+
+
+# -- the sign of omega(a* a), decided by a ball ---------------------------------
+
+REPRODUCERS = Path(__file__).resolve().parent / "reproducers"
+
+
+@lru_cache(maxsize=None)
+def _two_fifths():
+    """refute's certificate for {1: 2/5}: d = 7, N = 467046720, l* = 1."""
+    return refute(StateCandidate({1: Fraction(2, 5)}), PhaseContext())
+
+
+def _with_value(cert, value):
+    return Certificate.from_json({**cert.to_json(), "value": value})
+
+
+def _defect_c():
+    state = json.loads(REPRODUCERS.joinpath("defect_c_state.json").read_text(),
+                       parse_float=Fraction)
+    cert = Certificate.loads(REPRODUCERS.joinpath("defect_c_cert.json").read_text())
+    return StateCandidate.from_json(state), cert
+
+
+def test_defect_c_reproducer_rejects():
+    # refute's certificate for {1: 2/5} with q_(3N) added to the state and, as value,
+    # the float a per-term rounding of the total gives: the exact total is +3.0e-20,
+    # so the certificate is no proof, and the ball decides that
+    state, cert = _defect_c()
+    plain = _two_fifths()
+    assert cert.to_json() == {**plain.to_json(), "value": -1.1102230246251565e-16}
+    assert state.value(3 * plain.params.N) == Fraction(
+        -744214937929246506526075426439800130379, 6385807784297335059280760247358012290167)
+    exact = family_total_by_machin(state, cert.params, cert.l_star, cert.witness, PhaseContext())
+    assert abs(exact - Fraction(3, 10**20)) < Fraction(1, 10**30)
+    for tol in (1e-9, 0.25, 0):
+        report = verify(state, cert, PhaseContext(), tol)
+        assert not report.accepted and report.failed == "negativity", tol
+        assert float(report.clauses[-1].detail.split()[2]) > 0  # the ball's midpoint
+
+
+def test_exactly_zero_total_rejects():
+    # an all-zero witness makes B_0 and every C_k exactly 0: T = 0 is not negative,
+    # however small the stored value and however wide tol
+    plain = _two_fifths()
+    n_val = plain.params.N
+    zero = Certificate.from_json({**plain.to_json(), "value": -1e-300,
+                                  "witness": [[0, 0]] * (plain.params.d + 1)})
+    for values in ({1: Fraction(2, 5)}, {1: Fraction(2, 5), n_val: Fraction(1, 3),
+                                         3 * n_val: Fraction(-1, 5)}):
+        state = StateCandidate(values)
+        e, b0, sums, den = _family_sums(state, zero.params, zero.l_star, zero.witness,
+                                        PhaseContext())
+        assert b0 == 0 and all(x == y == 0 for _, x, y in sums)
+        for tol in (0, 1e-9, 10):
+            report = verify(state, zero, PhaseContext(), tol)
+            assert report.failed == "negativity", (values, tol)
+
+
+def test_positive_value_rejects_at_any_tol():
+    # the exact total is -0.84; a stored +0.5 agrees with it within tol = 10, and
+    # only the sign of the stored value rejects it
+    plain = _two_fifths()
+    state = StateCandidate({1: Fraction(2, 5)})
+    assert verify(state, plain, PhaseContext(), 10).accepted
+    report = verify(state, _with_value(plain, 0.5), PhaseContext(), 10)
+    assert not report.accepted and report.failed == "negativity"
+
+
+def _tuned(k: int, target: Fraction) -> StateCandidate:
+    """{1: 2/5} with one q_(kN), rounded to 2^-256, that puts the exact total on its
+    l* family within 1e-40 of target, checked at 400 bits."""
+    plain, ctx = _two_fifths(), PhaseContext()
+    n_val = plain.params.N
+
+    def total(q):
+        state = StateCandidate({1: Fraction(2, 5), k * n_val: q})
+        return family_total_by_machin(state, plain.params, plain.l_star, plain.witness, ctx)
+
+    base = Fraction(-84, 100)  # d - d^2 p^2 at d = 7, p = 2/5: no orbit kN declared
+    q = Fraction(round((target - base) / (total(1) - base) * 2**256), 2**256)
+    assert abs(total(q) - target) < Fraction(1, 10**40)
+    return StateCandidate({1: Fraction(2, 5), k * n_val: q})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 9), st.sampled_from((-1, 1)))
+def test_verify_accepts_exactly_the_negative_tuned_totals(k, j, sign):
+    # one q_(kN) tuned so that the exact total is sign * j 1e-20: the stored value
+    # -j 1e-20 is negative and agrees with either total, so verify must accept exactly
+    # where the total is negative
+    state = _tuned(k, sign * j * Fraction(1, 10**20))
+    cert = _with_value(_two_fifths(), -j * 1e-20)
+    for tol in (1e-9, 0):
+        report = verify(state, cert, PhaseContext(), tol)
+        assert report.accepted == (sign < 0), (k, j, sign, tol, report.clauses[-1].detail)
+        if sign > 0:
+            assert report.failed == "negativity"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(3, 8) | st.integers(3, 160))
+def test_family_ball_holds_the_exact_total(data, bits):
+    # at any precision the ball holds 2^bits D^2 P times the 400-bit total, for random
+    # forms, h, witnesses and orbit values; its radius is a few units per term size.
+    # At a few bits the residue's unit, up to 2pi k units of cos k theta, is most of it
+    state, params, l, witness, ctx = _family_case(data)
+    e, b0, sums, den = _family_sums(state, params, l, witness, ctx)
+    sums = sorted((k, x, y) for k, x, y in sums if x or y)
+    mid, rad = _family_ball(ctx.h, e, b0, sums, bits)
+    exact = family_total_by_machin(state, params, l, witness, ctx) * den * 2**bits
+    assert abs(mid - exact) <= rad
+    assert rad <= 2 * sum(abs(x) + abs(y) for _, x, y in sums) * 14 * params.d
+
+
+@pytest.mark.parametrize("bits, k, e", [(5, 2, 150), (8, 1, 8), (8, 5, 43), (8, 20, 242)])
+def test_family_ball_covers_the_residue_unit(bits, k, e):
+    # T = 2 cos(k e) at h = 1: theta's residue sits almost a unit below theta and
+    # sin(k theta) is near +-1, so cos k theta moves by nearly 2pi k units; the ball
+    # holds 2^bits T only with its 7k units per power for the residue
+    mid, rad = _family_ball(Fraction(1), e, 0, [(k, 1, 0)], bits)
+    cos, _ = cos_sin_by_machin(turns_by_machin(1, k * e))
+    assert abs(mid - 2 * cos * 2**bits) <= rad
+
+
+def test_undecided_sign_rejects_at_the_cap(monkeypatch):
+    # a total of -1e-22 lies inside the first ball, at 74 bits, and the doubled one
+    # decides it; with no doubling allowed the ball still holds 0, and verify rejects
+    import nctorus.certificate as certificate
+
+    state, ctx = _tuned(3, Fraction(-1, 10**22)), PhaseContext()
+    cert = _with_value(_two_fifths(), -1e-22)
+    e, b0, sums, den = _family_sums(state, cert.params, cert.l_star, cert.witness, ctx)
+    mid, rad = _family_ball(ctx.h, e, b0, sums, certificate.circle.GUARD_BITS + 2 + 8)
+    assert abs(mid) <= rad
+    assert verify(state, cert, ctx).accepted
+    monkeypatch.setattr(certificate, "PI_DOUBLINGS", 0)
+    assert certificate._family_sign(ctx.h, e, b0, sums, den)[0] == 0
+    report = verify(state, cert, ctx)
+    assert not report.accepted and report.failed == "negativity"
 
 
 def test_refute_other_h():

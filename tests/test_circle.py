@@ -6,12 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nctorus import circle
 from nctorus.circle import (
     MODULUS,
     PI_ERROR,
+    cos_sin,
     first_hit,
     hbar_slice,
     phase_angle,
@@ -20,8 +21,8 @@ from nctorus.circle import (
     to_fixed,
     zeta_residue,
 )
-from paper_oracles import (PI_200, fixed_to_angle, perfbench_reference, phase_angle_by_division,
-                           residue_by_fraction, scan_hit)
+from paper_oracles import (PI_200, cos_sin_by_machin, fixed_to_angle, perfbench_reference,
+                           phase_angle_by_division, residue_by_fraction, scan_hit, turns_by_machin)
 
 
 def brute_first_hit(a, m, t, w, cap):
@@ -134,6 +135,50 @@ def test_residue_is_decided_at_any_guard(monkeypatch):
         for j in range(0, 1500, 3):
             bits, hbar = hbar_slice(h, 1 << j)
             assert {math.floor(h * 2**(bits + 3000) / (2 * (pi_b + e))) for e in (2, -2)} == {hbar}
+
+
+def _quadrant_edges(test):
+    """@example at every quarter turn of a 256-bit residue, and one unit either side."""
+    for j in range(-1, 6):
+        for step in (-1, 0, 1):
+            test = example((256, j * 2**254 + step))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 320).flatmap(lambda b: st.tuples(st.just(b), st.one_of(
+    st.integers(-2**(b + 1), 2**(b + 1)),  # drawn near 0 and the ends, mostly
+    st.binary(min_size=41, max_size=41).map(
+        lambda raw: int.from_bytes(raw, "big") % 2**(b + 2) - 2**(b + 1))))))
+@_quadrant_edges
+@example((3, 0))
+@example((3, 7))
+@example((4, -9))
+def test_cos_sin_holds_the_true_values(case):
+    # the fixed-point cos and sin of the turn residue r at b bits are within 2 units of
+    # 2^b cos(2 pi r / 2^b) and 2^b sin(2 pi r / 2^b), read to 400 bits by the oracle
+    bits, r = case
+    c, s = cos_sin(r, bits)
+    want_c, want_s = cos_sin_by_machin(Fraction(r, 1 << bits), 400)
+    assert abs(c - want_c * 2**bits) < 2 and abs(s - want_s * 2**bits) < 2
+
+
+def test_cos_sin_needs_three_bits():
+    with pytest.raises(ValueError):
+        cos_sin(1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(-2**320, 2**320), st.integers(-2**2000, 2**2000)),
+       st.integers(1, 700), st.sampled_from((Fraction(1), Fraction(3, 7), Fraction(-5, 3))))
+def test_residue_at_any_bit_count(k, bits, h):
+    # zeta_residue(h, k, bits=b) is floor(|k| hbar 2^b) mod 2^b, with k's sign: the
+    # 256-bit residue is its top bits, and it is within a unit of the 400-bit oracle
+    r = zeta_residue(h, k, bits=bits)
+    if bits <= 256:
+        assert r == (zeta_residue(h, abs(k)) >> (256 - bits)) * (1 if k >= 0 else -1) % 2**bits
+    want = turns_by_machin(h, k, bits + 64) * 2**bits
+    assert abs(r - want) < 1 or abs(abs(r - want) - 2**bits) < 1
 
 
 def test_phase_floats_do_not_depend_on_slice_order(tmp_path):

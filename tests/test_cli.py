@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +167,16 @@ def test_verify_agreement_is_relative(capsys, tmp_path):
     blob["value"] *= 1 + 1e-6
     code, out, _ = run(capsys, "verify", "--state", state, "--cert", json.dumps(blob))
     assert code == 1 and out.startswith("REJECT: negativity")
+
+
+def test_verify_rejects_the_defect_c_reproducer(capsys):
+    # a certificate whose exact total is +3.0e-20 and whose value is the float of a
+    # per-term rounding, -1.1e-16: the sign is decided by a ball, whatever --tol says
+    here = Path(__file__).resolve().parent / "reproducers"
+    files = ["--state", str(here / "defect_c_state.json"), "--cert", str(here / "defect_c_cert.json")]
+    for tol in ([], ["--tol", "0"], ["--tol", "1/4"]):
+        code, out, _ = run(capsys, *tol, "verify", *files)
+        assert code == 1 and out.splitlines()[0] == "REJECT: negativity", tol
 
 
 def test_tol_is_read_as_a_rational(capsys, tmp_path):
