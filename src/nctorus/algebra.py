@@ -18,8 +18,8 @@ from typing import Iterator, Mapping
 
 from . import circle
 from .lattice import SIGMA2, SkewForm, Vec, as_vector
-from .scalars import (ROOT_I, ROOT_ONE, PhaseScalar, _operand, _product_kernel, as_fraction,
-                      as_scalar)
+from .scalars import (ROOT_I, ROOT_ONE, PhaseScalar, _gaussian_into, _gaussian_terms, _operand,
+                      _product_kernel, as_fraction, as_scalar)
 
 
 @dataclass(frozen=True)
@@ -154,31 +154,30 @@ def weyl(m) -> AlgebraElement:
 def multiply(a: AlgebraElement, b: AlgebraElement, ctx: PhaseContext) -> AlgebraElement:
     """Bilinear extension of W_n W_m = zeta^sigma(n, m) W_(n+m).
 
-    Every term pair of every coefficient pair goes, unreduced, into the
-    buckets of its support point n + m, shifted by zeta^(n^T Sigma m); each
-    (support point, zeta degree) bucket is then finished once.  When every
-    root of both elements is 1 or i, a bucket is one Gaussian-int pair
-    [re, im] and needs no reduction; otherwise it holds roots that
-    _canonical reduces.  No PhaseScalar is built per pair, and the result's
-    canonical form depends only on the set of pair products (scalars module
-    docstring).
+    Every root of both elements must be 1 or i (a product with any other
+    root raises ValueError, scalars module docstring).  Both are scaled to
+    Gaussian ints once, every term pair of every coefficient pair goes,
+    undivided, into the [re, im] bucket of its support point n + m and
+    zeta degree, shifted by zeta^(n^T Sigma m), and each bucket is divided
+    once.  No PhaseScalar is built per pair, and Q(i)'s canonical form is
+    unique, so the result does not depend on the pair order.
     """
     d = ctx.dimension
     if a.dimension != d or b.dimension != d:
         raise ValueError(f"dimension mismatch: elements of dimension {a.dimension}, "
                          f"{b.dimension} in a {d}-dimensional context")
     sig = ctx.sigma.matrix
-    den, left, right_terms, into, finish = _product_kernel(
-        [c._terms for c in a._terms.values()], [c._terms for c in b._terms.values()])
+    den, left, right_terms = _product_kernel([c._terms for c in a._terms.values()],
+                                             [c._terms for c in b._terms.values()])
     right = list(zip(b._terms, right_terms))
     raw: dict[Vec, dict] = defaultdict(dict)  # a point's buckets are made when it first occurs
     for n, cn in zip(a._terms, left):
         row = [sum(n[i] * sig[i][j] for i in range(d)) for j in range(d)]  # n^T Sigma
         for m, cm in right:
             key = tuple(map(add, n, m))
-            into(raw[key], cn, cm, sum(map(mul, row, m)))
+            _gaussian_into(raw[key], cn, cm, sum(map(mul, row, m)))
     return AlgebraElement._of(d, {key: PhaseScalar._of(terms) for key, buckets in raw.items()
-                                  if (terms := finish(buckets, den))})  # a point may cancel
+                                  if (terms := _gaussian_terms(buckets, den))})  # a point may cancel
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:

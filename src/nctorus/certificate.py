@@ -71,7 +71,7 @@ class DiophantinePrecisionError(DiophantineBudgetError):
 
 
 class RefutationMarginError(RuntimeError):
-    """The floating-point negativity margin stayed below 1e-6."""
+    """No try of refute() gave a negative certified value."""
 
 
 @dataclass(frozen=True)
@@ -456,15 +456,15 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
 
     Returns a Certificate whose witness value is strictly negative, or
     ConsistentWithTrace when every declared orbit value vanishes.  The d
-    families are scored in closed form (_family_values); their mean is
-    avg_value, which must fall below -1e-6 (else eps halves and N is
-    searched again).  The lowest-scoring family is l*.  The certified value
-    is the exact witness total v^dagger H v on l*'s Gram matrix, rounded
-    once, term by term (algebra.numeric_eval).  omega(a* a) is the same
-    exact scalar: verify() decides its sign with a ball (_family_sign), and
-    reads this float only for the agreement within tol and 2^-49 S of its
-    own midpoint, S the sum of the term sizes, which covers that per-term
-    rounding.
+    families are scored in closed form (_family_values); the lowest-scoring
+    family is l*, and the mean score is the informational avg_value.  The
+    certified value is the exact witness total v^dagger H v on l*'s Gram
+    matrix, rounded once, term by term (algebra.numeric_eval).  When it is
+    not negative, eps halves and N is searched again, four tries in all.
+    omega(a* a) is the same exact scalar: verify() decides its sign with a
+    ball (_family_sign), and reads this float only for the agreement within
+    tol and 2^-49 S of its own midpoint, S the sum of the term sizes, which
+    covers that per-term rounding.
     """
     if ctx.genus != 1:
         raise ValueError(
@@ -491,23 +491,22 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
         n_val = diophantine_N(ctx, orbit, d, eps, budget=budget)
         params = CertParams(xi=(orbit, orbit), d=d, N=n_val, epsilon=eps)
         values = _family_values(state, params, ctx)
-        avg_value = math.fsum(values) / d
-        if avg_value < -1e-6:
-            l_star = values.index(min(values)) + 1
-            gens = family_generators(params, l_star)
-            total = quadratic_form(gram(state, gens, ctx), v)
+        l_star = values.index(min(values)) + 1
+        gens = family_generators(params, l_star)
+        value = numeric_eval(quadratic_form(gram(state, gens, ctx), v), ctx).real
+        if value < 0:
             return Certificate(
                 params=params,
                 p=p,
                 l_star=l_star,
                 generators=gens,
                 witness=v,
-                value=numeric_eval(total, ctx).real,
-                avg_value=avg_value,
+                value=value,
+                avg_value=math.fsum(values) / d,
             )
         eps = eps / 2  # shrink the phase tolerance and retry
     raise RefutationMarginError(
-        f"negativity margin stayed above -1e-6 for p = {p} (degenerate candidate)")
+        f"no negative certified value after four tries for p = {p} (degenerate candidate)")
 
 
 @dataclass(frozen=True)
@@ -663,7 +662,7 @@ def verify(state: StateCandidate, cert: Certificate, ctx: PhaseContext,
     covers refute's rounding of each term, so tol = 0 accepts refute's own
     certificates.  tol and the float serve only that agreement; the sign
     never reads them.
-    avg_value is informational (refute's search margin) and is not checked.
+    avg_value is informational (the mean family score) and is not checked.
     tol is read once by as_tolerance, so "1/10" is a tolerance, and both
     comparisons use that value; nan, infinite or negative raises ValueError.
     """

@@ -8,8 +8,8 @@ accept either a file path or an inline JSON string.
 Exit codes: 0 success/accept, 1 reject or non-PSD verdict, 2 usage or
 malformed input (JSON of the wrong shape, a value too large for a float),
 3 search-budget exhaustion (a Diophantine clause the pi precision cap
-leaves undecided, DiophantinePrecisionError, included), 4 refute could not
-reach a negative witness margin (degenerate candidate).
+leaves undecided, DiophantinePrecisionError, included), 4 refute found no
+negative certified value after four tries (degenerate candidate).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ value as an int.  Sums, negation and conjugation do not convert: int + int
 stays an int, and a sum that meets a Fraction is a Fraction, possibly an
 integral one (1/2 + 1/2).  An int and a Fraction of equal value compare,
 hash and print alike, so the type never decides a value or a printed form.
-_over, the division of the product kernels, takes one gcd g: g = den gives
+_over, the division of the product kernel, takes one gcd g: g = den gives
 the int quotient, any other g the reduced Fraction, whose _numerator and
 _denominator slots (CPython 3.10-3.13) it sets directly, as 3.12's
 Fraction._from_coprime_ints does.  Fraction has no
@@ -42,62 +42,50 @@ coefficient where it is.  The arithmetic relies on this: a degree that only
 one operand of a sum has is copied unreduced, a bucket whose only root is 0
 is already canonical, and multiplying by zeta^k only relabels degrees.
 
-Products.  A product runs on integer numerators over common denominators,
-the representation of FLINT's fmpq_poly.  Each operand is scaled once by
-D, the lcm of its coefficient denominators, and each result coefficient is
-divided once by D_left * D_right (_over): an exact quotient is an int, any
-other one a reduced Fraction.  One gcd is paid per result term, not one
-per pair, and each result coefficient is built once.
-The cost moves into the width of the ints: every numerator carries the
-bits of D, so operands with many coprime denominators make wide ints.
-
-When every root of both operands is 1 or i, which holds for every
-Gaussian rational times zeta^k (grammar literals, CLI eval input and
-their products), the product runs on Gaussian ints: _gaussian
-scales the operands and groups each scalar's terms by zeta degree into
-one (re, im) int pair, _gaussian_into adds every (x + iy)(u + iv) into one
-[re, im] bucket per degree, and _gaussian_terms divides each bucket once
-into the terms re/D at the root 1 and im/D at i.  Q(i) has a unique
-canonical form, so no bucket needs a reduction and no root key is added.
-Any other root takes the general path: _integral scales each operand (D =
-1 and no copy when every coefficient is already an int), _product_into
-adds the int pair products, unreduced, into root buckets keyed by zeta
-degree, and _canonical reduces each bucket once, after every pair is in,
-then divides.  Cyclotomic reduction is linear over Q, so reducing D *
-bucket and dividing by D gives the very terms that reducing the Fraction
-bucket gives.  The two paths give the same terms on Q(i) operands; the
-operands alone decide which one runs.  conjugate maps a Q(i) scalar
-term by term as well (c*i*zeta^k goes to -c*i*zeta^(-k)).
+Products.  A product is defined on Q(i)[zeta^(+-1)] only: every root of
+both operands must be 1 or i, which holds for every Gaussian rational
+times zeta^k (grammar literals, CLI eval input, Gram entries, witnesses
+and their products).  Any other root raises ValueError.  A product runs
+on Gaussian ints over common denominators, the representation of FLINT's
+fmpq_poly: _gaussian scales each operand once by D, the lcm of its
+coefficient denominators, and groups each scalar's terms by zeta degree
+into one (re, im) int pair, _gaussian_into adds every (x + iy)(u + iv)
+into one [re, im] bucket per degree, and _gaussian_terms divides each
+bucket once by D_left * D_right (_over) into the terms re/D at the root 1
+and im/D at i: an exact quotient is an int, any other one a reduced
+Fraction.  One gcd is paid per result term, not one per pair, and each
+result coefficient is built once.  Q(i) has a unique canonical form, so
+no bucket needs a reduction and no root key is added.  The cost moves
+into the width of the ints: every numerator carries the bits of D, so
+operands with many coprime denominators make wide ints.  conjugate maps
+a Q(i) scalar term by term as well (c*i*zeta^k goes to -c*i*zeta^(-k)).
+Sums, ==, conjugate, / and root_of_unity take any root, and the
+cyclotomic reduction above keeps them exact.
 
 algebra.multiply scales each of its two elements once and feeds all term
 pairs of all its coefficient products into one set of buckets per
 support point, so it builds no PhaseScalar per pair; _sum_of_products
 does the same for a sum of scalar products, and PhaseScalar.__mul__ is
-its one-pair case.  On Q(i) states.quadratic_form goes one step further:
-it scales v once and the nonzero entries of H once, leaves every row total
-of H v unreduced, adds conj(v_i) times each row total into one set of
-Gaussian [re, im] pairs and divides once; other roots take
-_sum_of_products per row and once more over the rows.  states.gram, which feeds it, reads each orbit value once and builds every
-one-term entry, one gcd per unordered pair, through the trusted
-PhaseScalar._of.  The matrix counterpart is states._psd_exact and
-states.determinant_exact: they get their ints from _gaussian, which scales
-the nonzero entries of a matrix once by the lcm of their denominators (a
-zero entry is left at 0 and never read), and share one Bareiss step on
-those Gaussian integers; a non-PSD witness is back-substituted on the same
-ints, with exact divisions, so no GaussRat is multiplied or divided, and
-only the results are built as GaussRat.
+its one-pair case.  states.quadratic_form goes one step further: it
+scales v once and the nonzero entries of H once, leaves every row total
+of H v undivided, adds conj(v_i) times each row total into one set of
+Gaussian [re, im] pairs and divides once.  states.gram, which feeds it,
+reads each orbit value once and builds every one-term entry, one gcd per
+unordered pair, through the trusted PhaseScalar._of.  The matrix
+counterpart is states._psd_exact and states.determinant_exact: they get
+their ints from _gaussian, which scales the nonzero entries of a matrix
+once by the lcm of their denominators (a zero entry is left at 0 and
+never read), and share one Bareiss step on those Gaussian integers; a
+non-PSD witness is back-substituted on the same ints, with exact
+divisions, so no GaussRat is multiplied or divided, and only the results
+are built as GaussRat.
 
-Printed form.  Equal values can have different canonical forms (1 + e(1/3)
-is e(1/6)), so which operations built a scalar decides its printed form:
-a bucket reduced at once is not always what reducing parts of it first and
-then their sum gives.  A product's form depends only on the set of pair
-products, never on the order they arrive in.  When every root lies in Q(i)
-(every denominator divides 4) the canonical form is unique, so the form
-does not depend on how the value was built at all.  Elsewhere it may:
-with roots of order 3, say, states.quadratic_form reduces each row total
-of H v first and then the sum of conj(v_i) times those totals, which can
-print another form than the double sum reduced once, while the value is
-the same.  Every total refute() certifies lies in Q(i).
+Printed form.  On Q(i) (every denominator divides 4) the canonical form
+is unique, so a product, and every total refute() certifies, prints the
+same whatever order built it.  Other roots come only from the
+constructors and sums, and there equal values can have different
+canonical forms (1 + e(1/3) is e(1/6)): which sums built a scalar decides
+its printed form, and == decides equality by exact cancellation.
 """
 from __future__ import annotations
 
@@ -262,63 +250,9 @@ def _over(c: int, den: int) -> Coeff:
     return out
 
 
-def _canonical(raw: dict[int, dict[Root, Coeff]], den: int = 1) -> dict[tuple[int, Root], Coeff]:
-    """Flat canonical terms from root buckets keyed by zeta degree, each
-    reduced coefficient divided by den (an int when den divides it)."""
-    out: dict[tuple[int, Root], Coeff] = {}
-    for k, bucket in raw.items():
-        for r, c in _reduce_roots(bucket).items():
-            out[k, r] = _over(c, den)
-    return out
-
-
-def _integral(term_dicts: list[Mapping]) -> tuple[int, list[Mapping]]:
-    """(D, dicts times D): D is the lcm of every coefficient denominator, and
-    each scaled dict has int coefficients only.  Dicts that are all ints
-    already come back as they are, with D = 1."""
-    den, scale = 1, False
-    for terms in term_dicts:
-        for c in terms.values():
-            if type(c) is not int:
-                den, scale = lcm(den, c.denominator), True
-    if not scale:
-        return 1, term_dicts
-    return den, [{key: c.numerator * (den // c.denominator) for key, c in terms.items()}
-                 for terms in term_dicts]
-
-
-def _product_into(raw: dict[int, dict[Root, Coeff]], left: Mapping, right: Mapping,
-                  shift: int = 0) -> dict[int, dict[Root, Coeff]]:
-    """Add zeta^shift times the product of two canonical term dicts into raw.
-
-    Every pair c1*zeta^k1*e(r1), c2*zeta^k2*e(r2) adds c1*c2 to the bucket
-    of degree k1 + k2 + shift at root r1 + r2.  The callers pass dicts that
-    _integral scaled, so every c1*c2 is int * int.  Nothing is reduced or
-    divided here: the caller runs _canonical, with the product of the two
-    scales, once all pairs are in.  Returns raw.
-    """
-    for (k1, (a1, n1)), c1 in left.items():
-        k1 += shift
-        for (k2, r2), c2 in right.items():
-            if not a1:
-                r = r2
-            else:
-                a2, n2 = r2
-                if not a2:
-                    r = a1, n1
-                else:
-                    n = lcm(n1, n2)
-                    a = (a1 * (n // n1) + a2 * (n // n2)) % n
-                    g = gcd(a, n)
-                    r = a // g, n // g
-            c = c1 * c2
-            bucket = raw.get(k1 + k2)
-            if bucket is None:
-                raw[k1 + k2] = {r: c}
-            else:
-                prev = bucket.get(r)
-                bucket[r] = c if prev is None else prev + c
-    return raw
+def _canonical(raw: dict[int, dict[Root, Coeff]]) -> dict[tuple[int, Root], Coeff]:
+    """Flat canonical terms from root buckets keyed by zeta degree."""
+    return {(k, r): c for k, bucket in raw.items() for r, c in _reduce_roots(bucket).items()}
 
 
 Gaussian = list[tuple[int, int, int]]  # (k, re, im): (re + i*im) * zeta^k, one per degree
@@ -381,36 +315,29 @@ def _gaussian_terms(acc: dict[int, list[int]], den: int) -> dict[tuple[int, Root
     return out
 
 
-def _product_kernel(left: list[Mapping], right: list[Mapping]):
-    """(den, left, right, into, finish) for products of left dicts by right dicts.
-
-    Each side is scaled once by its common denominator, and den is the
-    product of the two.  When every root of both sides is 1 or i, the sides
-    come as _gaussian's triples, into is _gaussian_into and finish is
-    _gaussian_terms; otherwise they come as _integral's dicts, into is
-    _product_into and finish is _canonical.  into(buckets, x, y, shift) adds
-    zeta^shift * x * y into one point's buckets, and finish(buckets, den)
-    gives that point's canonical terms.
-    """
-    gl = _gaussian(left)
-    gr = gl and _gaussian(right)
-    if gr:
-        return gl[0] * gr[0], gl[1], gr[1], _gaussian_into, _gaussian_terms
-    (dl, left), (dr, right) = _integral(left), _integral(right)
-    return dl * dr, left, right, _product_into, _canonical
+def _product_kernel(left: list[Mapping],
+                    right: list[Mapping]) -> tuple[int, list[Gaussian], list[Gaussian]]:
+    """(den, left, right) for products of left dicts by right dicts: each side
+    scaled once to Gaussian ints by its common denominator (_gaussian), and
+    den the product of the two.  A root other than 1 or i raises ValueError
+    (module docstring)."""
+    gl, gr = _gaussian(left), _gaussian(right)
+    if gl is None or gr is None:
+        raise ValueError("products are defined for the roots 1 and i only")
+    return gl[0] * gr[0], gl[1], gr[1]
 
 
 def _sum_of_products(pairs: Iterable[tuple["PhaseScalar", "PhaseScalar"]]) -> "PhaseScalar":
-    """sum x*y over the pairs, all in one set of buckets, each finished once
-    (_product_kernel): the left and the right operands are scaled to ints by
-    their own common denominators, so every pair product is int * int."""
+    """sum x*y over the pairs, all in one set of Gaussian [re, im] buckets,
+    divided once (_product_kernel): the left and the right operands are
+    scaled to ints by their own common denominators, so every pair product
+    is int * int."""
     pairs = list(pairs)
-    den, left, right, into, finish = _product_kernel([x._terms for x, _ in pairs],
-                                                     [y._terms for _, y in pairs])
-    raw: dict = {}
+    den, left, right = _product_kernel([x._terms for x, _ in pairs], [y._terms for _, y in pairs])
+    acc: dict[int, list[int]] = {}
     for x, y in zip(left, right):
-        into(raw, x, y)
-    return PhaseScalar._of(finish(raw, den))
+        _gaussian_into(acc, x, y)
+    return PhaseScalar._of(_gaussian_terms(acc, den))
 
 
 # ---------------------------------------------------------------------------

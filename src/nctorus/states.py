@@ -27,7 +27,7 @@ from math import gcd as _gcd, isqrt, lcm
 
 import numpy as np
 
-from . import scalars  # quadratic_form looks its product kernels up here, where tests count them
+from . import scalars  # quadratic_form looks _gaussian_into up here, where tests count it
 from .algebra import AlgebraElement, PhaseContext, numeric_eval
 from .lattice import as_integer, as_vector
 from .scalars import (
@@ -130,8 +130,9 @@ def evaluate(state: StateCandidate, a: AlgebraElement, ctx: PhaseContext) -> com
 
 def evaluate_exact(state: StateCandidate, a: AlgebraElement) -> PhaseScalar:
     """omega extended by linearity, as an exact scalar: every p(m) * a_m term
-    goes into one set of root buckets, each reduced once (the rule of
-    algebra.multiply), so the result does not depend on the term order."""
+    goes into one set of Gaussian [re, im] buckets, each divided once (the
+    rule of algebra.multiply), so the result does not depend on the term
+    order.  A root other than 1 or i raises ValueError."""
     return _sum_of_products((c, PhaseScalar.rational(p)) for m, c in a._terms.items()
                             if (p := eval_generator(state, m)))
 
@@ -267,18 +268,17 @@ def quadratic_form(H: HermitianMatrix, v) -> PhaseScalar:
     """The exact total v^dagger H v; numeric_eval(total, ctx).real rounds it.
 
     The vector is read as the matrix is (scalars.as_scalar).  Zero entries,
-    and the rows and columns of zero v entries, are skipped.  When every
-    root of v and of those entries is 1 or i, as in every refute() total,
-    v is scaled to Gaussian ints once by D_v (scalars._gaussian) and the
-    entries once by D_H, the lcms of their denominators.  Row by row, each
-    H_ij v_j is added inline, unreduced, into one [re, im] pair per zeta
-    degree, conj(v_i) times that row total goes into the total's pairs
+    and the rows and columns of zero v entries, are skipped.  Every root of
+    v and of those entries must be 1 or i, as in every refute() total; any
+    other root raises ValueError (scalars module docstring).  v is scaled
+    to Gaussian ints once by D_v (scalars._gaussian) and the entries once
+    by D_H, the lcms of their denominators.  Row by row, each H_ij v_j is
+    added inline, undivided, into one [re, im] pair per zeta degree,
+    conj(v_i) times that row total goes into the total's pairs
     (scalars._gaussian_into), and the total is divided once by D_v^2 D_H
     (_gaussian_terms): every entry is multiplied once, only one row's pairs
     are held at a time, and Q(i)'s canonical form is unique, so the stored
-    terms are too.  With any other root each row total is its own
-    _sum_of_products, and so is the sum of conj(v_i) times the row totals:
-    the per-row reduction of the scalars module's printed-form rule.
+    terms are too.
     """
     if len(v) != H.dim:
         raise ValueError(f"dimension mismatch: matrix is {H.dim}x{H.dim}, vector has length {len(v)}")
@@ -288,29 +288,28 @@ def quadratic_form(H: HermitianMatrix, v) -> PhaseScalar:
             for i, row in enumerate(H.rows()) if vec[i]._terms]
     entries = [c._terms for _, row in rows for c, _ in row]
     gv = _gaussian([x._terms for x in vec])
-    if gv and {r for terms in entries for _, r in terms} <= _GAUSSIAN_ROOTS:
-        (dv, vs), dh = gv, lcm(*{c.denominator for terms in entries for c in terms.values()
-                                 if type(c) is not int})
-        total: dict = {}
-        for i, row in rows:
-            raw: dict = {}
-            for entry, j in row:
-                for (k1, (a, _)), c in entry._terms.items():  # c * i^a * zeta^k1, times D_H
-                    c = c * dh if type(c) is int else c.numerator * (dh // c.denominator)
-                    for k2, x, y in vs[j]:
-                        re, im = (-c * y, c * x) if a else (c * x, c * y)
-                        acc = raw.get(k1 + k2)
-                        if acc is None:
-                            raw[k1 + k2] = [re, im]
-                        else:
-                            acc[0] += re
-                            acc[1] += im
-            if raw:
-                scalars._gaussian_into(total, [(-k, x, -y) for k, x, y in vs[i]],
-                                       [(k, re, im) for k, (re, im) in raw.items()])
-        return PhaseScalar._of(_gaussian_terms(total, dv * dv * dh))
-    return _sum_of_products((vec[i].conjugate(), _sum_of_products((c, vec[j]) for c, j in row))
-                            for i, row in rows if row)
+    if gv is None or not {r for terms in entries for _, r in terms} <= _GAUSSIAN_ROOTS:
+        raise ValueError("products are defined for the roots 1 and i only")
+    (dv, vs), dh = gv, lcm(*{c.denominator for terms in entries for c in terms.values()
+                             if type(c) is not int})
+    total: dict = {}
+    for i, row in rows:
+        raw: dict = {}
+        for entry, j in row:
+            for (k1, (a, _)), c in entry._terms.items():  # c * i^a * zeta^k1, times D_H
+                c = c * dh if type(c) is int else c.numerator * (dh // c.denominator)
+                for k2, x, y in vs[j]:
+                    re, im = (-c * y, c * x) if a else (c * x, c * y)
+                    acc = raw.get(k1 + k2)
+                    if acc is None:
+                        raw[k1 + k2] = [re, im]
+                    else:
+                        acc[0] += re
+                        acc[1] += im
+        if raw:
+            scalars._gaussian_into(total, [(-k, x, -y) for k, x, y in vs[i]],
+                                   [(k, re, im) for k, (re, im) in raw.items()])
+    return PhaseScalar._of(_gaussian_terms(total, dv * dv * dh))
 
 
 # ---------------------------------------------------------------------------

@@ -63,12 +63,12 @@ def random_element(rng: random.Random, dim: int = 2, max_terms: int = 5,
     return AlgebraElement(dim, terms)
 
 
-# exact scalars with roots outside Q(i) too, given as term lists
-# [((zeta degree, root), coefficient), ...], and elements of Z^2 built from them
-ROOT_DENOMINATORS = [1, 2, 3, 4, 5, 6, 8, 12]
+# the roots of Q(i), which products take, with -1 and -i given as e(1/2) and e(3/4)
+gaussian_roots = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+# exact scalars on those roots, given as term lists [((zeta degree, root), coefficient), ...],
+# and elements of Z^2 built from them
 scalar_terms = st.lists(
-    st.tuples(st.tuples(st.integers(-3, 3),
-                        st.builds(Fraction, st.integers(0, 11), st.sampled_from(ROOT_DENOMINATORS))),
+    st.tuples(st.tuples(st.integers(-3, 3), gaussian_roots),
               st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))),
     min_size=1, max_size=3)
 element_terms = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), scalar_terms,

@@ -21,6 +21,7 @@ from nctorus.certificate import (
     _family_orbits,
     _family_sums,
     _family_values,
+    _decide,
     _window,
     average_R,
     build_H_second,
@@ -107,6 +108,21 @@ def test_window_clamps(ctx):
             assert (t == 0, t + w == m - 1) == (lo_clamped, hi_clamped)
             assert all(((n * a - t) % m <= w) == diophantine_fraction(ctx.h, n, 1, d, eps)
                        == satisfies_diophantine(ctx.h, n, 1, d, eps) for n in range(2000))
+
+
+def test_decide_reads_the_window_edges(monkeypatch):
+    # pi fixed at q / 2^bits, an interval of width 0: _decide must read the clause as
+    # _window does for every n over two turns, and these residues land on both
+    # edges c - H and c + H, which the open window leaves out
+    from nctorus import circle
+
+    h, d, eps, bits, q = Fraction(1, 5), 2, Fraction(3, 4), 3, 50
+    monkeypatch.setattr(circle, "PI_ERROR", 0)
+    monkeypatch.setattr(circle, "pi_scaled", lambda _bits: q)
+    a, m, t, w = _window(h, 1, d, eps, q, bits)
+    ns = range(1, 2 * m + 1)
+    assert {t - 1, t + w + 1} <= {n * a % m for n in ns}  # 1906 and 1969 among them
+    assert [_decide(h, n, 1, d, eps, bits) for n in ns] == [(n * a - t) % m <= w for n in ns]
 
 
 def test_diophantine_finer_than_fixed_point(ctx):
@@ -461,6 +477,21 @@ def test_refute_certificate_halves(ctx):
     assert cert.avg_value == pytest.approx(-1.25, abs=1e-9)
     report = verify(state, cert, ctx)
     assert report.accepted and report.failed is None
+
+
+@pytest.mark.parametrize("p", [Fraction(10000001, 10000000), Fraction(1767767, 2500000),
+                               Fraction(50000001, 100000000)])
+def test_refute_reads_the_value_it_certifies(ctx, p):
+    # d (1 - d p^2) is about -2.0e-7, -1.06e-7 and -1.6e-7 (d = 1, 2, 4): negative, so
+    # the first try's certificate is valid and refute returns it, with no eps halving
+    state = StateCandidate({1: p})
+    cert = refute(state, ctx, budget=10**30)
+    d = cert.params.d
+    assert (d, cert.params.epsilon) == choose_parameters(p)
+    assert cert.value == float(d * (1 - d * p * p)) and -1e-6 < cert.value < 0
+    assert verify(state, cert, ctx).accepted
+    valid, _, why = perfbench_reference().check_certificate(cert.dumps(), {1: p})
+    assert valid, why
 
 
 def test_refute_short_form(ctx):

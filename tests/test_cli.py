@@ -327,12 +327,12 @@ def test_margin_failure_exit_code(capsys, monkeypatch):
     from nctorus.certificate import RefutationMarginError
 
     def degenerate(*args, **kwargs):
-        raise RefutationMarginError("negativity margin stayed above -1e-6")
+        raise RefutationMarginError("no negative certified value after four tries for p = 1/2")
 
     monkeypatch.setattr("nctorus.cli.refute", degenerate)
     code, out, err = run(capsys, "refute", "--state", '{"orbit_values":{"1":0.5}}')
     assert code == 4
-    assert out == "" and err.startswith("error: ") and "margin" in err
+    assert out == "" and err.startswith("error: ") and "no negative certified value" in err
 
 
 def test_psd_complex_entries(capsys, tmp_path):

@@ -190,7 +190,7 @@ def test_printer_matches_terms_oracle(ctx, corpus_texts):
     for part in ("/", "z^-2", "z^1", "z^3", "-3i", "-1/2i"):
         assert any(part in atom for atom in atoms), part
     assert any(atom.startswith("W[") for atom in atoms)
-    third = weyl((0, 1)) + weyl((1, 0)) * PhaseScalar.root_of_unity(Fraction(1, 3))
+    third = weyl((0, 1)) + AlgebraElement(2, {(1, 0): PhaseScalar.root_of_unity(Fraction(1, 3))})
     for printer in (format_element, format_by_terms):
         with pytest.raises(ValueError) as info:
             printer(third)

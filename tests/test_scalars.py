@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from nctorus.algebra import AlgebraElement, PhaseContext, multiply, weyl
 from nctorus.scalars import (GaussRat, PhaseScalar, _over, _reduce_roots, as_fraction, as_scalar,
                              cyclotomic)
-from nctorus.states import HermitianMatrix, quadratic_form
-from conftest import ROOT_DENOMINATORS
+from nctorus.states import (HermitianMatrix, StateCandidate, determinant_exact, evaluate_exact,
+                            is_psd, quadratic_form)
+from nctorus.parser import format_element
+from conftest import gaussian_roots
 from paper_oracles import (as_gaussian, multiply_reduced_once, quadratic_form_per_row, reduce_roots,
                            scalar_add, scalar_conjugate, scalar_element, scalar_mul, scalar_neg)
 
@@ -155,21 +157,23 @@ def test_zeta_powers_are_formal():
 
 
 # denominators stay small so joint cyclotomic orders stay tractable
-DENOMINATORS = [1, 2, 3, 4, 5, 6, 8, 12]
-scalars = st.builds(
-    lambda entries: PhaseScalar({(k, Fraction(num, den)): Fraction(c, cd)
-                                 for (k, num, den, c, cd) in entries}),
-    st.lists(
-        st.tuples(st.integers(-3, 3), st.integers(0, 11),
-                  st.sampled_from(DENOMINATORS),
-                  st.integers(-4, 4), st.integers(1, 4)),
-        max_size=3,
-    ),
-)
+ROOT_DENOMINATORS = [1, 2, 3, 4, 5, 6, 8, 12]
+any_roots = st.builds(Fraction, st.integers(0, 11), st.sampled_from(ROOT_DENOMINATORS))
+
+
+def small_scalars(roots):
+    return st.builds(PhaseScalar, st.lists(
+        st.tuples(st.tuples(st.integers(-3, 3), roots),
+                  st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))),
+        max_size=3))
+
+
+# products take the roots of Q(i) only; sums, negation and conjugation take any root
+gaussian_scalars, any_scalars = small_scalars(gaussian_roots), small_scalars(any_roots)
 
 
 @settings(max_examples=150, deadline=None)
-@given(scalars, scalars, scalars)
+@given(gaussian_scalars, gaussian_scalars, gaussian_scalars)
 def test_ring_laws(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
@@ -187,21 +191,23 @@ def same_form(x: PhaseScalar, y: PhaseScalar) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(scalars, scalars, scalars, st.integers(-3, 3))
-def test_kernel_matches_plain_arithmetic(a, b, c, k):
-    same_form(a + b, scalar_add(a, b))
-    same_form(a - b, scalar_add(a, scalar_neg(b)))
+@given(gaussian_scalars, gaussian_scalars, gaussian_scalars, any_scalars, any_scalars,
+       st.integers(-3, 3))
+def test_kernel_matches_plain_arithmetic(a, b, c, x, y, k):
+    # sums, negation, conjugation and zeta shifts on any roots
+    same_form(x + y, scalar_add(x, y))
+    same_form(x - y, scalar_add(x, scalar_neg(y)))
+    same_form(-x, scalar_neg(x))
+    same_form(x.conjugate(), scalar_conjugate(x))
+    same_form(x.times_zeta(k), scalar_mul(x, PhaseScalar.zeta(k)))
     same_form(a * b, scalar_mul(a, b))
-    same_form(-a, scalar_neg(a))
-    same_form(a.conjugate(), scalar_conjugate(a))
-    same_form(a.times_zeta(k), scalar_mul(a, PhaseScalar.zeta(k)))
     # results of the fast paths feed further operations
     same_form(a * b + c, scalar_add(scalar_mul(a, b), c))
     same_form((a + b).conjugate() * c.times_zeta(k),
               scalar_mul(scalar_conjugate(scalar_add(a, b)), scalar_mul(c, PhaseScalar.zeta(k))))
 
 
-roots = st.tuples(st.integers(0, 23), st.sampled_from(DENOMINATORS)).map(
+roots = st.tuples(st.integers(0, 23), st.sampled_from(ROOT_DENOMINATORS)).map(
     lambda t: Fraction(t[0] % t[1], t[1]))
 
 
@@ -282,27 +288,15 @@ big_coefficients = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool)
 HALF = PhaseScalar.rational(Fraction(1, 2))
 
 
-def big_scalars(roots):
-    """Scalars on the given roots; the flag adds 1/2 twice, which stores the
-    degree-0 coefficient of e(0) as an integral Fraction when it is integral."""
-    terms = st.lists(st.tuples(st.tuples(st.integers(-3, 3), roots), big_coefficients),
-                     min_size=1, max_size=3)
-    return st.builds(lambda t, bump: PhaseScalar(t) + HALF + HALF if bump else PhaseScalar(t),
-                     terms, st.booleans())
-
-
-any_roots = st.builds(Fraction, st.integers(0, 11), st.sampled_from(ROOT_DENOMINATORS))
-gaussian_roots = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
-
-
-def big_elements(roots):
-    return st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-                           big_scalars(roots), min_size=1, max_size=3)
-
-
-# a draw from any_roots is rarely all in Q(i), so the Gaussian-int product
-# path (every root 1 or i) gets draws of its own
-both_paths = [any_roots, gaussian_roots]
+# scalars on the roots of Q(i); the flag adds 1/2 twice, which stores the
+# degree-0 coefficient of e(0) as an integral Fraction when it is integral
+big_scalars = st.builds(
+    lambda t, bump: PhaseScalar(t) + HALF + HALF if bump else PhaseScalar(t),
+    st.lists(st.tuples(st.tuples(st.integers(-3, 3), gaussian_roots), big_coefficients),
+             min_size=1, max_size=3),
+    st.booleans())
+big_elements = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                               big_scalars, min_size=1, max_size=3)
 
 
 def stored(s: PhaseScalar) -> list:
@@ -313,10 +307,8 @@ def stored(s: PhaseScalar) -> list:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(both_paths).flatmap(lambda roots: st.tuples(big_elements(roots),
-                                                                   big_elements(roots))))
-def test_common_denominator_multiply_matches_fractions(operands):
-    a_terms, b_terms = operands
+@given(big_elements, big_elements)
+def test_common_denominator_multiply_matches_fractions(a_terms, b_terms):
     ctx = PhaseContext()
     a, b = AlgebraElement(2, a_terms), AlgebraElement(2, b_terms)
     got, want = multiply(a, b, ctx), multiply_reduced_once(a, b, ctx)
@@ -325,10 +317,8 @@ def test_common_denominator_multiply_matches_fractions(operands):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(both_paths).flatmap(lambda roots: st.tuples(big_scalars(roots),
-                                                                   big_scalars(roots))))
-def test_common_denominator_scalar_product_matches_fractions(operands):
-    x, y = operands
+@given(big_scalars, big_scalars)
+def test_common_denominator_scalar_product_matches_fractions(x, y):
     got, want = x * y, scalar_mul(x, y)
     assert stored(got) == stored(want)
     assert repr(got) == repr(want)
@@ -338,17 +328,8 @@ def test_common_denominator_scalar_product_matches_fractions(operands):
 
 def test_gaussian_products_skip_root_arithmetic(monkeypatch):
     # roots 1 and i: products and conjugates run on Gaussian ints, with no
-    # root bucket and no cyclotomic reduction; one root e(1/3) sends
-    # products the general way
+    # cyclotomic reduction
     from nctorus import scalars
-
-    calls = {"_product_into": 0, "_reduce_roots": 0}
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
 
     ctx = PhaseContext()
     x = PhaseScalar.gaussian(Fraction(1, 2), -3).times_zeta(2) + PhaseScalar.zeta(-1, Fraction(2, 3))
@@ -356,47 +337,57 @@ def test_gaussian_products_skip_root_arithmetic(monkeypatch):
     a = AlgebraElement(2, {(1, 0): x, (0, 1): y})
     b = AlgebraElement(2, {(1, 1): y, (0, 0): x})
     want = scalar_mul(x, y), multiply_reduced_once(a, b, ctx), scalar_conjugate(x)
-    monkeypatch.setattr(scalars, "_product_into", counting("_product_into", scalars._product_into))
-    monkeypatch.setattr(scalars, "_reduce_roots", counting("_reduce_roots", scalars._reduce_roots))
+
+    def refused(*args):
+        raise AssertionError("a Q(i) product needs no cyclotomic reduction")
+
+    monkeypatch.setattr(scalars, "_reduce_roots", refused)
     got = x * y, multiply(a, b, ctx), x.conjugate()
-    assert calls == {"_product_into": 0, "_reduce_roots": 0}
     assert list(map(repr, got)) == list(map(repr, want))
+
+
+def test_products_refuse_other_roots_and_sums_still_cancel(ctx):
+    # every product entry point raises ValueError on e(1/3), the printer and the
+    # exact matrix readers alike; sums, ==, conjugate and / still take it
     third = PhaseScalar.root_of_unity(Fraction(1, 3))
-    b_third = b * third
-    for product in (lambda: x * third, lambda: multiply(a, b_third, ctx)):
-        calls.update(_product_into=0, _reduce_roots=0)
-        product()
-        assert calls["_product_into"] and calls["_reduce_roots"]
+    gaussian = PhaseScalar.gaussian(1, 2).times_zeta(1)
+    a = AlgebraElement(2, {(1, 0): third, (0, 1): 1})
+    b = AlgebraElement(2, {(0, 1): gaussian})
+    state = StateCandidate({1: Fraction(1, 2)})
+    h = HermitianMatrix([[1, third], [third.conjugate(), 1]])
+    for product in (lambda: third * gaussian, lambda: gaussian * third, lambda: third * 2,
+                    lambda: 2 * third, lambda: third * third, lambda: b * third,
+                    lambda: third * b, lambda: multiply(a, b, ctx), lambda: multiply(b, a, ctx),
+                    lambda: evaluate_exact(state, a), lambda: quadratic_form(h, [1, 1]),
+                    lambda: quadratic_form(HermitianMatrix([[1]]), [third]),
+                    lambda: is_psd(h), lambda: determinant_exact(h), lambda: format_element(a)):
+        with pytest.raises(ValueError):
+            product()
+    for d in (3, 5, 6, 12):
+        for j in range(1, d):
+            total = sum((PhaseScalar.root_of_unity(Fraction(j * l, d)) for l in range(1, d + 1)),
+                        PhaseScalar.zero())
+            assert total.is_zero and total == 0
+    assert third + third.conjugate() == -1 and (third / 2) + (third / 2) == third
 
 
-other_roots = st.builds(Fraction, st.integers(0, 11), st.sampled_from([3, 5, 8, 12]))
-
-
-def quadratic_form_case(roots):
-    entries = st.one_of(big_scalars(roots), st.just(PhaseScalar.zero()))
-    return st.integers(1, 3).flatmap(lambda n: st.tuples(
-        st.just(roots is gaussian_roots),
-        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
-        st.lists(entries, min_size=n, max_size=n)))
+qf_entries = st.one_of(big_scalars, st.just(PhaseScalar.zero()))
+quadratic_form_cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(qf_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(qf_entries, min_size=n, max_size=n)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(quadratic_form_case(gaussian_roots), quadratic_form_case(other_roots)))
+@given(quadratic_form_cases)
 def test_common_denominator_quadratic_form_matches_double_sum(case):
     # roots in Q(i): the canonical form is unique, so the direct double sum and
-    # the per-row reference must give the same terms whatever order they reduce
-    # in; with roots of order 3, 5, 8 or 12 quadratic_form reduces each row total
-    # first, so it stores the per-row reference's terms, and the double sum's value
-    in_gaussian, rows, v = case
+    # the per-row reference must give the same terms whatever order they reduce in
+    rows, v = case
     direct = PhaseScalar.zero()
     for i, row in enumerate(rows):
         for j, h in enumerate(row):
             direct = scalar_add(direct, scalar_mul(scalar_mul(scalar_conjugate(v[i]), h), v[j]))
     h = HermitianMatrix(rows)
     got, per_row = quadratic_form(h, v), quadratic_form_per_row(h, v)
-    if in_gaussian:
-        assert stored(got) == stored(direct) == stored(per_row)
-        assert repr(got) == repr(direct) == repr(per_row)
-    else:
-        assert stored(got) == stored(per_row) and repr(got) == repr(per_row)
-        assert got == direct
+    assert stored(got) == stored(direct) == stored(per_row)
+    assert repr(got) == repr(direct) == repr(per_row)

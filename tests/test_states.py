@@ -115,8 +115,9 @@ def test_evaluate_rounds_the_exact_total_once(ctx):
 @settings(max_examples=150, deadline=None)
 @given(element_terms, hs.randoms(use_true_random=False))
 def test_evaluate_exact_reduces_once_in_any_order(terms, rnd):
-    # roots of order 3, 5, 8 or 12 in several coefficients of one orbit: the
-    # total's form is that of one reduction of all its terms, whatever the order
+    # Gaussian roots, -1 and -i given as e(1/2) and e(3/4), in several coefficients
+    # of one orbit: the total's form is that of one reduction of all its terms,
+    # whatever the order
     ctx = PhaseContext()
     state = StateCandidate({1: Fraction(1, 3), 2: Fraction(-5, 4)})
     a = shuffled_element(terms, rnd)
@@ -353,7 +354,7 @@ def test_quadratic_form_examples():
 def test_quadratic_form_multiplies_each_entry_once(ctx, monkeypatch):
     # roots 1 and i: each used entry's terms are read once into Gaussian products
     # (H_ij v_j, inline), and each nonzero row total once more, times conj(v_i), by
-    # scalars._gaussian_into; no root bucket and no PhaseScalar product is made
+    # scalars._gaussian_into; no PhaseScalar product is made
     from nctorus import scalars
 
     reads = {}
@@ -379,11 +380,7 @@ def test_quadratic_form_multiplies_each_entry_once(ctx, monkeypatch):
         row_products.append((x, y))
         return gaussian_into(acc, x, y, *rest)
 
-    def refused(*args):
-        raise AssertionError("a Q(i) total needs no root buckets")
-
     monkeypatch.setattr(scalars, "_gaussian_into", counted)
-    monkeypatch.setattr(scalars, "_product_into", refused)
     monkeypatch.setattr(PhaseScalar, "__mul__", None)  # no full product per entry
     assert numeric_eval(quadratic_form(h, v), ctx).real == numeric_eval(direct, ctx).real
     # H_ij v_j for each nonzero pair of a row with v_i != 0 (a zero v_i skips its row),
@@ -401,10 +398,7 @@ def test_quadratic_form_multiplies_each_entry_once(ctx, monkeypatch):
 @given(hs.data())
 def test_gaussian_quadratic_form_matches_per_row_reduction(data):
     # refute-shaped totals (a Gram matrix, Gaussian witness entries times zeta powers):
-    # the Q(i) sum stores the terms, and coefficient types, of reducing each row first;
-    # an e(1/3) entry sends the total through scalars._product_into, where each row
-    # total is reduced first, so it stores those terms too
-    from nctorus import scalars
+    # the Q(i) sum stores the terms, and coefficient types, of reducing each row first
     from paper_oracles import quadratic_form_per_row
 
     def stored(x):
@@ -421,26 +415,8 @@ def test_gaussian_quadratic_form_matches_per_row_reduction(data):
                                                part, part, hs.integers(-3, 3))),
                            min_size=len(gens), max_size=len(gens)), label="v")
     h = gram(StateCandidate(values), gens, ctx)
-    calls = []
-    product_into = scalars._product_into
-
-    def counted(*args):
-        calls.append(args)
-        return product_into(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalars, "_product_into", counted)
-        got = quadratic_form(h, v)
-        assert not calls
-        rows = [list(row) for row in h.rows()]
-        i, j = (data.draw(hs.integers(0, len(gens) - 1), label=name) for name in "ij")
-        rows[i][j] = rows[i][j] + PhaseScalar.root_of_unity(Fraction(1, 3), Fraction(1, 2))
-        h_third = HermitianMatrix._of(tuple(map(tuple, rows)))
-        got_third = quadratic_form(h_third, v)
-        assert calls or not (v[i] and v[j])
-    want = quadratic_form_per_row(h, v)
+    got, want = quadratic_form(h, v), quadratic_form_per_row(h, v)
     assert stored(got) == stored(want) and repr(got) == repr(want)
-    assert stored(got_third) == stored(quadratic_form_per_row(h_third, v))
 
 
 def test_quadratic_form_exact_p5():
@@ -699,17 +675,22 @@ def near_hermitian(draw):
     return HermitianMatrix(rows), tol
 
 
+def times_phase(x: PhaseScalar, k: int, r: Fraction) -> PhaseScalar:
+    """x * zeta^k * e(r), each term shifted on its own: no product, which a
+    root outside Q(i) would refuse."""
+    return PhaseScalar([((j + k, s + r), c) for j, s, c in x.terms()])
+
+
 @hs.composite
 def phased(draw):
     """An entry, and maybe its mirror, times zeta^k or e(1/3)."""
     h = draw(hermitian())
     i, j = draw(hs.integers(0, h.dim - 1)), draw(hs.integers(0, h.dim - 1))
-    phase = draw(hs.sampled_from([PhaseScalar.zeta(1), PhaseScalar.zeta(-2),
-                                  PhaseScalar.root_of_unity(Fraction(1, 3))]))
+    k, r = draw(hs.sampled_from([(1, 0), (-2, 0), (0, Fraction(1, 3))]))
     rows = [list(row) for row in h.rows()]
-    rows[i][j] = rows[i][j] * phase
+    rows[i][j] = times_phase(rows[i][j], k, r)
     if draw(hs.booleans()):
-        rows[j][i] = rows[j][i] * phase.conjugate()
+        rows[j][i] = times_phase(rows[j][i], -k, -r)
     return HermitianMatrix(rows), draw(TOLS)
 
 
