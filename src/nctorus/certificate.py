@@ -16,11 +16,10 @@ families with the closed-form witness value.  On xi = (x, x) family l's
 k-th phase exponent is k l sigma_01 N x^2, so the scores need one exact
 phase residue per distinct k l, all read from one hbar slice
 (circle.zeta_residue).  refute() takes l* and the average's value from
-those scores, and builds l*'s generators once, for its exact Gram matrix
-and the certificate.
+those scores, and builds l*'s generators once, for the certificate.
 The average only guides refute() to l*; the proof is the single element
 a = sum v_i W_(g_i) on that family with omega(a* a) < 0, and refute()
-certifies its exact total rounded once.
+certifies its exact total, the closed form below, rounded once.
 verify() re-derives the parameters and the (N, l*) family, and sums
 omega(a* a) on that family in closed form on Gaussian ints (_family_sums):
 from W_(g_i)^* W_(g_j) = zeta^(-sigma(g_i, g_j)) W_(g_j - g_i), the pairs
@@ -29,10 +28,13 @@ k l sigma_01 N x^2, so the total needs one declared orbit value (read,
 as for the scores, by _family_orbits) and at most one witness correlation
 per distance k, and no gcd.  It decides the sign of that exact total with
 a midpoint-radius ball over one phase residue and its powers
-(_family_sign), on ints with a proved radius.  It shares no product kernel
-with refute(), builds no Gram matrix, algebra element or exact scalar, and
-evaluates no float phase; the ball's midpoint, as a float, serves only the
-agreement with the certified value.
+(_family_sign), on ints with a proved radius.  It builds no Gram matrix,
+algebra element or exact scalar, and evaluates no float phase; the ball's
+midpoint, as a float, serves only the agreement with the certified value.
+refute() and verify() share _family_sums and neither builds a Gram matrix:
+the independent checks of the closed form are the tests' oracles (the bare
+algebra product and the dense Gram matrix of build_H_second) and the
+benchmark's own checker, perfbench/reference.py.
 """
 
 from __future__ import annotations
@@ -48,15 +50,8 @@ from operator import mul
 from . import circle
 from .algebra import PhaseContext, numeric_eval
 from .lattice import Vec, as_integer, as_vector
-from .scalars import GaussRat, as_fraction
-from .states import (
-    HermitianMatrix,
-    StateCandidate,
-    as_tolerance,
-    eval_generator,
-    gram,
-    quadratic_form,
-)
+from .scalars import GaussRat, PhaseScalar, _gaussian_terms, as_fraction
+from .states import HermitianMatrix, StateCandidate, as_tolerance, eval_generator, gram
 
 DEFAULT_BUDGET = 10**9
 
@@ -355,8 +350,9 @@ def build_H_second(state: StateCandidate, params: CertParams, l: int,
                    ctx: PhaseContext) -> HermitianMatrix:
     """The true Gram matrix of the state on span{W_(0,0), W_(Theta_j xi)}.
 
-    refute() does not call it: it builds l*'s generators once and passes
-    them to gram() itself.  It stays for tests and callers.
+    Neither refute() nor verify() calls it: both read the family through
+    the closed-form _family_sums.  It stays as the dense form of that sum,
+    for tests and callers.
     """
     if not 1 <= l <= params.d:
         raise ValueError(f"need 1 <= l <= d, got l={l}, d={params.d}")
@@ -388,7 +384,7 @@ def _family_values(state: StateCandidate, params: CertParams,
     for the largest exponent (d-1) d |e|, into the float phase_angle(h, e_k)
     gives.  With no value on any orbit N k x every family scores d - d^2 p^2.
     These float scores only choose l* and avg_value; refute() certifies the exact
-    total on l*'s Gram matrix.
+    total on l*'s family (_family_sums).
     """
     d, n_val, x = params.d, params.N, params.xi[0]
     p = eval_generator(state, params.xi)
@@ -458,12 +454,16 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
     ConsistentWithTrace when every declared orbit value vanishes.  The d
     families are scored in closed form (_family_values); the lowest-scoring
     family is l*, and the mean score is the informational avg_value.  The
-    certified value is the exact witness total v^dagger H v on l*'s Gram
-    matrix, rounded once, term by term (algebra.numeric_eval).  When it is
-    not negative, eps halves and N is searched again, four tries in all.
-    omega(a* a) is the same exact scalar: verify() decides its sign with a
-    ball (_family_sign), and reads this float only for the agreement within
-    tol and 2^-49 S of its own midpoint, S the sum of the term sizes, which
+    certified value is omega(a* a) on l*'s family in the closed form verify()
+    reads, _family_sums: B_0 at zeta^0, each C_k at zeta^(ke) and its
+    conjugate at zeta^(-ke), over D^2 P, rounded once, term by term
+    (algebra.numeric_eval).  Those are the terms of the witness total
+    v^dagger H v on l*'s Gram matrix, so the float is the one that dense
+    total rounds to, bit for bit; no Gram matrix is built.  When it is not
+    negative, eps halves and N is searched again, four tries in all.
+    verify() decides the sign of the same exact scalar with a ball
+    (_family_sign), and reads this float only for the agreement within tol
+    and 2^-49 S of its own midpoint, S the sum of the term sizes, which
     covers that per-term rounding.
     """
     if ctx.genus != 1:
@@ -493,7 +493,11 @@ def refute(state: StateCandidate, ctx: PhaseContext, *, budget: int = DEFAULT_BU
         values = _family_values(state, params, ctx)
         l_star = values.index(min(values)) + 1
         gens = family_generators(params, l_star)
-        value = numeric_eval(quadratic_form(gram(state, gens, ctx), v), ctx).real
+        e, b0, sums, den = _family_sums(state, params, l_star, v, ctx)
+        acc = {0: [b0, 0]}
+        for k, c_re, c_im in sums:
+            acc[k * e], acc[-k * e] = [c_re, c_im], [c_re, -c_im]
+        value = numeric_eval(PhaseScalar._of(_gaussian_terms(acc, den)), ctx).real
         if value < 0:
             return Certificate(
                 params=params,

@@ -269,7 +269,7 @@ def quadratic_form(H: HermitianMatrix, v) -> PhaseScalar:
 
     The vector is read as the matrix is (scalars.as_scalar).  Zero entries,
     and the rows and columns of zero v entries, are skipped.  Every root of
-    v and of those entries must be 1 or i, as in every refute() total; any
+    v and of those entries must be 1 or i, as on every certificate family; any
     other root raises ValueError (scalars module docstring).  v is scaled
     to Gaussian ints once by D_v (scalars._gaussian) and the entries once
     by D_H, the lcms of their denominators.  Row by row, each H_ij v_j is

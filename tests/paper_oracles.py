@@ -21,7 +21,10 @@ and its cos and sin as Fractions to 400 bits on that same Machin pi, with
 no quarter turn taken off: the oracle for circle.cos_sin and for the sign
 verify decides.  family_total is omega(a* a) on a family as the exact
 PhaseScalar built from certificate._family_sums, and family_total_by_machin
-the same total as a 400-bit Fraction.
+the same total as a 400-bit Fraction.  dense_value is a certificate's value
+the dense way, the exact witness total v^dagger H v on the family's Gram
+matrix (states.gram, states.quadratic_form) rounded by algebra.numeric_eval:
+refute's closed-form value must be that float, bit for bit.
 family_generators_by_theta builds each family label as the matrix
 product Theta_j xi, one lattice.theta_j per generator, which the closed-form
 progression of certificate.family_generators must reproduce.
@@ -78,14 +81,14 @@ from pathlib import Path
 
 import numpy as np
 
-from nctorus.algebra import AlgebraElement, adjoint, multiply, weyl
-from nctorus.certificate import _family_sums
+from nctorus.algebra import AlgebraElement, adjoint, multiply, numeric_eval, weyl
+from nctorus.certificate import _family_sums, build_H_second
 from nctorus.lattice import SkewForm, as_matrix, as_vector, pairing, theta_j
 from nctorus.parser import MAX_DEPTH, ParseError
 from nctorus.scalars import (ROOT_I, ROOT_ONE, GaussRat, PhaseScalar, _coefficient, _gaussian,
                              _gaussian_terms, _sum_of_products, as_fraction, as_scalar,
                              cyclotomic)
-from nctorus.states import HermitianMatrix, PsdVerdict, eval_generator
+from nctorus.states import HermitianMatrix, PsdVerdict, eval_generator, quadratic_form
 
 
 def build_H_prime(p, q, d: int, l: int, N: int) -> HermitianMatrix:
@@ -291,6 +294,13 @@ def family_total(state, params, l: int, witness, ctx) -> PhaseScalar:
             acc[0] += c_re
             acc[1] += part
     return PhaseScalar._of(_gaussian_terms(buckets, den))
+
+
+def dense_value(state, cert, ctx) -> float:
+    """cert's witness total on the dense Gram matrix of its (N, l*) family,
+    rounded once: numeric_eval(quadratic_form(build_H_second(...), v)).real."""
+    dense = build_H_second(state, cert.params, cert.l_star, ctx)
+    return numeric_eval(quadratic_form(dense, cert.witness), ctx).real
 
 
 def family_total_by_machin(state, params, l: int, witness, ctx, bits: int = 400) -> Fraction:

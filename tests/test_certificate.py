@@ -47,10 +47,10 @@ from nctorus.states import (
 from nctorus.circle import PI_ERROR, pi_scaled
 from nctorus.lattice import SIGMA2, SkewForm
 from nctorus.scalars import GaussRat, PhaseScalar
-from paper_oracles import (build_H_prime, clause_by_reference_pi, det_P, diophantine_fraction,
-                           cos_sin_by_machin, family_generators_by_theta, family_total,
-                           family_total_by_machin, is_hermitian, perfbench_reference, scan_hit,
-                           turns_by_machin)
+from paper_oracles import (build_H_prime, clause_by_reference_pi, dense_value, det_P,
+                           diophantine_fraction, cos_sin_by_machin, family_generators_by_theta,
+                           family_total, family_total_by_machin, is_hermitian,
+                           perfbench_reference, scan_hit, turns_by_machin)
 
 
 # -- diophantine ------------------------------------------------------------
@@ -642,29 +642,29 @@ def test_verify_ignores_avg_value(ctx, monkeypatch):
     assert len(built) == 0  # verify sums omega(a* a) over the generator pairs alone
 
 
-def test_refute_builds_one_gram(ctx, monkeypatch):
-    # the d families are scored in closed form; only l* gets a dense Gram matrix
+def test_refute_builds_no_gram(ctx, monkeypatch):
+    # the d families are scored in closed form, and l*'s value is the closed-form family
+    # sum verify reads too: no Gram matrix, no quadratic form; the dense path stays the
+    # oracle, and refute's value is its float bit for bit
     import nctorus.certificate as certificate
+    import nctorus.states as states
 
     base = refute(StateCandidate({1: 0.5}), ctx)
     q_decl = {k * base.params.N: Fraction(1, 1 + k) for k in range(1, base.params.d)}
-    states = (StateCandidate({1: 0.5}), StateCandidate({1: 1.5}), StateCandidate({2: -0.3}),
-              StateCandidate({1: Fraction(1, 2), **q_decl}))
-    built = []
+    cases = (StateCandidate({1: 0.5}), StateCandidate({1: 1.5}), StateCandidate({2: -0.3}),
+             StateCandidate({1: Fraction(1, 2), **q_decl}))
 
-    def counting_gram(*args, **kwargs):
-        built.append(args)
-        return gram(*args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("refute must not build a Gram matrix or a quadratic form")
 
-    for state in states:
-        built.clear()
+    for state in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(certificate, "gram", counting_gram)
+            for module in (certificate, states):
+                for name in ("gram", "quadratic_form"):
+                    patch.setattr(module, name, forbidden, raising=False)
             patch.setattr(certificate, "average_R", None)  # refute must not average
             cert = refute(state, ctx)
-        assert len(built) == 1
-        dense = build_H_second(state, cert.params, cert.l_star, ctx)
-        assert cert.value == numeric_eval(quadratic_form(dense, cert.witness), ctx).real
+        assert cert.value == dense_value(state, cert, ctx)
 
 
 SIGMA3_CTX = PhaseContext(h=Fraction(3, 7), sigma=SkewForm(((0, 3), (-3, 0))))
@@ -674,6 +674,10 @@ SIGMA3_CTX = PhaseContext(h=Fraction(3, 7), sigma=SkewForm(((0, 3), (-3, 0))))
 DENSE_D12 = {1: 0.3, **{k * 481014364723200: (-0.5) ** k for k in range(1, 12)}}
 DENSE_D13_SIGMA3 = {1: Fraction(7, 25),
                     **{k * 50412291555225600: Fraction(-1, 2) ** k for k in range(1, 13)}}
+# CI's a60 state: {1: 13/100} with 9/10 on the orbits kN, k = 1..4, N that of {1: 13/100}
+# alone (d = 60, zeta exponents to 2^309)
+A60_N = 2674393075095000686837668372096564827681515936883527514762416889561384537292800000000000000
+A60 = {1: Fraction(13, 100), **{k * A60_N: Fraction(9, 10) for k in range(1, 5)}}
 
 # sha256 of refute(...).dumps(), pinned when the generators were still built as
 # Theta_j xi matrix products; the dense sigma_01 = 3 case was pinned while each family
@@ -691,18 +695,58 @@ PINNED_CERTIFICATES = [
      "d62f2bd32417c2db26479fe8f82442420514ea6d6e2312818bcb772fcdd55e1a"),
     (SIGMA3_CTX, DENSE_D13_SIGMA3,
      "5e0cab1e72b0e6d73c675d0dd775f0988418eb3072b781bb20fc333614daa1d0"),
+    # pinned while refute still certified l* through a dense Gram matrix
+    (PhaseContext(), A60,
+     "aa8fd48e5863e4407dce321735fa83bc168de2d9476ea93c31572ff76c446ec2"),
 ]
 
 
 @pytest.mark.parametrize("ctx, values, digest", PINNED_CERTIFICATES,
-                         ids=["1:1/2", "1:3/10", "2:1/5", "3:3/20", "d12-dense", "d13-dense-sigma3"])
+                         ids=["1:1/2", "1:3/10", "2:1/5", "3:3/20", "d12-dense", "d13-dense-sigma3",
+                              "a60"])
 def test_refute_output_is_pinned(ctx, values, digest):
     text = refute(StateCandidate(values), ctx).dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_refute_d817_output_is_pinned(ctx):
+    # {1: 7/200} needs d = 817 and a budget past the default; pinned while refute still
+    # certified l* through a dense Gram matrix
+    text = refute(StateCandidate({1: Fraction(7, 200)}), ctx, budget=10**30).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "09bcdeb65588a0eabea98efe88327c677b6cbc68cbbdca415e43ac6b2e8b5d91")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_refute_value_is_the_dense_value(data):
+    # the closed-form total goes through the one rounding rule (numeric_eval) the dense
+    # v^dagger H v had: on drawn states with values on some family orbits kNx (zeros
+    # among them) and on the decoys dNx and Nx + 1, the certified floats agree bit for bit
+    h = data.draw(st.sampled_from((Fraction(1), Fraction(5, 7))), label="h")
+    ctx = PhaseContext(h=h, sigma=data.draw(st.sampled_from((SIGMA2, SIGMA3_CTX.sigma)),
+                                            label="sigma"))
+    x = data.draw(st.sampled_from((1, 2, 3)), label="x")
+    # |p| > 1/sqrt(26) keeps d <= 26; |p| > 1 is the d = 1 short form
+    p = Fraction(data.draw(st.integers(197, 1500), label="p"), 1000)
+    p = data.draw(st.sampled_from((p, -p)), label="sign")
+    d, eps = choose_parameters(p)
+    n_val = diophantine_N(ctx, x, d, eps, budget=10**30)
+    values = {x: p}
+    ks = data.draw(st.lists(st.integers(1, max(d - 1, 1)), max_size=d), label="ks")
+    for k in ks:
+        values[k * n_val * x] = data.draw(st.just(Fraction(0))
+                                          | st.fractions(-1, 1, max_denominator=64), label="q")
+    if data.draw(st.booleans(), label="decoys"):
+        values.update({d * n_val * x: Fraction(5, 7), n_val * x + 1: Fraction(-3, 4)})
+    state = StateCandidate(values)
+    cert = refute(state, ctx, budget=10**30)
+    assert cert.value < 0
+    assert cert.value == dense_value(state, cert, ctx), (ctx, values)
+
+
 def test_refute_builds_the_family_once(monkeypatch):
-    # l*'s generators are built once, for both the Gram matrix and the certificate
+    # l*'s generators are built once, for the certificate
     import nctorus.certificate as certificate
 
     built = []
